@@ -71,12 +71,12 @@ class MimHyper:
         beta += (0.0,) * (j - len(beta))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        if any(a < 0 for a in alpha) or any(b < 0 for b in beta):
-            raise ValueError("momentum weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in alpha + beta):
+            raise ValueError("momentum weights must be finite and nonnegative")
         if sum(alpha) >= 1.0:
             raise ValueError("alpha weights must sum below 1")
-        if self.eta_l <= 0:
-            raise ValueError("eta_l must be positive")
+        if not (math.isfinite(self.eta_l) and self.eta_l > 0):
+            raise ValueError("eta_l must be positive and finite")
         if self.k_local < 1:
             raise ValueError("k_local must be >= 1")
         if self.s_participate < 1:

@@ -4,11 +4,15 @@ One thread owns the round state; client work items may be fanned out to a
 thread pool but every reduction runs in ascending client-id order, so the
 recorded trajectory is byte-identical whether clients run sequentially or in
 parallel.  Full-batch measurement oracles (loss, gradient norms, consistency)
-run outside the training path and never perturb the trajectory.
+run outside the training path and never perturb the trajectory: the global
+loss and gradients come from the problem's population oracle, one blocked
+pass over the stacked data of all clients, while local training reads the
+same data through each client's row view.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -96,6 +100,16 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if not (1 <= self.hyper.s_participate <= self.problem.n_clients):
             raise ConfigError("s_participate must be in [1, n_clients]")
+        for name in ("n_clients", "dim", "samples_per_client", "mlp_hidden"):
+            if getattr(self.problem, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("sigma_l", "heterogeneity", "weight_decay"):
+            value = getattr(self.problem, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0")
+        conc = self.problem.concentration
+        if conc is not None and not (math.isfinite(conc) and conc > 0):
+            raise ConfigError("concentration must be 'iid' or finite and > 0")
         if self.problem.kind == "csv" and not self.problem.csv_path:
             raise ConfigError("csv problems need csv_path")
         if self.problem.kind == "csv" and not self.problem.label_column:
@@ -299,8 +313,10 @@ def run_sweep(base: RunConfig, axis: str, values) -> list:
         raise ConfigError(f"unknown sweep axis '{axis}' (choose from {SWEEP_AXES})")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    records = []
-    for value in values:
-        cfg = apply_axis(base, axis, value).validated()
-        records.append(run_training(cfg))
-    return records
+    configs = []
+    for value in values:  # every value is checked before the first run starts
+        try:
+            configs.append(apply_axis(base, axis, value).validated())
+        except ValueError as exc:  # a value the axis parser or MimHyper rejects
+            raise ConfigError(f"invalid {axis} value '{value}': {exc}") from None
+    return [run_training(cfg) for cfg in configs]

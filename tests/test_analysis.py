@@ -80,7 +80,8 @@ class TestComputeU:
         with pytest.raises(ValueError):
             compute_u(np.ones(1), [np.ones(1)], (1.0,), 3)
 
-    @given(st.lists(st.floats(min_value=0.0, max_value=0.3), min_size=1, max_size=4),
+    @given(st.lists(st.floats(min_value=0.0, max_value=0.3), min_size=1, max_size=4)
+           .filter(lambda alpha: sum(alpha) < 1.0),  # compute_u's domain
            st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=100))
     @settings(max_examples=60)
     def test_matches_explicit_double_sum(self, alpha, k_local, seed):

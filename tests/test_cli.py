@@ -171,6 +171,17 @@ class TestCmdRun:
         assert main(["run", "-c", minimal_config, "-o", "alpha=0.9,0.2"]) == 1
         assert "alpha weights must sum below 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        ("eta_l=nan", "eta_l must be positive and finite"),  # ran and exited 2 as a divergence
+        ("dim=0", "dim must be >= 1"),  # escaped the builder as a ValueError traceback
+        ("sigma_l=-1", "sigma_l must be finite and >= 0"),  # ran with no noise and exited 0
+    ])
+    def test_invalid_value_is_config_error(self, minimal_config, tmp_path, capsys, override, message):
+        out = tmp_path / "out"
+        assert main(["run", "-c", minimal_config, "--out", str(out), "-o", override]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCmdVerify:
     def test_quadratic_verify_passes(self, verify_config, tmp_path):
@@ -216,6 +227,13 @@ class TestCmdSweep:
     def test_unknown_axis_is_config_error(self, minimal_config, tmp_path):
         assert main(["sweep", "-c", minimal_config, "--out", str(tmp_path / "o"),
                      "--axis", "momentum", "--values", "1"]) == 1
+
+    def test_invalid_axis_value_fails_before_any_run(self, minimal_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["sweep", "-c", minimal_config, "--out", str(out),
+                     "--axis", "eta_l", "--values", "0.05,nan"]) == 1
+        assert "invalid eta_l value 'nan'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCmdGradcheck:

@@ -1,11 +1,15 @@
 import csv
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from fedsim import objectives
 from fedsim.objectives import (
     CsvFormatError,
     EpochSampler,
@@ -14,6 +18,7 @@ from fedsim.objectives import (
     PartitionError,
     PartitionSpec,
     QuadraticClient,
+    csv_problem,
     dirichlet_partition,
     estimate_dissimilarity,
     global_gradient,
@@ -227,6 +232,70 @@ class TestProblemGenerators:
         prob = mlp_problem(3, (4, 5, 1), PartitionSpec(3, None), data_rng(2), samples_per_client=10)
         assert prob.dim == 5 * 4 + 5 + 5 + 1
         assert prob.smoothness_L is None
+
+
+def _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir):
+    rng = data_rng(seed)
+    spec = PartitionSpec(n_clients, concentration)
+    if kind == "quadratic":
+        return quadratic_problem(n_clients, dim, 1.5, rng, sigma_l=0.1)
+    if kind == "logreg":
+        return logreg_problem(n_clients, dim, samples, spec, rng, weight_decay=0.01)
+    if kind == "mlp":
+        return mlp_problem(n_clients, (dim, 3, 1), spec, rng, samples_per_client=samples)
+    gen = np.random.default_rng(seed)
+    n_rows = n_clients * samples
+    labels = gen.permutation(np.arange(n_rows) % 2)
+    path = Path(csv_dir) / "data.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{j}" for j in range(dim)] + ["label"])
+        for row, lab in zip(gen.standard_normal((n_rows, dim)), labels):
+            writer.writerow([f"{v:.17g}" for v in row] + [int(lab)])
+    return csv_problem(str(path), "label", spec, rng, weight_decay=0.01)
+
+
+# (client attribute, population attribute) pairs that must share memory
+_STACKED = {
+    "quadratic": (("hessian", "hessians"), ("center", "centers")),
+    "logreg": (("features", "features"), ("labels", "labels")),
+    "csv": (("features", "features"), ("labels", "labels")),
+    "mlp": (("features", "features"), ("targets", "targets")),
+}
+
+
+class TestPopulationOracle:
+    @given(kind=st.sampled_from(sorted(_STACKED)),
+           n_clients=st.integers(min_value=1, max_value=6),
+           dim=st.integers(min_value=1, max_value=5),
+           concentration=st.sampled_from([0.5, 1.0, 5.0]),
+           samples=st.integers(min_value=3, max_value=40),
+           block_rows=st.sampled_from([1, 7, objectives.BLOCK_ROWS]),
+           seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_explicit_client_mean(self, kind, n_clients, dim, concentration, samples,
+                                          block_rows, seed):
+        with tempfile.TemporaryDirectory() as csv_dir:
+            try:
+                prob = _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir)
+            except PartitionError:
+                reject()
+        for client in prob.clients:
+            for client_attr, stack_attr in _STACKED[kind]:
+                assert np.shares_memory(getattr(client, client_attr), getattr(prob.population, stack_attr))
+
+        x = 0.5 * np.random.default_rng(seed).standard_normal(prob.dim)
+        losses = [c.loss(x) for c in prob.clients]
+        grads = [c.full_gradient(x) for c in prob.clients]
+        expected_loss = sum(losses) / len(losses)
+        expected_grad = sum(grads) / len(grads)
+        # a mean is only as exact as its terms: scale the gradient tolerance by them
+        grad_scale = max(float(np.abs(g).max()) for g in grads)
+        with mock.patch.object(objectives, "BLOCK_ROWS", block_rows):
+            loss = global_loss(prob, x)
+            grad = global_gradient(prob, x)
+        assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
+        np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12 * grad_scale)
 
 
 class TestCsvIngestion:

@@ -1,0 +1,71 @@
+"""Pinned training trajectories.
+
+The digests below were recorded from the per-client measurement code that
+preceded the stacked population oracle.  Measurement must never feed back
+into training, so any change to the data layout or the metric oracles has to
+leave these bytes alone: the final model and the increment ring buffer of a
+small run per data-driven problem kind.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, init_round_state
+from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training, sample_clients
+from fedsim.vectors import PURPOSE_SAMPLING, RngStream, derive_rng
+
+PINS = {
+    "logreg": (
+        ProblemConfig(kind="logreg", n_clients=8, dim=5, concentration=0.5,
+                      samples_per_client=40, batch_size=8),
+        "0f8aca6b32864948a793767ff21cbf094a4d4b7b45cc5c10c4dbdfbb88866a58",
+        "793eaacf338afecad133903f6a8ad9da58516f542843952f0e03bc814e5d094b",
+    ),
+    "mlp": (
+        ProblemConfig(kind="mlp", n_clients=8, dim=4, mlp_hidden=5, concentration=0.5,
+                      samples_per_client=30, batch_size=6),
+        "50767464c2f8474c6f8d346639d677e1dc9ba1a5db8958723963c5d401d3df11",
+        "debfceeaef6281cf5ada875a0a48aa73dfe2187a57b42e781b52f6afc9b48237",
+    ),
+    "quadratic": (
+        ProblemConfig(kind="quadratic", n_clients=6, dim=4, heterogeneity=1.0, sigma_l=0.1),
+        "f5f6c72347dd8a912b303f6f536830ac23e4f42854ef05c30eb3a6a9390c1a8f",
+        "b1b3d046a91356839a7f8cdc9e137df570d1f19fb01ada9a740698a1996db6d3",
+    ),
+}
+
+
+def _config(problem: ProblemConfig) -> RunConfig:
+    hyper = MimHyper(eta_l=0.05, k_local=3, s_participate=3)
+    return RunConfig(problem=problem, algorithm="fedmim", hyper=hyper, rounds=6, master_seed=3,
+                     metric_every=2)
+
+
+def _replay(config: RunConfig):
+    """The simulator's round loop, written out so the final ring buffer is visible."""
+    problem = build_problem(config.problem, config.master_seed)
+    state = init_round_state(np.zeros(problem.dim), config.hyper.J)
+    root = RngStream(config.master_seed)
+    for t in range(config.rounds):
+        sampled = sample_clients(problem.num_clients, config.hyper.s_participate,
+                                 derive_rng(config.master_seed, t, 0, PURPOSE_SAMPLING))
+        state, _ = ROUND_FUNCTIONS[config.algorithm](
+            state, problem, config.hyper, sampled, root, batch_size=config.problem.batch_size)
+    return state
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(PINS))
+def test_training_trajectory_is_pinned(kind):
+    problem_cfg, x_digest, delta_digest = PINS[kind]
+    config = _config(problem_cfg)
+    state = _replay(config)
+    record = run_training(config)
+    assert np.array_equal(record.final_x, state.x)
+    assert _sha(state.x.tobytes()) == x_digest
+    assert _sha(b"".join(d.tobytes() for d in state.delta_history)) == delta_digest
