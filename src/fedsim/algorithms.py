@@ -14,20 +14,27 @@ past increments:
     y2 = x_k - sum_j beta_j  * delta_{t-j}
     x_{k+1} = y1 - (1 - sum_j alpha_j) * eta_l * g(y2)
 
-Setting every weight to zero recovers plain local SGD (the averaging
-baseline delegates to exactly that code path); a single alpha step with zero
-beta recovers the client-momentum baseline.
+Every rule runs its local steps through one batched kernel,
+:func:`mim_local_update`: the S sampled clients share the broadcast model
+and both shifts, so they are held as one (S, d) array and each local step
+is one call of the problem's population oracle on the whole array.  The
+rules differ only in the kernel's parameters and the server step:
+
+* the averaging baseline sets every weight to zero (plain local SGD);
+* the client-momentum baseline is a single alpha step with zero beta;
+* the control-variate baseline adds a constant per-client gradient offset;
+* the adaptive baseline takes a server Adam step on the averaged result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import ClientObjective, EpochSampler, FederatedProblem
+from .objectives import FederatedProblem
 from .vectors import (
     PURPOSE_BATCH,
     ParamVector,
@@ -112,15 +119,26 @@ class AlgoParams:
     adam_eps: float = 1e-3
     global_lr: float = 1.0
 
+    def __post_init__(self):
+        if not (0.0 <= self.fedcm_alpha < 1.0):
+            raise ValueError("fedcm_alpha must be in [0, 1)")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0, 1)")
+        for name in ("adam_eps", "global_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
+
 
 @dataclass(frozen=True)
 class ScaffoldAux:
     c: ParamVector
-    c_clients: tuple
+    c_clients: np.ndarray  # (N, d), row i is client i's control
 
     @staticmethod
     def zeros(n_clients: int, dim: int) -> "ScaffoldAux":
-        return ScaffoldAux(np.zeros(dim), tuple(np.zeros(dim) for _ in range(n_clients)))
+        return ScaffoldAux(np.zeros(dim), np.zeros((n_clients, dim)))
 
 
 @dataclass(frozen=True)
@@ -144,19 +162,11 @@ class RoundState:
 
 
 @dataclass(frozen=True)
-class ClientResult:
-    client_id: int
-    x_final: ParamVector
-    grad_sum: Optional[ParamVector] = None
-    aux_update: object = None
-
-
-@dataclass(frozen=True)
 class RoundArtifacts:
     """Per-round observability payload (never feeds back into the trajectory)."""
 
-    sampled: tuple
-    local_finals: tuple  # sorted by client id
+    sampled: tuple  # sorted client ids
+    local_finals: np.ndarray  # (S, d), row s is client sampled[s]
     grad_sum: Optional[ParamVector]
     eta_l: float
 
@@ -189,91 +199,116 @@ def _weighted_shift(weights: Sequence[float], deltas: Sequence[ParamVector]) -> 
     return total
 
 
-def _check_finite(x: ParamVector, client_id: int, iteration: int) -> None:
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(client_id, iteration)
-
-
 def mim_local_update(
+    problem: FederatedProblem,
+    ids: Sequence[int],
     x_start: ParamVector,
     deltas: Sequence[ParamVector],
     hyper: MimHyper,
-    obj: ClientObjective,
     rng: RngStream,
     *,
+    round_index: int = 0,
     eta_l: Optional[float] = None,
     batch_size: int = 0,
     collect_grad_sum: bool = False,
-    client_id: int = 0,
-) -> ClientResult:
-    """K inertial-momentum SGD steps from the broadcast model.
+    correction: Optional[np.ndarray] = None,
+) -> tuple:
+    """K inertial-momentum SGD steps from the broadcast model, on all sampled clients at once.
 
-    The increment history is fixed for the whole round; both momentum shifts
-    are therefore precomputed once.  ``collect_grad_sum`` accumulates the
-    exact stochastic gradients consumed, for the identity checks.
+    Row s of the (S, d) iterate is client ``ids[s]``; ``ids`` are sorted and
+    distinct.  Each client's randomness for the round comes from its own
+    ``(round_index, client, PURPOSE_BATCH)`` stream, drawn up front.  The
+    increment history is fixed for the whole round, so both momentum shifts
+    are computed once.  ``correction`` is a constant (S, d) offset added to
+    the gradient before each step (the control-variate baseline).
+
+    Returns the (S, d) final iterates and, with ``collect_grad_sum``, the
+    (S, d) per-client sums of the exact stochastic gradients consumed, for
+    the identity checks (``None`` otherwise).  A row that turns non-finite
+    raises :class:`DivergenceError` after the last step, for the lowest such
+    client id and its first non-finite step.
     """
     eta = hyper.eta_l if eta_l is None else eta_l
     step = hyper.A * eta
     shift_alpha = _weighted_shift(hyper.alpha, deltas)
     shift_beta = _weighted_shift(hyper.beta, deltas)
-    sampler = EpochSampler(obj.sample_count, batch_size, rng.generator) if obj.sample_count > 0 else None
-    x = x_start.copy()
-    grad_sum = zeros_like(x_start) if collect_grad_sum else None
+    population = problem.population
+    streams = [derive_rng(rng.master_seed, round_index, cid, PURPOSE_BATCH) for cid in ids]
+    draws = population.draw_round(ids, streams, hyper.k_local, batch_size)
+    x = np.repeat(x_start[None, :], len(ids), axis=0)
+    grad_sum = np.zeros_like(x) if collect_grad_sum else None
+    first_bad = np.full(len(ids), -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught explicitly
         for k in range(hyper.k_local):
             y2 = x if shift_beta is None else x - shift_beta
-            if sampler is not None:
-                g = obj.batch_gradient(y2, sampler.next_batch())
-            else:
-                g = obj.stochastic_gradient(y2, batch_size, rng)
+            g = population.client_gradients(y2, draws, k)
             if grad_sum is not None:
                 grad_sum += g
+            if correction is not None:
+                g = g + correction
             y1 = x if shift_alpha is None else x - shift_alpha
             x = y1 - step * g
-            _check_finite(x, client_id, k)
-    return ClientResult(client_id, x, grad_sum=grad_sum)
+            finite = np.isfinite(x).all(axis=1)
+            if not finite.all():
+                first_bad[~finite & (first_bad < 0)] = k
+    if (first_bad >= 0).any():
+        row = int(np.argmax(first_bad >= 0))
+        raise DivergenceError(ids[row], int(first_bad[row]))
+    return x, grad_sum
 
 
-def _run_clients(worker: Callable[[int], ClientResult], sampled: Sequence[int], executor) -> list:
-    ids = sorted(sampled)
-    if executor is None:
-        results = [worker(cid) for cid in ids]
-    else:
-        results = list(executor.map(worker, ids))
-    return sorted(results, key=lambda r: r.client_id)
-
-
-def _total_grad_sum(results: Sequence[ClientResult]) -> Optional[ParamVector]:
-    if results[0].grad_sum is None:
+def _total_grad_sum(grad_sums: Optional[np.ndarray]) -> Optional[ParamVector]:
+    """Sum of the per-client rows, added in client-id order."""
+    if grad_sums is None:
         return None
-    total = results[0].grad_sum.copy()
-    for r in results[1:]:
-        total += r.grad_sum
+    total = grad_sums[0].copy()
+    for row in grad_sums[1:]:
+        total += row
     return total
 
 
-def _advance(state: RoundState, hyper: MimHyper, x_next: ParamVector, results, eta: float,
-             algo_aux=None) -> tuple:
+def _advance(state: RoundState, hyper: MimHyper, x_next: ParamVector, ids, finals, grad_sums,
+             eta: float, algo_aux=None) -> tuple:
     delta_next = compute_delta(x_next, state.x, hyper.k_local)
     history = (delta_next,) + state.delta_history[: hyper.J - 1]
     new_state = RoundState(x_next, history, state.round + 1,
                            algo_aux if algo_aux is not None else state.algo_aux)
     artifacts = RoundArtifacts(
-        sampled=tuple(r.client_id for r in results),
-        local_finals=tuple(r.x_final for r in results),
-        grad_sum=_total_grad_sum(results),
+        sampled=tuple(ids),
+        local_finals=finals,
+        grad_sum=_total_grad_sum(grad_sums),
         eta_l=eta,
     )
     return new_state, artifacts
 
 
-def _check_round_args(state: RoundState, problem: FederatedProblem, hyper: MimHyper, sampled) -> None:
+def _check_round_args(state: RoundState, problem: FederatedProblem, hyper: MimHyper, sampled) -> list:
+    """The sampled ids, sorted, after checking them against the round's shape."""
     if len(sampled) != hyper.s_participate:
         raise ValueError(f"expected {hyper.s_participate} sampled clients, got {len(sampled)}")
     if not (1 <= hyper.s_participate <= problem.num_clients):
         raise ValueError("s_participate out of range")
     if len(state.delta_history) != hyper.J:
         raise ValueError("delta history length does not match momentum depth")
+    ids = sorted(sampled)
+    if len(set(ids)) != len(ids) or ids[0] < 0 or ids[-1] >= problem.num_clients:
+        raise ValueError(f"sampled client ids must be distinct and in [0, {problem.num_clients})")
+    return ids
+
+
+def _local_round(state: RoundState, problem: FederatedProblem, hyper: MimHyper, ids, rng: RngStream,
+                 batch_size: int, collect_grads: bool, correction=None) -> tuple:
+    """(eta, final rows, per-client gradient sums) of the round's local updates."""
+    eta = current_eta(hyper, state.round)
+    finals, grad_sums = mim_local_update(
+        problem, ids, state.x, state.delta_history, hyper, rng, round_index=state.round,
+        eta_l=eta, batch_size=batch_size, collect_grad_sum=collect_grads, correction=correction,
+    )
+    return eta, finals, grad_sums
+
+
+def _zero_momentum(hyper: MimHyper) -> MimHyper:
+    return replace(hyper, alpha=(0.0,) * hyper.J, beta=(0.0,) * hyper.J)
 
 
 def mim_round(
@@ -285,112 +320,59 @@ def mim_round(
     *,
     batch_size: int = 0,
     collect_grads: bool = False,
-    executor=None,
     params: AlgoParams = AlgoParams(),
 ) -> tuple:
     """One inertial-momentum round: local updates on the sampled clients, mean aggregation."""
-    _check_round_args(state, problem, hyper, sampled)
-    eta = current_eta(hyper, state.round)
-
-    def worker(cid: int) -> ClientResult:
-        stream = derive_rng(rng.master_seed, state.round, cid, PURPOSE_BATCH)
-        return mim_local_update(
-            state.x, state.delta_history, hyper, problem.clients[cid], stream,
-            eta_l=eta, batch_size=batch_size, collect_grad_sum=collect_grads, client_id=cid,
-        )
-
-    results = _run_clients(worker, sampled, executor)
-    x_next = mean_vectors([r.x_final for r in results])
-    return _advance(state, hyper, x_next, results, eta)
+    ids = _check_round_args(state, problem, hyper, sampled)
+    eta, finals, grad_sums = _local_round(state, problem, hyper, ids, rng, batch_size, collect_grads)
+    return _advance(state, hyper, mean_vectors(finals), ids, finals, grad_sums, eta)
 
 
 def fedavg_round(state, problem, hyper, sampled, rng, *, batch_size=0, collect_grads=False,
-                 executor=None, params: AlgoParams = AlgoParams()):
+                 params: AlgoParams = AlgoParams()):
     """Local SGD plus averaging: the zero-momentum path, hard-coded."""
-    zero = replace(hyper, alpha=(0.0,) * hyper.J, beta=(0.0,) * hyper.J)
-    return mim_round(state, problem, zero, sampled, rng, batch_size=batch_size,
-                     collect_grads=collect_grads, executor=executor)
+    return mim_round(state, problem, _zero_momentum(hyper), sampled, rng, batch_size=batch_size,
+                     collect_grads=collect_grads)
 
 
 def fedcm_round(state, problem, hyper, sampled, rng, *, batch_size=0, collect_grads=False,
-                executor=None, params: AlgoParams = AlgoParams()):
+                params: AlgoParams = AlgoParams()):
     """Client-momentum baseline.
 
     Each local step blends the stochastic gradient with the broadcast
     momentum Delta_t = delta_t / eta_l (the previous round's normalized
     increment):  x <- x - eta_l * [(1 - a) g(x) + a Delta_t], which is
-    literally  x <- x - (1 - a) eta_l g(x) - a delta_t.  With weight a = 0
-    this is the plain averaging baseline.
+    literally  x <- (x - a delta_t) - (1 - a) eta_l g(x): the momentum rule
+    with alpha = (a, 0, ...) and beta = 0.  With weight a = 0 this is the
+    plain averaging baseline.
     """
-    _check_round_args(state, problem, hyper, sampled)
-    eta = current_eta(hyper, state.round)
     a = params.fedcm_alpha
-    if not (0 <= a < 1):
-        raise ValueError("fedcm_alpha must be in [0, 1)")
-    shift = a * state.delta_history[0] if a != 0.0 else None
-    step = (1.0 - a) * eta
-
-    def worker(cid: int) -> ClientResult:
-        stream = derive_rng(rng.master_seed, state.round, cid, PURPOSE_BATCH)
-        obj = problem.clients[cid]
-        sampler = EpochSampler(obj.sample_count, batch_size, stream.generator) if obj.sample_count > 0 else None
-        x = state.x.copy()
-        grad_sum = zeros_like(x) if collect_grads else None
-        for k in range(hyper.k_local):
-            g = obj.batch_gradient(x, sampler.next_batch()) if sampler is not None \
-                else obj.stochastic_gradient(x, batch_size, stream)
-            if grad_sum is not None:
-                grad_sum += g
-            x = x - step * g
-            if shift is not None:
-                x -= shift
-            _check_finite(x, cid, k)
-        return ClientResult(cid, x, grad_sum=grad_sum)
-
-    results = _run_clients(worker, sampled, executor)
-    x_next = mean_vectors([r.x_final for r in results])
-    return _advance(state, hyper, x_next, results, eta)
+    single = replace(hyper, alpha=(a,) + (0.0,) * (hyper.J - 1), beta=(0.0,) * hyper.J)
+    return mim_round(state, problem, single, sampled, rng, batch_size=batch_size,
+                     collect_grads=collect_grads)
 
 
 def scaffold_round(state, problem, hyper, sampled, rng, *, batch_size=0, collect_grads=False,
-                   executor=None, params: AlgoParams = AlgoParams()):
+                   params: AlgoParams = AlgoParams()):
     """Control-variate baseline.
 
     Local step x <- x - eta_l (g(x) - c_i + c); after K steps the client
     control is refreshed as c_i <- c_i - c + (x_t - x_K)/(K eta_l) and the
     server control moves by the participation-weighted average change.
     """
-    _check_round_args(state, problem, hyper, sampled)
-    eta = current_eta(hyper, state.round)
+    ids = _check_round_args(state, problem, hyper, sampled)
     aux = state.algo_aux
     if aux is None:
         aux = ScaffoldAux.zeros(problem.num_clients, state.x.shape[0])
-
-    def worker(cid: int) -> ClientResult:
-        stream = derive_rng(rng.master_seed, state.round, cid, PURPOSE_BATCH)
-        obj = problem.clients[cid]
-        sampler = EpochSampler(obj.sample_count, batch_size, stream.generator) if obj.sample_count > 0 else None
-        correction = aux.c - aux.c_clients[cid]
-        x = state.x.copy()
-        grad_sum = zeros_like(x) if collect_grads else None
-        for k in range(hyper.k_local):
-            g = obj.batch_gradient(x, sampler.next_batch()) if sampler is not None \
-                else obj.stochastic_gradient(x, batch_size, stream)
-            if grad_sum is not None:
-                grad_sum += g
-            x = x - eta * (g + correction)
-            _check_finite(x, cid, k)
-        c_new = aux.c_clients[cid] - aux.c + (state.x - x) / (hyper.k_local * eta)
-        return ClientResult(cid, x, grad_sum=grad_sum, aux_update=c_new)
-
-    results = _run_clients(worker, sampled, executor)
-    x_next = mean_vectors([r.x_final for r in results])
-    c_deltas = mean_vectors([r.aux_update - aux.c_clients[r.client_id] for r in results])
-    c_next = aux.c + (hyper.s_participate / problem.num_clients) * c_deltas
-    clients_next = list(aux.c_clients)
-    for r in results:
-        clients_next[r.client_id] = r.aux_update
-    return _advance(state, hyper, x_next, results, eta, algo_aux=ScaffoldAux(c_next, tuple(clients_next)))
+    c_old = aux.c_clients[ids]
+    eta, finals, grad_sums = _local_round(state, problem, _zero_momentum(hyper), ids, rng, batch_size,
+                                          collect_grads, correction=aux.c - c_old)
+    c_new = c_old - aux.c + (state.x - finals) / (hyper.k_local * eta)
+    c_next = aux.c + (hyper.s_participate / problem.num_clients) * mean_vectors(c_new - c_old)
+    clients_next = aux.c_clients.copy()
+    clients_next[ids] = c_new
+    return _advance(state, hyper, mean_vectors(finals), ids, finals, grad_sums, eta,
+                    algo_aux=ScaffoldAux(c_next, clients_next))
 
 
 def adam_server_step(aux: AdamAux, pseudo_grad: ParamVector, params: AlgoParams) -> tuple:
@@ -407,27 +389,16 @@ def adam_server_step(aux: AdamAux, pseudo_grad: ParamVector, params: AlgoParams)
 
 
 def fedadam_round(state, problem, hyper, sampled, rng, *, batch_size=0, collect_grads=False,
-                  executor=None, params: AlgoParams = AlgoParams()):
+                  params: AlgoParams = AlgoParams()):
     """Adaptive server baseline: plain local SGD, one server Adam step per round."""
-    _check_round_args(state, problem, hyper, sampled)
-    eta = current_eta(hyper, state.round)
+    ids = _check_round_args(state, problem, hyper, sampled)
     aux = state.algo_aux
     if aux is None:
         aux = AdamAux.zeros(state.x.shape[0])
-    zero = replace(hyper, alpha=(0.0,) * hyper.J, beta=(0.0,) * hyper.J)
-
-    def worker(cid: int) -> ClientResult:
-        stream = derive_rng(rng.master_seed, state.round, cid, PURPOSE_BATCH)
-        return mim_local_update(
-            state.x, state.delta_history, zero, problem.clients[cid], stream,
-            eta_l=eta, batch_size=batch_size, collect_grad_sum=collect_grads, client_id=cid,
-        )
-
-    results = _run_clients(worker, sampled, executor)
-    pseudo_grad = state.x - mean_vectors([r.x_final for r in results])
-    aux_next, update = adam_server_step(aux, pseudo_grad, params)
-    x_next = state.x - update
-    return _advance(state, hyper, x_next, results, eta, algo_aux=aux_next)
+    eta, finals, grad_sums = _local_round(state, problem, _zero_momentum(hyper), ids, rng, batch_size,
+                                          collect_grads)
+    aux_next, update = adam_server_step(aux, state.x - mean_vectors(finals), params)
+    return _advance(state, hyper, state.x - update, ids, finals, grad_sums, eta, algo_aux=aux_next)
 
 
 ROUND_FUNCTIONS = {

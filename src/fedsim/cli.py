@@ -54,7 +54,7 @@ _ALGO_KEYS = {
 }
 _RUN_KEYS = {
     "rounds": int, "seed": int, "metric_every": int, "verify": "bool",
-    "out_dir": str, "workers": int, "corrupt_delta": float,
+    "out_dir": str, "corrupt_delta": float,
 }
 _SECTIONS = {"problem": _PROBLEM_KEYS, "algorithm": _ALGO_KEYS, "run": _RUN_KEYS}
 
@@ -151,15 +151,15 @@ def parse_config(path: str, overrides: Sequence[str] = ()) -> RunConfig:
             s_participate=algo.get("s_participate", problem.n_clients),
             lr_decay=algo.get("lr_decay", 0.998),
         )
+        params = AlgoParams(
+            fedcm_alpha=algo.get("fedcm_alpha", 0.1),
+            adam_beta1=algo.get("adam_beta1", 0.9),
+            adam_beta2=algo.get("adam_beta2", 0.99),
+            adam_eps=algo.get("adam_eps", 1e-3),
+            global_lr=algo.get("global_lr", 0.1 if name == "fedadam" else 1.0),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    params = AlgoParams(
-        fedcm_alpha=algo.get("fedcm_alpha", 0.1),
-        adam_beta1=algo.get("adam_beta1", 0.9),
-        adam_beta2=algo.get("adam_beta2", 0.99),
-        adam_eps=algo.get("adam_eps", 1e-3),
-        global_lr=algo.get("global_lr", 0.1 if name == "fedadam" else 1.0),
-    )
     config = RunConfig(
         problem=problem,
         algorithm=name,
@@ -170,7 +170,6 @@ def parse_config(path: str, overrides: Sequence[str] = ()) -> RunConfig:
         metric_every=run.get("metric_every", 1),
         verify=run.get("verify", False),
         out_dir=run.get("out_dir", "runs"),
-        workers=run.get("workers", 1),
         corrupt_delta=run.get("corrupt_delta", 0.0),
     )
     return config.validated()
@@ -231,6 +230,8 @@ def write_run_json(record: RunRecord, path: Path) -> None:
     }
     if record.diverged_round is not None:
         payload["diverged_round"] = record.diverged_round
+        payload["diverged_client"] = record.diverged_client
+        payload["diverged_step"] = record.diverged_step
     if record.max_residual_delta is not None:
         payload["verification"] = {
             "max_residual_delta": record.max_residual_delta,

@@ -16,13 +16,20 @@ feature rows and labels/targets for the sample-based kinds, with a per-sample
 weight 1/(N n_i).  Every client object holds row views into that stack, not
 copies.  The stack also backs the problem's population oracle, which computes
 the full-batch global loss and gradient in one pass over fixed-size row
-blocks instead of looping over the clients.  Training only ever goes through
-the client objects.
+blocks instead of looping over the clients.
+
+The population oracle also serves training, one round at a time:
+``draw_round`` draws every sampled client's randomness for the round up front
+from that client's own stream, and ``client_gradients`` returns the (S, d)
+gradients of all sampled clients at one local step.  Quadratics evaluate them
+as one batched product over the Hessian stack; the sample-based kinds call
+each client's ``batch_gradient`` on its row view.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -69,26 +76,15 @@ class ClientObjective:
     def batch_gradient(self, x: ParamVector, indices: np.ndarray) -> ParamVector:
         raise NotImplementedError
 
-    def stochastic_gradient(self, x: ParamVector, batch_size: int, rng: RngStream) -> ParamVector:
-        """Gradient on a uniformly drawn batch (without replacement).
-
-        ``batch_size >= sample_count`` selects every sample in index order,
-        which makes the result bit-identical to ``full_gradient``.
-        """
-        n = self.sample_count
-        if batch_size <= 0 or batch_size >= n:
-            return self.full_gradient(x)
-        idx = np.sort(rng.generator.choice(n, size=batch_size, replace=False))
-        return self.batch_gradient(x, idx)
-
 
 class QuadraticClient(ClientObjective):
     """f_i(x) = 0.5 (x - b)^T H (x - b) with optional additive gradient noise.
 
-    A population objective (sample_count == 0): the stochastic gradient is the
-    exact gradient plus zero-mean Gaussian noise with E||noise||^2 equal to
-    ``noise_sigma**2``, so the bounded-variance constant is a direct knob.
-    ``noise_sigma == 0`` makes stochastic and full gradients identical.
+    A population objective (sample_count == 0): the stochastic gradient
+    (``noisy_gradient``) is the exact gradient plus zero-mean Gaussian noise
+    with E||noise||^2 equal to ``noise_sigma**2``, so the bounded-variance
+    constant is a direct knob.  ``noise_sigma == 0`` makes stochastic and
+    full gradients identical.
     """
 
     sample_count = 0
@@ -107,9 +103,6 @@ class QuadraticClient(ClientObjective):
 
     def full_gradient(self, x: ParamVector) -> ParamVector:
         return self.hessian @ (x - self.center)
-
-    def stochastic_gradient(self, x: ParamVector, batch_size: int, rng: RngStream) -> ParamVector:
-        return self.noisy_gradient(x, rng.generator)
 
     def noisy_gradient(self, x: ParamVector, gen: np.random.Generator) -> ParamVector:
         g = self.full_gradient(x)
@@ -278,19 +271,51 @@ def _row_blocks(n: int):
         yield slice(start, start + BLOCK_ROWS)
 
 
+def _hessian_products(hessians: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Row i: H_i @ r_i, bit for bit (a batched matmul, unlike einsum, matches the per-row product)."""
+    return np.matmul(hessians, r[:, :, None])[:, :, 0]
+
+
 class QuadraticPopulation:
     """f(x) = (1/N) sum_i 0.5 (x - b_i)^T H_i (x - b_i) over the stacked clients.
 
     The temporaries are (N, d), so the (N, d, d) Hessian stack is used whole.
+    Training gradients carry the clients' additive noise (see QuadraticClient).
     """
 
-    def __init__(self, hessians: np.ndarray, centers: np.ndarray):
+    def __init__(self, hessians: np.ndarray, centers: np.ndarray, noise_sigma: float = 0.0):
         self.hessians = hessians
         self.centers = centers
+        self.noise_sigma = float(noise_sigma)
+
+    def draw_round(self, ids: Sequence[int], streams: Sequence[RngStream], k_local: int, batch_size: int):
+        """The sampled clients' Hessians, centres and K scaled noise vectors.
+
+        ``ids`` are sorted and distinct.  At full participation they are
+        0..N-1 and the stack itself is used; otherwise the sampled rows are
+        gathered once for the whole round.  Each client draws its (K, d) noise
+        in one call on its own stream, the same values as K draws of one
+        vector each.  The noise is laid out (K, S, d).
+        """
+        full = len(ids) == len(self.centers)
+        hessians = self.hessians if full else self.hessians[ids]
+        centers = self.centers if full else self.centers[ids]
+        noise = None
+        if self.noise_sigma > 0.0:
+            d = centers.shape[1]
+            draws = [s.generator.standard_normal((k_local, d)) for s in streams]
+            noise = (self.noise_sigma / np.sqrt(d)) * np.stack(draws, axis=1)
+        return hessians, centers, noise
+
+    def client_gradients(self, x: np.ndarray, draws, step: int) -> np.ndarray:
+        """Row s: H_s (x_s - b_s) plus that client's noise for local step ``step``."""
+        hessians, centers, noise = draws
+        g = _hessian_products(hessians, x - centers)
+        return g if noise is None else g + noise[step]
 
     def _residuals(self, x: ParamVector):
         r = x - self.centers
-        return r, np.matmul(self.hessians, r[:, :, None])[:, :, 0]
+        return r, _hessian_products(self.hessians, r)
 
     def loss(self, x: ParamVector) -> float:
         r, hr = self._residuals(x)
@@ -301,14 +326,36 @@ class QuadraticPopulation:
         return hr.sum(axis=0) / len(hr)
 
 
-class LogisticPopulation:
+class _SampledPopulation:
+    """Training draws and gradients of the sample-based kinds, through the clients' row views."""
+
+    clients: Sequence[ClientObjective]
+
+    def draw_round(self, ids: Sequence[int], streams: Sequence[RngStream], k_local: int, batch_size: int):
+        """Each sampled client's K minibatches, drawn up front from its own stream."""
+        draws = []
+        for cid, stream in zip(ids, streams):
+            client = self.clients[cid]
+            sampler = EpochSampler(client.sample_count, batch_size, stream.generator)
+            draws.append((client, [sampler.next_batch() for _ in range(k_local)]))
+        return draws
+
+    def client_gradients(self, x: np.ndarray, draws, step: int) -> np.ndarray:
+        """Row s: the minibatch gradient of client s at row s of ``x``."""
+        return np.stack([client.batch_gradient(row, batches[step])
+                         for row, (client, batches) in zip(x, draws)])
+
+
+class LogisticPopulation(_SampledPopulation):
     """f(x) = sum_s w_s [log(1 + e^{z_s}) - y_s z_s] + 0.5 lam ||x||^2, w_s = 1/(N n_i)."""
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, weights: np.ndarray, weight_decay: float):
+    def __init__(self, features: np.ndarray, labels: np.ndarray, weights: np.ndarray, weight_decay: float,
+                 clients: Sequence[ClientObjective]):
         self.features = features
         self.labels = labels
         self.weights = weights
         self.weight_decay = float(weight_decay)
+        self.clients = clients
 
     def loss(self, x: ParamVector) -> float:
         total = 0.0
@@ -325,15 +372,16 @@ class LogisticPopulation:
         return acc + self.weight_decay * x
 
 
-class MlpPopulation:
+class MlpPopulation(_SampledPopulation):
     """f(x) = sum_s w_s 0.5 ||net(x_s) - t_s||^2, w_s = 1/(N n_i); the backprop of MlpClient."""
 
     def __init__(self, features: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                 widths: tuple[int, int, int]):
+                 widths: tuple[int, int, int], clients: Sequence[ClientObjective]):
         self.features = features
         self.targets = targets
         self.weights = weights
         self.widths = widths
+        self.clients = clients
 
     def loss(self, x: ParamVector) -> float:
         w1, b1, w2, b2 = unpack_mlp(x, self.widths)
@@ -365,7 +413,9 @@ class FederatedProblem:
 
     ``population`` evaluates the full-batch objective over the stacked data
     that the clients view: ``loss(x)`` and ``gradient(x)`` equal the mean of
-    the clients' ``loss``/``full_gradient`` up to summation order.
+    the clients' ``loss``/``full_gradient`` up to summation order.  Its
+    ``draw_round`` / ``client_gradients`` give the training gradients of a
+    round's sampled clients, bit for bit those of the client objects.
     """
 
     clients: list
@@ -407,7 +457,7 @@ def _stack_by_client(features: np.ndarray, values: np.ndarray, client_indices: S
 def _logistic_clients(features: np.ndarray, labels: np.ndarray, part: PartitionResult, weight_decay: float):
     feats, labs, weights, spans = _stack_by_client(features, labels.astype(np.float64), part.client_indices)
     clients = [LogisticClient(feats[a:b], labs[a:b], weight_decay) for a, b in spans]
-    return clients, LogisticPopulation(feats, labs, weights, weight_decay)
+    return clients, LogisticPopulation(feats, labs, weights, weight_decay, clients)
 
 
 def _largest_remainder_counts(quotas: np.ndarray, total: int) -> np.ndarray:
@@ -487,7 +537,7 @@ def quadratic_problem_from(
     smooth = max(float(np.linalg.eigvalsh(c.hessian)[-1]) for c in clients)
     mu = float(np.linalg.eigvalsh(h_sum / len(clients))[0])
     assert mu > 0, "averaged Hessian is not positive definite"
-    return FederatedProblem(clients, dim, QuadraticPopulation(hessians, centers),
+    return FederatedProblem(clients, dim, QuadraticPopulation(hessians, centers, sigma_l),
                             known_optimum=x_star, smoothness_L=smooth, pl_mu=mu)
 
 
@@ -573,7 +623,7 @@ def mlp_problem(
     targets = labels.astype(np.float64)[:, None]
     feats, targs, weights, spans = _stack_by_client(features, targets, part.client_indices)
     clients = [MlpClient(feats[a:b], targs[a:b], widths) for a, b in spans]
-    return FederatedProblem(clients, clients[0].dim, MlpPopulation(feats, targs, weights, widths),
+    return FederatedProblem(clients, clients[0].dim, MlpPopulation(feats, targs, weights, widths, clients),
                             partition=part)
 
 
@@ -605,11 +655,15 @@ def ingest_csv(path: str, label_column: str):
                     raw_labels.append(cell.strip())
                     continue
                 try:
-                    feats.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise CsvFormatError(
                         f"non-numeric value '{cell.strip()}' at row {rownum}, column '{header[col]}'"
                     ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"non-finite value '{cell.strip()}' at row {rownum}, column '{header[col]}'")
+                feats.append(value)
             rows.append(feats)
     if not rows:
         raise CsvFormatError("no data rows")

@@ -1,20 +1,19 @@
 """Round-by-round orchestration and metric recording.
 
-One thread owns the round state; client work items may be fanned out to a
-thread pool but every reduction runs in ascending client-id order, so the
-recorded trajectory is byte-identical whether clients run sequentially or in
-parallel.  Full-batch measurement oracles (loss, gradient norms, consistency)
-run outside the training path and never perturb the trajectory: the global
-loss and gradients come from the problem's population oracle, one blocked
-pass over the stacked data of all clients, while local training reads the
-same data through each client's row view.
+One thread owns the round state and runs everything.  Each round's sampled
+clients take their local steps together, as one (S, d) array in the round
+rule's batched kernel, and every reduction runs in ascending client-id
+order, so the recorded trajectory is byte-identical across reruns.
+Full-batch measurement oracles (loss, gradient norms, consistency) run
+outside the training path and never perturb the trajectory: the global loss
+and gradients come from the problem's population oracle, one blocked pass
+over the stacked data of all clients.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -84,7 +83,6 @@ class RunConfig:
     metric_every: int = 1
     verify: bool = False
     out_dir: str = "runs"
-    workers: int = 1
     corrupt_delta: float = 0.0  # fault injection for the verification self-test
 
     def validated(self) -> "RunConfig":
@@ -96,8 +94,6 @@ class RunConfig:
             raise ConfigError("rounds must be >= 1")
         if self.metric_every < 1:
             raise ConfigError("metric_every must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not (1 <= self.hyper.s_participate <= self.problem.n_clients):
             raise ConfigError("s_participate must be in [1, n_clients]")
         for name in ("n_clients", "dim", "samples_per_client", "mlp_hidden"):
@@ -128,6 +124,8 @@ class RunRecord:
     round_wall_ms: list = field(default_factory=list)  # excluded from determinism guarantees
     status: str = "completed"
     diverged_round: Optional[int] = None
+    diverged_client: Optional[int] = None  # lowest client id that went non-finite
+    diverged_step: Optional[int] = None  # that client's first non-finite local step
     eta_bound: Optional[EtaBoundReport] = None
     max_residual_delta: Optional[float] = None
     max_residual_u: Optional[float] = None
@@ -151,20 +149,27 @@ def sample_clients(n_clients: int, s_participate: int, rng: RngStream) -> list:
 
 
 def build_problem(cfg: ProblemConfig, master_seed: int) -> FederatedProblem:
-    """Materialize the configured problem from the data-synthesis stream."""
+    """Materialize the configured problem from the data-synthesis stream.
+
+    A problem the builders reject (a ``PartitionError`` or ``CsvFormatError``,
+    for example) is a ``ConfigError``.
+    """
+    if cfg.kind not in PROBLEM_KINDS:
+        raise ConfigError(f"unknown problem kind '{cfg.kind}'")
     rng = derive_rng(master_seed, 0, 0, PURPOSE_DATA)
     spec = PartitionSpec(cfg.n_clients, cfg.concentration)
-    if cfg.kind == "quadratic":
-        return quadratic_problem(cfg.n_clients, cfg.dim, cfg.heterogeneity, rng, sigma_l=cfg.sigma_l)
-    if cfg.kind == "logreg":
-        return logreg_problem(cfg.n_clients, cfg.dim, cfg.samples_per_client, spec, rng,
-                              weight_decay=cfg.weight_decay)
-    if cfg.kind == "mlp":
-        return mlp_problem(cfg.n_clients, (cfg.dim, cfg.mlp_hidden, 1), spec, rng,
-                           samples_per_client=cfg.samples_per_client)
-    if cfg.kind == "csv":
+    try:
+        if cfg.kind == "quadratic":
+            return quadratic_problem(cfg.n_clients, cfg.dim, cfg.heterogeneity, rng, sigma_l=cfg.sigma_l)
+        if cfg.kind == "logreg":
+            return logreg_problem(cfg.n_clients, cfg.dim, cfg.samples_per_client, spec, rng,
+                                  weight_decay=cfg.weight_decay)
+        if cfg.kind == "mlp":
+            return mlp_problem(cfg.n_clients, (cfg.dim, cfg.mlp_hidden, 1), spec, rng,
+                               samples_per_client=cfg.samples_per_client)
         return csv_problem(cfg.csv_path, cfg.label_column, spec, rng, weight_decay=cfg.weight_decay)
-    raise ConfigError(f"unknown problem kind '{cfg.kind}'")
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the {cfg.kind} problem: {exc}") from None
 
 
 def _eta_bound_report(config: RunConfig, problem: FederatedProblem) -> Optional[EtaBoundReport]:
@@ -184,20 +189,17 @@ def run_training(config: RunConfig, problem: Optional[FederatedProblem] = None) 
     if problem is None:
         problem = build_problem(config.problem, config.master_seed)
     record = RunRecord(config=config, eta_bound=_eta_bound_report(config, problem))
-    executor = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     started = time.perf_counter()
     try:
         # overflow is detected explicitly after every local step; keep numpy quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            _train_loop(config, problem, record, executor)
+            _train_loop(config, problem, record)
     finally:
-        if executor is not None:
-            executor.shutdown()
         record.wall_ms_total = (time.perf_counter() - started) * 1000.0
     return record
 
 
-def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord, executor) -> None:
+def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord) -> None:
     hyper = config.hyper
     round_fn = ROUND_FUNCTIONS[config.algorithm]
     state = init_round_state(np.zeros(problem.dim), hyper.J)
@@ -215,12 +217,14 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord,
                 prev, problem, hyper, sampled, root,
                 batch_size=config.problem.batch_size,
                 collect_grads=track_identities,
-                executor=executor,
                 params=config.params,
             )
-        except DivergenceError:
-            record.status = f"diverged at round {t + 1}"
+        except DivergenceError as exc:
+            record.status = (f"diverged at round {t + 1} "
+                             f"(client {exc.client_id}, local step {exc.iteration})")
             record.diverged_round = t + 1
+            record.diverged_client = exc.client_id
+            record.diverged_step = exc.iteration
             record.final_x = prev.x
             record.final_loss = global_loss(problem, prev.x)
             return

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from fedsim.algorithms import (
+    ROUND_FUNCTIONS,
     AdamAux,
     AlgoParams,
     DivergenceError,
@@ -21,13 +24,9 @@ from fedsim.algorithms import (
     scaffold_round,
     validate_eta_l,
 )
-from fedsim.objectives import QuadraticClient, quadratic_problem, quadratic_problem_from
-from fedsim.simulator import sample_clients
-from fedsim.vectors import PURPOSE_SAMPLING, RngStream, derive_rng
-
-
-def scalar_quadratic(center=0.0, sigma=0.0):
-    return QuadraticClient(np.eye(1), np.array([center]), sigma)
+from fedsim.objectives import EpochSampler, quadratic_problem, quadratic_problem_from
+from fedsim.simulator import ConfigError, ProblemConfig, build_problem, sample_clients
+from fedsim.vectors import PURPOSE_BATCH, PURPOSE_SAMPLING, RngStream, derive_rng
 
 
 def symmetric_pair(sigma=0.0):
@@ -74,12 +73,18 @@ class TestComputeDelta:
             compute_delta(np.ones(2), np.ones(3), 1)
 
 
+def one_client(hessian, center, sigma=0.0, copies=1):
+    return quadratic_problem_from([hessian] * copies, [center] * copies, sigma)
+
+
 class TestMimLocalUpdate:
+    """The batched kernel on one sampled client: its single row is that client's update."""
+
     def test_plain_sgd_step(self):
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=1)
-        res = mim_local_update(np.array([1.0]), [np.zeros(1)], hyper,
-                               scalar_quadratic(), derive_rng(0, 0, 0, 1))
-        assert res.x_final == pytest.approx([0.9])
+        x_final, _ = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0], np.array([1.0]),
+                                      [np.zeros(1)], hyper, RngStream(0))
+        assert x_final[0] == pytest.approx([0.9])
 
     def test_single_step_hand_example(self):
         # oracle: exact rational evaluation of one momentum step on f(x) = x^2/2
@@ -92,34 +97,151 @@ class TestMimLocalUpdate:
         assert expected == Fraction(171, 200)
 
         hyper = MimHyper(alpha=(0.5,), beta=(0.5,), eta_l=0.1, k_local=1)
-        res = mim_local_update(np.array([1.0]), [np.array([0.2])], hyper,
-                               scalar_quadratic(), derive_rng(0, 0, 0, 1))
-        assert res.x_final == pytest.approx([float(expected)], abs=1e-15)
+        x_final, _ = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0], np.array([1.0]),
+                                      [np.array([0.2])], hyper, RngStream(0))
+        assert x_final[0] == pytest.approx([float(expected)], abs=1e-15)
 
     def test_zero_history_matches_zero_momentum_trajectory(self):
         start = np.array([1.0, -2.0])
         deltas = [np.zeros(2), np.zeros(2)]
         with_momentum = MimHyper(alpha=(0.4, 0.2), beta=(0.5, 0.1), eta_l=0.05, k_local=3)
-        obj = QuadraticClient(np.eye(2), np.zeros(2))
-        res_m = mim_local_update(start, deltas, with_momentum, obj, derive_rng(0, 0, 0, 1))
+        problem = one_client(np.eye(2), np.zeros(2))
+        x_m, _ = mim_local_update(problem, [0], start, deltas, with_momentum, RngStream(0))
         # same A so the gradient scaling matches; history is all zero
         zero = MimHyper(alpha=(0.4, 0.2), beta=(0.0, 0.0), eta_l=0.05, k_local=3)
-        res_z = mim_local_update(start, deltas, zero, obj, derive_rng(0, 0, 0, 1))
-        assert np.array_equal(res_m.x_final, res_z.x_final)
+        x_z, _ = mim_local_update(problem, [0], start, deltas, zero, RngStream(0))
+        assert np.array_equal(x_m, x_z)
 
     def test_grad_sum_collection(self):
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=4)
-        res = mim_local_update(np.array([1.0]), [np.zeros(1)], hyper, scalar_quadratic(),
-                               derive_rng(0, 0, 0, 1), collect_grad_sum=True)
-        assert res.grad_sum == pytest.approx([1.0 + 0.9 + 0.81 + 0.729])
+        _, grad_sum = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0], np.array([1.0]),
+                                       [np.zeros(1)], hyper, RngStream(0), collect_grad_sum=True)
+        assert grad_sum[0] == pytest.approx([1.0 + 0.9 + 0.81 + 0.729])
 
     def test_divergence_detection(self):
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=1e8, k_local=60)
+        problem = one_client(np.eye(1), np.zeros(1), copies=4)
         with pytest.raises(DivergenceError) as err:
-            mim_local_update(np.array([1.0]), [np.zeros(1)], hyper,
-                             scalar_quadratic(), derive_rng(0, 0, 0, 1), client_id=3)
+            mim_local_update(problem, [3], np.array([1.0]), [np.zeros(1)], hyper, RngStream(0))
         assert err.value.client_id == 3
         assert err.value.iteration > 0
+
+
+def _reference_shift(weights, deltas):
+    terms = [w * d for w, d in zip(weights, deltas) if w != 0.0]
+    if not terms:
+        return None
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def reference_local_updates(problem, ids, x_start, deltas, hyper, seed, round_index, eta, batch_size,
+                            correction):
+    """The local updates one client at a time, through the client objects' own oracles."""
+    shift_a = _reference_shift(hyper.alpha, deltas)
+    shift_b = _reference_shift(hyper.beta, deltas)
+    finals, grad_sums = [], []
+    for row, cid in enumerate(ids):
+        client = problem.clients[cid]
+        gen = derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator
+        sampler = EpochSampler(client.sample_count, batch_size, gen) if client.sample_count else None
+        x = x_start.copy()
+        grad_sum = np.zeros_like(x)
+        for _ in range(hyper.k_local):
+            y2 = x if shift_b is None else x - shift_b
+            if sampler is None:
+                g = client.noisy_gradient(y2, gen)
+            else:
+                g = client.batch_gradient(y2, sampler.next_batch())
+            grad_sum += g
+            if correction is not None:
+                g = g + correction[row]
+            x = (x if shift_a is None else x - shift_a) - hyper.A * eta * g
+        finals.append(x)
+        grad_sums.append(grad_sum)
+    return finals, grad_sums
+
+
+@st.composite
+def kernel_cases(draw):
+    kind = draw(st.sampled_from(["quadratic", "logreg", "mlp"]))
+    n_clients = draw(st.integers(min_value=1, max_value=6))
+    j_depth = draw(st.integers(min_value=1, max_value=3))
+    weights = st.lists(st.sampled_from([0.0, 0.05, 0.2, 0.45, 0.9]), min_size=j_depth, max_size=j_depth)
+    return dict(
+        kind=kind,
+        n_clients=n_clients,
+        s_participate=draw(st.integers(min_value=1, max_value=n_clients)),
+        k_local=draw(st.integers(min_value=1, max_value=5)),
+        alpha=tuple(draw(weights.filter(lambda a: sum(a) < 1))),
+        beta=tuple(draw(weights)),
+        batch_size=draw(st.integers(min_value=0, max_value=12)),
+        correction=draw(st.booleans()),
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+
+
+def random_problem(case):
+    cfg = ProblemConfig(kind=case["kind"], n_clients=case["n_clients"], dim=3, sigma_l=0.3,
+                        concentration=0.5, samples_per_client=15, mlp_hidden=3)
+    try:
+        return build_problem(cfg, case["seed"])
+    except ConfigError:  # a Dirichlet draw that left a client empty
+        reject()
+
+
+class TestBatchedKernel:
+    @given(case=kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_per_client_reference_bytes(self, case):
+        problem = random_problem(case)
+        gen = np.random.default_rng(case["seed"])
+        hyper = MimHyper(alpha=case["alpha"], beta=case["beta"], eta_l=0.05, k_local=case["k_local"],
+                         s_participate=case["s_participate"])
+        ids = sorted(int(i) for i in gen.choice(problem.num_clients, case["s_participate"], replace=False))
+        x_start = 0.3 * gen.standard_normal(problem.dim)
+        deltas = [0.1 * gen.standard_normal(problem.dim) for _ in range(hyper.J)]
+        correction = 0.2 * gen.standard_normal((len(ids), problem.dim)) if case["correction"] else None
+        round_index, eta = 4, 0.04
+
+        finals, grad_sums = mim_local_update(
+            problem, ids, x_start, deltas, hyper, RngStream(case["seed"]), round_index=round_index,
+            eta_l=eta, batch_size=case["batch_size"], collect_grad_sum=True, correction=correction)
+        ref_finals, ref_grad_sums = reference_local_updates(
+            problem, ids, x_start, deltas, hyper, case["seed"], round_index, eta, case["batch_size"], correction)
+
+        assert finals.shape == grad_sums.shape == (len(ids), problem.dim)
+        for row in range(len(ids)):
+            assert finals[row].tobytes() == ref_finals[row].tobytes()
+            assert grad_sums[row].tobytes() == ref_grad_sums[row].tobytes()
+
+    @given(case=kernel_cases(), algorithm=st.sampled_from(sorted(ROUND_FUNCTIONS)))
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_order_leaves_round_unchanged(self, case, algorithm):
+        problem = random_problem(case)
+        hyper = MimHyper(alpha=case["alpha"], beta=case["beta"], eta_l=0.05, k_local=case["k_local"],
+                         s_participate=case["s_participate"])
+        gen = np.random.default_rng(case["seed"])
+        root = RngStream(case["seed"])
+        states = [init_round_state(np.zeros(problem.dim), hyper.J)] * 2
+        for t in range(2):
+            sampled = sample_clients(problem.num_clients, hyper.s_participate,
+                                     derive_rng(case["seed"], t, 0, PURPOSE_SAMPLING))
+            orders = (sampled, [int(i) for i in gen.permutation(sampled)])
+            results = [ROUND_FUNCTIONS[algorithm](state, problem, hyper, order, root,
+                                                  batch_size=case["batch_size"], collect_grads=True)
+                       for state, order in zip(states, orders)]
+            (a, art_a), (b, art_b) = results
+            assert a.x.tobytes() == b.x.tobytes()
+            assert [d.tobytes() for d in a.delta_history] == [d.tobytes() for d in b.delta_history]
+            for name in ("c", "c_clients", "m", "v"):
+                if hasattr(a.algo_aux, name):
+                    assert getattr(a.algo_aux, name).tobytes() == getattr(b.algo_aux, name).tobytes()
+            assert art_a.sampled == art_b.sampled == tuple(sorted(sampled))
+            assert art_a.grad_sum.tobytes() == art_b.grad_sum.tobytes()
+            states = [a, b]
 
 
 def run_rounds(round_fn, problem, hyper, rounds, seed, batch_size=0, params=AlgoParams(),
@@ -178,6 +300,14 @@ class TestMimRound:
         state = init_round_state(np.zeros(1), hyper.J)
         with pytest.raises(ValueError, match="sampled clients"):
             mim_round(state, problem, hyper, [0], RngStream(0))
+
+    @pytest.mark.parametrize("sampled", [[1, 1], [0, 2], [-1, 0]])
+    def test_repeated_or_unknown_ids_rejected(self, sampled):
+        problem = symmetric_pair()
+        hyper = MimHyper(s_participate=2, k_local=1)
+        state = init_round_state(np.zeros(1), hyper.J)
+        with pytest.raises(ValueError, match="distinct and in"):
+            mim_round(state, problem, hyper, sampled, RngStream(0))
 
     def test_zero_history_alpha_scaling_identity(self):
         # round 1 with sigma=0 and K=1: the step scales exactly with A

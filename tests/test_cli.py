@@ -166,6 +166,8 @@ class TestCmdRun:
         payload = json.loads((out / "run.json").read_text())
         assert payload["status"] == "diverged"
         assert payload["diverged_round"] >= 1
+        assert payload["diverged_client"] in range(4)
+        assert payload["diverged_step"] in range(10)
 
     def test_config_error_exit_code(self, minimal_config, capsys):
         assert main(["run", "-c", minimal_config, "-o", "alpha=0.9,0.2"]) == 1
@@ -181,6 +183,41 @@ class TestCmdRun:
         assert main(["run", "-c", minimal_config, "--out", str(out), "-o", override]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["name=fedcm", "fedcm_alpha=2"], "fedcm_alpha must be in [0, 1)"),  # was a ValueError traceback
+        (["name=fedcm", "fedcm_alpha=-0.1"], "fedcm_alpha must be in [0, 1)"),
+        (["name=fedadam", "adam_eps=nan"], "adam_eps must be positive and finite"),  # exited 2 as a divergence
+        (["name=fedadam", "adam_eps=0"], "adam_eps must be positive and finite"),
+        (["name=fedadam", "adam_beta1=1"], "adam_beta1 must be in [0, 1)"),
+        (["name=fedadam", "adam_beta2=nan"], "adam_beta2 must be in [0, 1)"),
+        (["name=fedadam", "global_lr=inf"], "global_lr must be positive and finite"),
+        (["name=fedavg", "global_lr=-1"], "global_lr must be positive and finite"),
+    ])
+    def test_invalid_algorithm_param_is_config_error(self, minimal_config, tmp_path, capsys,
+                                                      overrides, message):
+        out = tmp_path / "out"
+        args = ["run", "-c", minimal_config, "--out", str(out)]
+        for item in overrides:
+            args += ["-o", item]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_partition_failure_is_config_error(self, tmp_path, capsys):
+        # a PartitionError from the problem builder used to escape as a traceback
+        cfg = tmp_path / "skew.ini"
+        cfg.write_text("[problem]\nkind = logreg\nn_clients = 5\ndim = 5\nconcentration = 0.01\n"
+                       "samples_per_client = 50\n[algorithm]\nname = fedmim\ns_participate = 3\n"
+                       "[run]\nrounds = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(cfg), "--out", str(out)]) == 1
+        assert "cannot build the logreg problem: a client received no samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_key_is_gone(self, minimal_config, capsys):
+        assert main(["run", "-c", minimal_config, "-o", "workers=2"]) == 1
+        assert "unknown override key 'workers'" in capsys.readouterr().err
 
 
 class TestCmdVerify:

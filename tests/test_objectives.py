@@ -82,9 +82,9 @@ class TestQuadraticProblem:
         client = QuadraticClient(np.eye(4), np.zeros(4), noise_sigma=0.3)
         x = np.ones(4)
         exact = QuadraticClient(np.eye(4), np.zeros(4), noise_sigma=0.0)
-        assert np.array_equal(exact.stochastic_gradient(x, 1, data_rng(0)), exact.full_gradient(x))
-        rng = data_rng(5)
-        draws = np.array([client.stochastic_gradient(x, 1, rng) - client.full_gradient(x)
+        assert np.array_equal(exact.noisy_gradient(x, data_rng(0).generator), exact.full_gradient(x))
+        gen = data_rng(5).generator
+        draws = np.array([client.noisy_gradient(x, gen) - client.full_gradient(x)
                           for _ in range(20000)])
         assert np.abs(draws.mean(axis=0)).max() < 0.01  # unbiased
         assert np.mean(np.sum(draws**2, axis=1)) == pytest.approx(0.09, rel=0.05)
@@ -108,7 +108,9 @@ class TestLogisticClient:
         gen = np.random.default_rng(3)
         client = LogisticClient(gen.standard_normal((9, 4)), gen.integers(0, 2, 9), 1e-3)
         w = gen.standard_normal(4)
-        assert np.array_equal(client.stochastic_gradient(w, 9, data_rng(1)), client.full_gradient(w))
+        for batch_size in (0, 9, 12):  # a batch of every sample comes in index order
+            batch = EpochSampler(9, batch_size, data_rng(1).generator).next_batch()
+            assert np.array_equal(client.batch_gradient(w, batch), client.full_gradient(w))
 
     def test_disjoint_cover_unbiasedness(self):
         gen = np.random.default_rng(4)
@@ -319,6 +321,13 @@ class TestCsvIngestion:
     def test_non_numeric_cell_reports_location(self, tmp_path):
         path = self._write(tmp_path, ["1.0,2.0,0", "1.0,oops,1"])
         with pytest.raises(CsvFormatError, match="row 3, column 'b'"):
+            ingest_csv(path, "label")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell):
+        # used to parse, after which standardization zeroed the whole column
+        path = self._write(tmp_path, ["1.0,2.0,0", f"1.0,{cell},1", "2.0,3.0,0"])
+        with pytest.raises(CsvFormatError, match=f"non-finite value '{cell}' at row 3, column 'b'"):
             ingest_csv(path, "label")
 
     def test_missing_label_column(self, tmp_path):

@@ -4,10 +4,13 @@ The digests below were recorded from the per-client measurement code that
 preceded the stacked population oracle.  Measurement must never feed back
 into training, so any change to the data layout or the metric oracles has to
 leave these bytes alone: the final model and the increment ring buffer of a
-small run per data-driven problem kind.
+small run per data-driven problem kind.  The baseline pins hold the quadratic
+run of the round rules other than the momentum rule, so the batched local
+update has to reproduce each rule's per-client arithmetic as well.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +36,23 @@ PINS = {
         ProblemConfig(kind="quadratic", n_clients=6, dim=4, heterogeneity=1.0, sigma_l=0.1),
         "f5f6c72347dd8a912b303f6f536830ac23e4f42854ef05c30eb3a6a9390c1a8f",
         "b1b3d046a91356839a7f8cdc9e137df570d1f19fb01ada9a740698a1996db6d3",
+    ),
+}
+
+# Baseline round rules on the quadratic pin problem (S=3 of N=6 clients),
+# recorded from the per-client local loops that preceded the batched kernel.
+BASELINE_PINS = {
+    "fedavg": (
+        "0bfa81e9327e742376ac12dcc1353fa9b625415301943323fb54ab262fd32c6b",
+        "15ed8e51406e3dfb8f4bbdaeb43bff634685c7be102df5ca0fd6bc4960e8b48b",
+    ),
+    "scaffold": (
+        "323e7dc27eca52f2ea29bd8a93d742ddadfb2f5a3287a6e696a64ff8bff58cc2",
+        "113a6b14339706a9f3ac8729ad61a0c8b31b967095643c4482e40258202c0f0a",
+    ),
+    "fedadam": (
+        "70e4b6d94462b5a4afb893575c93019490633867f397d1b0893dcee5d9484c32",
+        "ca8c2dd1fd85f35ca51dfc8539242bb1c36698bbe3b1b898194ff8744783f627",
     ),
 }
 
@@ -64,6 +84,17 @@ def _sha(data: bytes) -> str:
 def test_training_trajectory_is_pinned(kind):
     problem_cfg, x_digest, delta_digest = PINS[kind]
     config = _config(problem_cfg)
+    state = _replay(config)
+    record = run_training(config)
+    assert np.array_equal(record.final_x, state.x)
+    assert _sha(state.x.tobytes()) == x_digest
+    assert _sha(b"".join(d.tobytes() for d in state.delta_history)) == delta_digest
+
+
+@pytest.mark.parametrize("algorithm", sorted(BASELINE_PINS))
+def test_baseline_trajectory_is_pinned(algorithm):
+    x_digest, delta_digest = BASELINE_PINS[algorithm]
+    config = replace(_config(PINS["quadratic"][0]), algorithm=algorithm)
     state = _replay(config)
     record = run_training(config)
     assert np.array_equal(record.final_x, state.x)
