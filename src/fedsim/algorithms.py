@@ -117,7 +117,7 @@ class AlgoParams:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.99
     adam_eps: float = 1e-3
-    global_lr: float = 1.0
+    global_lr: float = 0.1  # server step of fedadam; no other rule reads it
 
     def __post_init__(self):
         if not (0.0 <= self.fedcm_alpha < 1.0):

@@ -17,16 +17,17 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .algorithms import AlgoParams, MimHyper, ROUND_FUNCTIONS
 from .analysis import MetricRow, finite_difference_check
 from .simulator import (
     ConfigError,
     ProblemConfig,
     RunConfig,
     RunRecord,
+    SETTINGS,
     build_problem,
     run_sweep,
     run_training,
+    with_settings,
 )
 from .vectors import derive_rng
 
@@ -41,138 +42,43 @@ GRADCHECK_SETTINGS = {  # kind -> (fd step, max relative error)
     "mlp": (1e-5, 1e-4),
 }
 
-_PROBLEM_KEYS = {
-    "kind": str, "n_clients": int, "dim": int, "heterogeneity": float,
-    "concentration": "concentration", "sigma_l": float, "batch_size": int,
-    "samples_per_client": int, "weight_decay": float, "mlp_hidden": int,
-    "csv_path": str, "label_column": str,
-}
-_ALGO_KEYS = {
-    "name": str, "alpha": "weights", "beta": "weights", "eta_l": float,
-    "k_local": int, "s_participate": int, "lr_decay": float, "fedcm_alpha": float,
-    "adam_beta1": float, "adam_beta2": float, "adam_eps": float, "global_lr": float,
-}
-_RUN_KEYS = {
-    "rounds": int, "seed": int, "metric_every": int, "verify": "bool",
-    "out_dir": str, "corrupt_delta": float,
-}
-_SECTIONS = {"problem": _PROBLEM_KEYS, "algorithm": _ALGO_KEYS, "run": _RUN_KEYS}
+_SECTIONS = {setting.section for setting in SETTINGS.values()}
 
 
-def _convert(section: str, key: str, raw: str):
-    kind = _SECTIONS[section][key]
-    try:
-        if kind is str:
-            return raw
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind == "concentration":
-            return None if raw.strip().lower() == "iid" else float(raw)
-        if kind == "weights":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"invalid value '{raw}' for {section}.{key}") from None
-    raise ConfigError(f"unhandled key {section}.{key}")
-
-
-def _locate(key: str) -> tuple:
-    dotted = key.split(".", 1)
-    if len(dotted) == 2 and dotted[0] in _SECTIONS and dotted[1] in _SECTIONS[dotted[0]]:
-        return dotted[0], dotted[1]
-    hits = [s for s, keys in _SECTIONS.items() if key in keys]
-    if len(hits) == 1:
-        return hits[0], key
+def _locate(key: str) -> str:
+    """The SETTINGS key an override names, as ``key`` or as ``section.key``."""
+    bare = key.split(".", 1)[-1]
+    if bare in SETTINGS and key in (bare, f"{SETTINGS[bare].section}.{bare}"):
+        return bare
     raise ConfigError(f"unknown override key '{key}'")
 
 
 def parse_config(path: str, overrides: Sequence[str] = ()) -> RunConfig:
     """Load, override and validate a run configuration."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
 
-    values: dict = {s: {} for s in _SECTIONS}
+    raw: dict = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SECTIONS[section]:
+        for key, value in parser.items(section):
+            if key not in SETTINGS or SETTINGS[key].section != section:
                 raise ConfigError(f"unknown config key '{key}' in section [{section}]")
-            values[section][key] = _convert(section, key, raw)
+            raw[key] = value
 
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not key=value")
-        key, raw = item.split("=", 1)
-        section, key = _locate(key.strip())
-        values[section][key] = _convert(section, key, raw.strip())
+        key, value = item.split("=", 1)
+        raw[_locate(key.strip())] = value.strip()
 
-    for section, key in (("problem", "kind"), ("algorithm", "name"), ("run", "rounds")):
-        if key not in values[section]:
-            raise ConfigError(f"missing required key '{key}' in section [{section}]")
-
-    prob = values["problem"]
-    algo = values["algorithm"]
-    run = values["run"]
-
-    problem = ProblemConfig(
-        kind=prob["kind"],
-        n_clients=prob.get("n_clients", 10),
-        dim=prob.get("dim", 10),
-        heterogeneity=prob.get("heterogeneity", 1.0),
-        concentration=prob.get("concentration", None),
-        sigma_l=prob.get("sigma_l", 0.1),
-        batch_size=prob.get("batch_size", 20),
-        samples_per_client=prob.get("samples_per_client", 50),
-        weight_decay=prob.get("weight_decay", 1e-3),
-        mlp_hidden=prob.get("mlp_hidden", 8),
-        csv_path=prob.get("csv_path"),
-        label_column=prob.get("label_column"),
-    )
-    name = algo["name"]
-    if name not in ROUND_FUNCTIONS:
-        raise ConfigError(f"unknown algorithm '{name}' (choose from {sorted(ROUND_FUNCTIONS)})")
-    try:
-        hyper = MimHyper(
-            alpha=algo.get("alpha", (0.6, 0.3)),
-            beta=algo.get("beta", (0.9, 0.1)),
-            eta_l=algo.get("eta_l", 0.1),
-            k_local=algo.get("k_local", 10),
-            s_participate=algo.get("s_participate", problem.n_clients),
-            lr_decay=algo.get("lr_decay", 0.998),
-        )
-        params = AlgoParams(
-            fedcm_alpha=algo.get("fedcm_alpha", 0.1),
-            adam_beta1=algo.get("adam_beta1", 0.9),
-            adam_beta2=algo.get("adam_beta2", 0.99),
-            adam_eps=algo.get("adam_eps", 1e-3),
-            global_lr=algo.get("global_lr", 0.1 if name == "fedadam" else 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    config = RunConfig(
-        problem=problem,
-        algorithm=name,
-        hyper=hyper,
-        params=params,
-        rounds=run["rounds"],
-        master_seed=run.get("seed", 0),
-        metric_every=run.get("metric_every", 1),
-        verify=run.get("verify", False),
-        out_dir=run.get("out_dir", "runs"),
-        corrupt_delta=run.get("corrupt_delta", 0.0),
-    )
-    return config.validated()
+    for key in ("kind", "name", "rounds"):
+        if key not in raw:
+            raise ConfigError(f"missing required key '{key}' in section [{SETTINGS[key].section}]")
+    raw.setdefault("s_participate", raw.get("n_clients", ProblemConfig.n_clients))
+    return with_settings(RunConfig(), raw).validated()
 
 
 def _fmt(value) -> str:

@@ -8,6 +8,10 @@ Full-batch measurement oracles (loss, gradient norms, consistency) run
 outside the training path and never perturb the trajectory: the global loss
 and gradients come from the problem's population oracle, one blocked pass
 over the stacked data of all clients.
+
+The run configuration lives here too: the dataclasses hold every default,
+and ``SETTINGS`` is the one table of config keys that INI files, ``-o``
+overrides and sweep axes all go through.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,7 +53,6 @@ from .objectives import (
 from .vectors import PURPOSE_DATA, PURPOSE_SAMPLING, RngStream, derive_rng, l2_norm_sq
 
 PROBLEM_KINDS = ("quadratic", "logreg", "mlp", "csv")
-SWEEP_AXES = ("s_participate", "k_local", "eta_l", "concentration", "alpha_beta", "algorithm")
 
 
 class ConfigError(ValueError):
@@ -110,7 +113,96 @@ class RunConfig:
             raise ConfigError("csv problems need csv_path")
         if self.problem.kind == "csv" and not self.problem.label_column:
             raise ConfigError("csv problems need label_column")
+        if self.master_seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not math.isfinite(self.corrupt_delta):
+            raise ConfigError("corrupt_delta must be finite")
         return self
+
+
+def _flag(raw) -> bool:
+    low = str(raw).strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _iid_or_float(raw) -> Optional[float]:
+    return None if raw is None or str(raw).strip().lower() == "iid" else float(raw)
+
+
+def _weights(raw) -> tuple:
+    if isinstance(raw, str):
+        raw = [v for v in raw.split(",") if v.strip()]
+    return tuple(float(v) for v in raw)
+
+
+class Setting(NamedTuple):
+    section: str  # INI section
+    part: Optional[str]  # RunConfig field of the dataclass it sets; None sets RunConfig itself
+    field: str
+    parse: Callable  # raw value (an INI string, or a typed value from Python) -> field value
+
+
+# Every config key: an INI entry, an ``-o`` override, and through AXIS_KEYS a
+# sweep axis.  The defaults live only on the dataclasses.
+SETTINGS = {
+    "kind": Setting("problem", "problem", "kind", str),
+    "n_clients": Setting("problem", "problem", "n_clients", int),
+    "dim": Setting("problem", "problem", "dim", int),
+    "heterogeneity": Setting("problem", "problem", "heterogeneity", float),
+    "concentration": Setting("problem", "problem", "concentration", _iid_or_float),
+    "sigma_l": Setting("problem", "problem", "sigma_l", float),
+    "batch_size": Setting("problem", "problem", "batch_size", int),
+    "samples_per_client": Setting("problem", "problem", "samples_per_client", int),
+    "weight_decay": Setting("problem", "problem", "weight_decay", float),
+    "mlp_hidden": Setting("problem", "problem", "mlp_hidden", int),
+    "csv_path": Setting("problem", "problem", "csv_path", str),
+    "label_column": Setting("problem", "problem", "label_column", str),
+    "name": Setting("algorithm", None, "algorithm", str),
+    "alpha": Setting("algorithm", "hyper", "alpha", _weights),
+    "beta": Setting("algorithm", "hyper", "beta", _weights),
+    "eta_l": Setting("algorithm", "hyper", "eta_l", float),
+    "k_local": Setting("algorithm", "hyper", "k_local", int),
+    "s_participate": Setting("algorithm", "hyper", "s_participate", int),
+    "lr_decay": Setting("algorithm", "hyper", "lr_decay", float),
+    "fedcm_alpha": Setting("algorithm", "params", "fedcm_alpha", float),
+    "adam_beta1": Setting("algorithm", "params", "adam_beta1", float),
+    "adam_beta2": Setting("algorithm", "params", "adam_beta2", float),
+    "adam_eps": Setting("algorithm", "params", "adam_eps", float),
+    "global_lr": Setting("algorithm", "params", "global_lr", float),
+    "rounds": Setting("run", None, "rounds", int),
+    "seed": Setting("run", None, "master_seed", int),
+    "metric_every": Setting("run", None, "metric_every", int),
+    "verify": Setting("run", None, "verify", _flag),
+    "out_dir": Setting("run", None, "out_dir", str),
+    "corrupt_delta": Setting("run", None, "corrupt_delta", float),
+}
+
+
+def with_settings(config: RunConfig, raw: dict) -> RunConfig:
+    """``config`` with each key of ``raw`` (a SETTINGS key) set from its raw value.
+
+    Each dataclass is rebuilt with a single ``replace``: ``MimHyper`` pads
+    ``alpha`` and ``beta`` to a common J when it is built, so both must
+    arrive together.  A value that its parser or a dataclass rejects is a
+    ``ConfigError``.
+    """
+    changes: dict = {setting.part: {} for setting in SETTINGS.values()}
+    for key, value in raw.items():
+        setting = SETTINGS[key]
+        try:
+            changes[setting.part][setting.field] = setting.parse(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"invalid value '{value}' for {setting.section}.{key}") from None
+    try:
+        parts = {part: replace(getattr(config, part), **fields)
+                 for part, fields in changes.items() if part is not None}
+        return replace(config, **parts, **changes[None])
+    except ValueError as exc:  # MimHyper or AlgoParams
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -273,42 +365,30 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
         record.max_residual_u = verifier.max_residual_u
 
 
-def parse_axis_value(axis: str, value):
-    """Coerce a sweep value (possibly a CLI string) to the axis' native type."""
-    if axis in ("s_participate", "k_local"):
-        return int(value)
-    if axis == "eta_l":
-        return float(value)
-    if axis == "concentration":
-        if isinstance(value, str) and value.strip().lower() == "iid":
-            return None
-        return float(value) if value is not None else None
-    if axis == "alpha_beta":
-        if isinstance(value, str):
-            parts = value.split("|")
-            if len(parts) != 2:
-                raise ConfigError("alpha_beta values look like 'a0,a1|b0,b1'")
-            alpha = tuple(float(v) for v in parts[0].split(",") if v.strip())
-            beta = tuple(float(v) for v in parts[1].split(",") if v.strip())
-            return alpha, beta
-        return value
-    if axis == "algorithm":
-        return str(value)
-    raise ConfigError(f"unknown sweep axis '{axis}' (choose from {SWEEP_AXES})")
+AXIS_KEYS = {  # sweep axis -> the SETTINGS keys one of its values sets
+    "s_participate": ("s_participate",),
+    "k_local": ("k_local",),
+    "eta_l": ("eta_l",),
+    "concentration": ("concentration",),
+    "alpha_beta": ("alpha", "beta"),
+    "algorithm": ("name",),
+}
+SWEEP_AXES = tuple(AXIS_KEYS)
 
 
 def apply_axis(config: RunConfig, axis: str, value) -> RunConfig:
-    value = parse_axis_value(axis, value)
-    if axis in ("s_participate", "k_local", "eta_l"):
-        return replace(config, hyper=replace(config.hyper, **{axis: value}))
-    if axis == "concentration":
-        return replace(config, problem=replace(config.problem, concentration=value))
+    """``config`` with one sweep value set, as the matching ``-o`` overrides would set it.
+
+    An ``alpha_beta`` value is 'a0,a1|b0,b1' or an ``(alpha, beta)`` pair.
+    """
+    if axis not in AXIS_KEYS:
+        raise ConfigError(f"unknown sweep axis '{axis}' (choose from {SWEEP_AXES})")
+    values = (value,)
     if axis == "alpha_beta":
-        alpha, beta = value
-        return replace(config, hyper=replace(config.hyper, alpha=alpha, beta=beta))
-    if axis == "algorithm":
-        return replace(config, algorithm=value)
-    raise ConfigError(f"unknown sweep axis '{axis}'")
+        values = value.split("|") if isinstance(value, str) else value
+        if len(values) != 2:
+            raise ConfigError("alpha_beta values look like 'a0,a1|b0,b1'")
+    return with_settings(config, dict(zip(AXIS_KEYS[axis], values)))
 
 
 def run_sweep(base: RunConfig, axis: str, values) -> list:
@@ -321,6 +401,6 @@ def run_sweep(base: RunConfig, axis: str, values) -> list:
     for value in values:  # every value is checked before the first run starts
         try:
             configs.append(apply_axis(base, axis, value).validated())
-        except ValueError as exc:  # a value the axis parser or MimHyper rejects
+        except ValueError as exc:  # a value its parser, a dataclass or validated() rejects
             raise ConfigError(f"invalid {axis} value '{value}': {exc}") from None
     return [run_training(cfg) for cfg in configs]

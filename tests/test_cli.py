@@ -1,16 +1,19 @@
+import configparser
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fedsim.algorithms import MimHyper
 from fedsim.cli import (
     main,
     parse_config,
     read_metrics_csv,
     write_metrics_csv,
 )
-from fedsim.simulator import ConfigError
+from fedsim.simulator import SETTINGS, SWEEP_AXES, ConfigError, ProblemConfig, RunConfig, apply_axis
 
 MINIMAL = """\
 [problem]
@@ -42,6 +45,74 @@ rounds = 60
 seed = 42
 verify = true
 """
+
+
+# (section, key) -> (raw INI value, the value it sets); every value differs from the
+# default, and the field it lands in is found by comparing whole configs
+SETTING_SAMPLES = {
+    ("problem", "kind"): ("logreg", "logreg"),
+    ("problem", "n_clients"): ("12", 12),
+    ("problem", "dim"): ("3", 3),
+    ("problem", "heterogeneity"): ("2.5", 2.5),
+    ("problem", "concentration"): ("0.7", 0.7),
+    ("problem", "sigma_l"): ("0.25", 0.25),
+    ("problem", "batch_size"): ("0", 0),
+    ("problem", "samples_per_client"): ("7", 7),
+    ("problem", "weight_decay"): ("0", 0.0),
+    ("problem", "mlp_hidden"): ("3", 3),
+    ("problem", "csv_path"): ("data.csv", "data.csv"),
+    ("problem", "label_column"): ("y", "y"),
+    ("algorithm", "name"): ("fedadam", "fedadam"),
+    ("algorithm", "alpha"): ("0.5,0.2", (0.5, 0.2)),
+    ("algorithm", "beta"): ("0.3,0.2", (0.3, 0.2)),
+    ("algorithm", "eta_l"): ("0.05", 0.05),
+    ("algorithm", "k_local"): ("3", 3),
+    ("algorithm", "s_participate"): ("4", 4),
+    ("algorithm", "lr_decay"): ("1", 1.0),
+    ("algorithm", "fedcm_alpha"): ("0.2", 0.2),
+    ("algorithm", "adam_beta1"): ("0.5", 0.5),
+    ("algorithm", "adam_beta2"): ("0.6", 0.6),
+    ("algorithm", "adam_eps"): ("1e-4", 1e-4),
+    ("algorithm", "global_lr"): ("0.5", 0.5),
+    ("run", "rounds"): ("3", 3),
+    ("run", "seed"): ("7", 7),
+    ("run", "metric_every"): ("2", 2),
+    ("run", "verify"): ("yes", True),
+    ("run", "out_dir"): ("elsewhere", "elsewhere"),
+    ("run", "corrupt_delta"): ("1e-6", 1e-6),
+}
+FIELD_OF_KEY = {"name": "algorithm", "seed": "master_seed"}  # every other key sets the field of its name
+
+# (sweep axis, value, the -o overrides that must give the same config)
+AXIS_CASES = [
+    ("s_participate", "4", ["s_participate=4"]),
+    ("k_local", "3", ["k_local=3"]),
+    ("eta_l", "0.05", ["eta_l=0.05"]),
+    ("concentration", "iid", ["concentration=iid"]),
+    ("concentration", "0.3", ["concentration=0.3"]),
+    ("alpha_beta", "0.5|0.3", ["alpha=0.5", "beta=0.3"]),
+    ("alpha_beta", "0.5,0.2,0.1|0.3", ["alpha=0.5,0.2,0.1", "beta=0.3"]),
+    ("algorithm", "fedadam", ["name=fedadam"]),
+]
+
+
+def write_ini(path, entries: dict) -> str:
+    """MINIMAL plus ``s_participate = 5`` (so it no longer follows n_clients) plus ``entries``."""
+    ini = configparser.ConfigParser()
+    ini.read_string(MINIMAL)
+    ini.read_dict({"algorithm": {"s_participate": "5"}})
+    ini.read_dict(entries)
+    with open(path, "w") as handle:
+        ini.write(handle)
+    return str(path)
+
+
+def leaves(cfg: RunConfig) -> dict:
+    """Every field of a config and of its nested dataclasses, by field name."""
+    flat = {}
+    for name, value in dataclasses.asdict(cfg).items():
+        flat.update(value if isinstance(value, dict) else {name: value})
+    return flat
 
 
 @pytest.fixture
@@ -111,7 +182,42 @@ class TestParseConfig:
 
     def test_fedadam_global_lr_default(self, minimal_config):
         assert parse_config(minimal_config, ["name=fedadam"]).params.global_lr == 0.1
-        assert parse_config(minimal_config).params.global_lr == 1.0
+        assert parse_config(minimal_config).params.global_lr == 0.1  # one default; only fedadam reads it
+
+    def test_minimal_config_is_the_dataclass_defaults(self, minimal_config):
+        expected = RunConfig(rounds=10, hyper=MimHyper(s_participate=ProblemConfig().n_clients))
+        assert parse_config(minimal_config) == expected
+
+    def test_samples_cover_every_key(self):
+        assert {(setting.section, key) for key, setting in SETTINGS.items()} == set(SETTING_SAMPLES)
+
+    @pytest.mark.parametrize("section, key", sorted(SETTING_SAMPLES))
+    def test_key_sets_its_field_from_ini_and_overrides(self, tmp_path, section, key):
+        raw, expected = SETTING_SAMPLES[(section, key)]
+        base = write_ini(tmp_path / "base.ini", {})
+        before = leaves(parse_config(base))
+        for cfg in (parse_config(write_ini(tmp_path / "set.ini", {section: {key: raw}})),
+                    parse_config(base, [f"{key}={raw}"]),
+                    parse_config(base, [f"{section}.{key}={raw}"])):
+            changed = {name: value for name, value in leaves(cfg).items() if value != before[name]}
+            assert changed == {FIELD_OF_KEY.get(key, key): expected}
+
+    @pytest.mark.parametrize("section, key", sorted(SETTING_SAMPLES))
+    def test_key_in_wrong_section_rejected(self, tmp_path, section, key):
+        raw, _ = SETTING_SAMPLES[(section, key)]
+        other = "run" if section != "run" else "problem"
+        with pytest.raises(ConfigError, match=rf"unknown config key '{key}' in section \[{other}\]"):
+            parse_config(write_ini(tmp_path / "bad.ini", {other: {key: raw}}))
+        with pytest.raises(ConfigError, match=f"unknown override key '{other}.{key}'"):
+            parse_config(write_ini(tmp_path / "base.ini", {}), [f"{other}.{key}={raw}"])
+
+    def test_axis_cases_cover_every_axis(self):
+        assert {axis for axis, _, _ in AXIS_CASES} == set(SWEEP_AXES)
+
+    @pytest.mark.parametrize("axis, value, overrides", AXIS_CASES)
+    def test_sweep_axis_matches_override(self, minimal_config, axis, value, overrides):
+        swept = apply_axis(parse_config(minimal_config), axis, value).validated()
+        assert swept == parse_config(minimal_config, overrides)
 
 
 class TestCmdRun:
@@ -177,6 +283,8 @@ class TestCmdRun:
         ("eta_l=nan", "eta_l must be positive and finite"),  # ran and exited 2 as a divergence
         ("dim=0", "dim must be >= 1"),  # escaped the builder as a ValueError traceback
         ("sigma_l=-1", "sigma_l must be finite and >= 0"),  # ran with no noise and exited 0
+        ("corrupt_delta=nan", "corrupt_delta must be finite"),  # exited 2 as a divergence at round 2
+        ("corrupt_delta=-inf", "corrupt_delta must be finite"),
     ])
     def test_invalid_value_is_config_error(self, minimal_config, tmp_path, capsys, override, message):
         out = tmp_path / "out"
@@ -213,6 +321,13 @@ class TestCmdRun:
         out = tmp_path / "out"
         assert main(["run", "-c", str(cfg), "--out", str(out)]) == 1
         assert "cannot build the logreg problem: a client received no samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_is_config_error(self, minimal_config, tmp_path, capsys):
+        # failed inside the problem builder with "expected non-negative integer"
+        out = tmp_path / "out"
+        assert main(["run", "-c", minimal_config, "--out", str(out), "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_workers_key_is_gone(self, minimal_config, capsys):
@@ -260,6 +375,14 @@ class TestCmdSweep:
         assert {line.split(",")[1] for line in lines[1:]} == {"fedavg", "fedmim"}
         summary = json.loads((out / "sweep.json").read_text())
         assert summary["values"] == ["fedavg", "fedmim"]
+
+    def test_fedadam_sweep_rows_match_run(self, minimal_config, tmp_path):
+        # the sweep ran fedadam at global_lr 1.0 while `run -o name=fedadam` used 0.1
+        assert main(["sweep", "-c", minimal_config, "--out", str(tmp_path / "s"),
+                     "--axis", "algorithm", "--values", "fedadam"]) == 0
+        assert main(["run", "-c", minimal_config, "--out", str(tmp_path / "r"), "-o", "name=fedadam"]) == 0
+        swept = [line.split(",", 2)[2] for line in (tmp_path / "s" / "sweep.csv").read_text().splitlines()]
+        assert swept == (tmp_path / "r" / "metrics.csv").read_text().splitlines()
 
     def test_unknown_axis_is_config_error(self, minimal_config, tmp_path):
         assert main(["sweep", "-c", minimal_config, "--out", str(tmp_path / "o"),

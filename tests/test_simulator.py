@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.algorithms import MimHyper
 from fedsim.objectives import quadratic_problem_from
@@ -139,6 +141,25 @@ class TestRunTraining:
         record = run_training(cfg)
         assert 0.05 <= record.rows[-1].grad_norm_sq <= 0.5
 
+    @given(data=st.data(), j_depth=st.integers(min_value=1, max_value=4),
+           k_local=st.integers(min_value=1, max_value=6), n_clients=st.integers(min_value=1, max_value=6),
+           seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_identity_residuals_hold_for_any_momentum(self, data, j_depth, k_local, n_clients, seed):
+        # a per-weight bound of 0.99 / J keeps sum(alpha) < 1, the domain of the identities
+        alpha = data.draw(st.lists(st.floats(0.0, 0.99 / j_depth), min_size=j_depth, max_size=j_depth))
+        beta = data.draw(st.lists(st.floats(0.0, 1.0), min_size=j_depth, max_size=j_depth))
+        s_participate = data.draw(st.integers(min_value=1, max_value=n_clients))
+        cfg = quad_config(
+            problem=ProblemConfig(kind="quadratic", n_clients=n_clients, dim=3, heterogeneity=1.0, sigma_l=0.1),
+            hyper=MimHyper(alpha=tuple(alpha), beta=tuple(beta), eta_l=0.02, k_local=k_local,
+                           s_participate=s_participate),
+            rounds=8, master_seed=seed, verify=True)
+        record = run_training(cfg)
+        assert record.status == "completed"
+        assert record.max_residual_delta <= 1e-9
+        assert record.max_residual_u <= 1e-9
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             run_training(quad_config(rounds=0))
@@ -203,6 +224,10 @@ class TestRunSweep:
     def test_alpha_beta_axis(self):
         cfg = apply_axis(quad_config(), "alpha_beta", "0.5,0.2|0.3,0.0")
         assert cfg.hyper.alpha == (0.5, 0.2) and cfg.hyper.beta == (0.3, 0.0)
+        # both weights set in one rebuild of MimHyper: a per-key replace would keep J = 2
+        cfg = apply_axis(quad_config(), "alpha_beta", "0.5|0.3")
+        assert cfg.hyper.J == 1 and cfg.hyper.alpha == (0.5,) and cfg.hyper.beta == (0.3,)
+        assert apply_axis(quad_config(), "alpha_beta", ((0.5,), (0.3,))) == cfg
 
     def test_concentration_axis_iid(self):
         cfg = apply_axis(quad_config(), "concentration", "iid")
@@ -211,6 +236,12 @@ class TestRunSweep:
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
             run_sweep(quad_config(), "momentum", [1])
+
+
+class TestRunConfig:
+    def test_fedadam_global_lr_default(self):
+        # AlgoParams holds the one default; fedadam's server step is its only reader
+        assert RunConfig(algorithm="fedadam").params.global_lr == 0.1
 
 
 class TestBuildProblem:

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, init_round_state
+from fedsim.algorithms import ROUND_FUNCTIONS, AlgoParams, MimHyper, init_round_state
 from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training, sample_clients
 from fedsim.vectors import PURPOSE_SAMPLING, RngStream, derive_rng
 
@@ -55,6 +55,9 @@ BASELINE_PINS = {
         "ca8c2dd1fd85f35ca51dfc8539242bb1c36698bbe3b1b898194ff8744783f627",
     ),
 }
+# the settings these digests were recorded at: global_lr was 1.0 by default then
+# (0.1 now); fedadam is the only rule that reads it
+BASELINE_PARAMS = AlgoParams(global_lr=1.0)
 
 
 def _config(problem: ProblemConfig) -> RunConfig:
@@ -72,7 +75,8 @@ def _replay(config: RunConfig):
         sampled = sample_clients(problem.num_clients, config.hyper.s_participate,
                                  derive_rng(config.master_seed, t, 0, PURPOSE_SAMPLING))
         state, _ = ROUND_FUNCTIONS[config.algorithm](
-            state, problem, config.hyper, sampled, root, batch_size=config.problem.batch_size)
+            state, problem, config.hyper, sampled, root, batch_size=config.problem.batch_size,
+            params=config.params)
     return state
 
 
@@ -94,7 +98,7 @@ def test_training_trajectory_is_pinned(kind):
 @pytest.mark.parametrize("algorithm", sorted(BASELINE_PINS))
 def test_baseline_trajectory_is_pinned(algorithm):
     x_digest, delta_digest = BASELINE_PINS[algorithm]
-    config = replace(_config(PINS["quadratic"][0]), algorithm=algorithm)
+    config = replace(_config(PINS["quadratic"][0]), algorithm=algorithm, params=BASELINE_PARAMS)
     state = _replay(config)
     record = run_training(config)
     assert np.array_equal(record.final_x, state.x)
