@@ -11,11 +11,15 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import hashlib
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .analysis import MetricRow, finite_difference_check
 from .simulator import (
@@ -93,10 +97,14 @@ def metric_row_fields(row: MetricRow) -> list:
     return [_fmt(getattr(row, col)) for col in METRIC_COLUMNS]
 
 
-def write_metrics_csv(rows: Sequence[MetricRow], path: Path) -> None:
+def metrics_csv_bytes(rows: Sequence[MetricRow]) -> bytes:
     lines = [",".join(METRIC_COLUMNS)]
     lines.extend(",".join(metric_row_fields(row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def write_metrics_csv(rows: Sequence[MetricRow], path: Path) -> None:
+    path.write_bytes(metrics_csv_bytes(rows))
 
 
 def read_metrics_csv(path: Path) -> list:
@@ -126,6 +134,8 @@ def _json_float(value):
 
 
 def write_run_json(record: RunRecord, path: Path) -> None:
+    """The run's summary; its ``manifest`` holds the library versions and the
+    sha256 of the bytes ``write_metrics_csv`` writes for the same record."""
     bound = record.eta_bound
     payload = {
         "config": dataclasses.asdict(record.config),
@@ -133,6 +143,11 @@ def write_run_json(record: RunRecord, path: Path) -> None:
         "eta_l_bound": None if bound is None else {"value": bound.bound, "satisfied": bound.satisfied},
         "final_loss": _json_float(record.final_loss),
         "wall_ms_total": record.wall_ms_total,
+        "manifest": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "metrics_csv_sha256": hashlib.sha256(metrics_csv_bytes(record.rows)).hexdigest(),
+        },
     }
     if record.diverged_round is not None:
         payload["diverged_round"] = record.diverged_round

@@ -14,9 +14,12 @@ Each problem builder lays its data out once, stacked in client-id order:
 the (N, d, d) Hessians and (N, d) centres of a quadratic, or every client's
 feature rows and labels/targets for the sample-based kinds, with a per-sample
 weight 1/(N n_i).  Every client object holds row views into that stack, not
-copies.  The stack also backs the problem's population oracle, which computes
-the full-batch global loss and gradient in one pass over fixed-size row
-blocks instead of looping over the clients.
+copies.  The stack also backs the problem's population oracle, whose one
+method ``evaluate(points)`` computes the full-batch losses and gradients at
+a (P, d) stack of points together, in one pass over fixed-size row blocks
+instead of looping over the clients: the simulator evaluates x and the
+shifted iterate u of a metric row in one call.  ``global_loss`` and
+``global_gradient`` are its single-point wrappers.
 
 The population oracle also serves training, one round at a time:
 ``draw_round`` draws every sampled client's randomness for the round up front
@@ -156,14 +159,19 @@ class LogisticClient(ClientObjective):
         return 0.25 * gram_top / self.sample_count + self.weight_decay
 
 
-def unpack_mlp(x: ParamVector, widths: tuple[int, int, int]):
-    """Views (W1 (h,d), b1 (h), W2 (o,h), b2 (o)) into a flat parameter vector."""
+def unpack_mlp(x: np.ndarray, widths: tuple[int, int, int]):
+    """Views (W1 (h,d), b1 (h), W2 (o,h), b2 (o)) into a flat parameter vector.
+
+    A (P, dim) stack of parameter vectors gives (P, h, d), (P, h), (P, o, h)
+    and (P, o) views.
+    """
     d, h, o = widths
+    lead = x.shape[:-1]
     i = 0
-    w1 = x[i:i + h * d].reshape(h, d); i += h * d
-    b1 = x[i:i + h]; i += h
-    w2 = x[i:i + o * h].reshape(o, h); i += o * h
-    b2 = x[i:i + o]
+    w1 = x[..., i:i + h * d].reshape(lead + (h, d)); i += h * d
+    b1 = x[..., i:i + h]; i += h
+    w2 = x[..., i:i + o * h].reshape(lead + (o, h)); i += o * h
+    b2 = x[..., i:i + o]
     return w1, b1, w2, b2
 
 
@@ -271,15 +279,24 @@ def _row_blocks(n: int):
         yield slice(start, start + BLOCK_ROWS)
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row p: a[p] @ b[p], or a[p] @ b for a 1-D ``b``; each the BLAS dot of a single pair."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
 def _hessian_products(hessians: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Row i: H_i @ r_i, bit for bit (a batched matmul, unlike einsum, matches the per-row product)."""
-    return np.matmul(hessians, r[:, :, None])[:, :, 0]
+    """Row i: H_i @ r_i, bit for bit (a batched matmul, unlike einsum, matches the per-row product).
+
+    ``r`` is (N, d), or (P, N, d) for P points at once.
+    """
+    return np.matmul(hessians, r[..., None])[..., 0]
 
 
 class QuadraticPopulation:
     """f(x) = (1/N) sum_i 0.5 (x - b_i)^T H_i (x - b_i) over the stacked clients.
 
-    The temporaries are (N, d), so the (N, d, d) Hessian stack is used whole.
+    The metric temporaries are (P, N, d) for P points, so the (N, d, d)
+    Hessian stack is used whole.
     Training gradients carry the clients' additive noise (see QuadraticClient).
     """
 
@@ -313,17 +330,12 @@ class QuadraticPopulation:
         g = _hessian_products(hessians, x - centers)
         return g if noise is None else g + noise[step]
 
-    def _residuals(self, x: ParamVector):
-        r = x - self.centers
-        return r, _hessian_products(self.hessians, r)
-
-    def loss(self, x: ParamVector) -> float:
-        r, hr = self._residuals(x)
-        return 0.5 * float(np.sum(r * hr)) / len(r)
-
-    def gradient(self, x: ParamVector) -> ParamVector:
-        _, hr = self._residuals(x)
-        return hr.sum(axis=0) / len(hr)
+    def evaluate(self, points: np.ndarray):
+        """Losses (P,) and gradients (P, d) at the (P, d) ``points``: one batched product for all P."""
+        r = points[:, None, :] - self.centers
+        hr = _hessian_products(self.hessians, r)
+        n = len(self.centers)
+        return 0.5 * np.sum(r * hr, axis=(1, 2)) / n, hr.sum(axis=1) / n
 
 
 class _SampledPopulation:
@@ -357,23 +369,32 @@ class LogisticPopulation(_SampledPopulation):
         self.weight_decay = float(weight_decay)
         self.clients = clients
 
-    def loss(self, x: ParamVector) -> float:
-        total = 0.0
-        for rows in _row_blocks(len(self.weights)):
-            z = self.features[rows] @ x
-            total += float(self.weights[rows] @ (np.logaddexp(0.0, z) - self.labels[rows] * z))
-        return total + 0.5 * self.weight_decay * float(x @ x)
+    def evaluate(self, points: np.ndarray):
+        """Losses (P,) and gradients (P, d) at the (P, d) ``points``, in one blocked pass.
 
-    def gradient(self, x: ParamVector) -> ParamVector:
-        acc = np.zeros_like(x)
+        Each block computes the margins Z = X_rows @ points^T of all points
+        at once, laid out (P, B), as one batched product over the block's
+        rows.  Its P matrix-vector products are each a single point's, so a
+        row does not depend on the other points.
+        """
+        losses = np.zeros(len(points))
+        grads = np.zeros_like(points)
         for rows in _row_blocks(len(self.weights)):
             xb = self.features[rows]
-            acc += xb.T @ (self.weights[rows] * (_sigmoid(xb @ x) - self.labels[rows]))
-        return acc + self.weight_decay * x
+            labels = self.labels[rows]
+            z = np.matmul(points[:, None, :], xb.T)[:, 0]
+            losses += _dots(np.logaddexp(0.0, z) - labels * z, self.weights[rows])
+            residuals = self.weights[rows] * (_sigmoid(z) - labels)
+            grads += np.matmul(residuals[:, None, :], xb)[:, 0]
+        decay = self.weight_decay
+        return losses + 0.5 * decay * _dots(points, points), grads + decay * points
 
 
 class MlpPopulation(_SampledPopulation):
-    """f(x) = sum_s w_s 0.5 ||net(x_s) - t_s||^2, w_s = 1/(N n_i); the backprop of MlpClient."""
+    """f(x) = sum_s w_s 0.5 (net(x_s) - t_s)^2, w_s = 1/(N n_i); the backprop of MlpClient.
+
+    Scalar output only (widths (d, h, 1)), as ``mlp_problem`` builds it.
+    """
 
     def __init__(self, features: np.ndarray, targets: np.ndarray, weights: np.ndarray,
                  widths: tuple[int, int, int], clients: Sequence[ClientObjective]):
@@ -383,28 +404,35 @@ class MlpPopulation(_SampledPopulation):
         self.widths = widths
         self.clients = clients
 
-    def loss(self, x: ParamVector) -> float:
-        w1, b1, w2, b2 = unpack_mlp(x, self.widths)
-        total = 0.0
-        for rows in _row_blocks(len(self.weights)):
-            r = np.tanh(self.features[rows] @ w1.T + b1) @ w2.T + b2 - self.targets[rows]
-            total += float(self.weights[rows] @ np.sum(r * r, axis=1))
-        return 0.5 * total
+    def evaluate(self, points: np.ndarray):
+        """Losses (P,) and gradients (P, dim) at the (P, dim) ``points``, in one blocked pass.
 
-    def gradient(self, x: ParamVector) -> ParamVector:
-        w1, b1, w2, b2 = unpack_mlp(x, self.widths)
-        grad = np.zeros_like(x)
-        g_w1, g_b1, g_w2, g_b2 = unpack_mlp(grad, self.widths)
+        Hidden-major: a block of B rows is used as the transposed view
+        X_rows^T (d, B), and the P first layers are stacked to (P h, d), so
+        the hidden activations of all points are one (P h, B) product.
+        """
+        w1, b1, w2, b2 = unpack_mlp(points, self.widths)
+        n_points, hidden, d_in = w1.shape
+        w1 = w1.reshape(n_points * hidden, d_in)
+        b1 = b1.reshape(n_points * hidden, 1)
+        w2_col = w2.reshape(n_points, hidden, 1)
+        targets = self.targets[:, 0]
+        losses = np.zeros(n_points)
+        grads = np.zeros_like(points)
+        g_w1, g_b1, g_w2, g_b2 = unpack_mlp(grads, self.widths)
+        g_w2 = g_w2.reshape(n_points, hidden)
         for rows in _row_blocks(len(self.weights)):
             xb = self.features[rows]
-            a1 = np.tanh(xb @ w1.T + b1)
-            r = (a1 @ w2.T + b2 - self.targets[rows]) * self.weights[rows, None]
-            g_w2 += r.T @ a1
-            g_b2 += r.sum(axis=0)
-            dz1 = (r @ w2) * (1.0 - a1 * a1)
-            g_w1 += dz1.T @ xb
-            g_b1 += dz1.sum(axis=0)
-        return grad
+            a1 = np.tanh(w1 @ xb.T + b1).reshape(n_points, hidden, -1)  # (P, h, B)
+            r = (w2 @ a1)[:, 0, :] + b2 - targets[rows]  # (P, B)
+            losses += _dots(r * r, self.weights[rows])
+            r *= self.weights[rows]
+            g_w2 += (a1 @ r[:, :, None])[:, :, 0]
+            g_b2 += r.sum(axis=1, keepdims=True)
+            dz1 = ((w2_col * r[:, None, :]) * (1.0 - a1 * a1)).reshape(n_points * hidden, -1)
+            g_w1 += (dz1 @ xb).reshape(g_w1.shape)
+            g_b1 += dz1.sum(axis=1).reshape(g_b1.shape)
+        return 0.5 * losses, grads
 
 
 @dataclass
@@ -412,8 +440,9 @@ class FederatedProblem:
     """N client objectives plus whatever closed-form constants are known.
 
     ``population`` evaluates the full-batch objective over the stacked data
-    that the clients view: ``loss(x)`` and ``gradient(x)`` equal the mean of
-    the clients' ``loss``/``full_gradient`` up to summation order.  Its
+    that the clients view: row p of ``evaluate(points)`` holds the loss and
+    gradient at ``points[p]``, the mean of the clients' ``loss`` /
+    ``full_gradient`` up to summation order.  Its
     ``draw_round`` / ``client_gradients`` give the training gradients of a
     round's sampled clients, bit for bit those of the client objects.
     """
@@ -432,13 +461,13 @@ class FederatedProblem:
 
 
 def global_loss(problem: FederatedProblem, x: ParamVector) -> float:
-    """f(x) = (1/N) sum_i f_i(x), full batch, one blocked pass over the stacked data."""
-    return problem.population.loss(x)
+    """f(x) = (1/N) sum_i f_i(x), full batch: the population oracle at the single point x."""
+    return float(problem.population.evaluate(x[None])[0][0])
 
 
 def global_gradient(problem: FederatedProblem, x: ParamVector) -> ParamVector:
-    """(1/N) sum_i grad f_i(x), full batch, one blocked pass over the stacked data."""
-    return problem.population.gradient(x)
+    """(1/N) sum_i grad f_i(x), full batch: the population oracle at the single point x."""
+    return problem.population.evaluate(x[None])[1][0]
 
 
 def _stack_by_client(features: np.ndarray, values: np.ndarray, client_indices: Sequence[np.ndarray]):

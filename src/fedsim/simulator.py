@@ -5,9 +5,10 @@ clients take their local steps together, as one (S, d) array in the round
 rule's batched kernel, and every reduction runs in ascending client-id
 order, so the recorded trajectory is byte-identical across reruns.
 Full-batch measurement oracles (loss, gradient norms, consistency) run
-outside the training path and never perturb the trajectory: the global loss
-and gradients come from the problem's population oracle, one blocked pass
-over the stacked data of all clients.
+outside the training path and never perturb the trajectory.  Each metric row
+makes one call of the problem's population oracle, ``evaluate``, on x (and,
+for ``fedmim``, on the shifted iterate u too): one blocked pass over the
+stacked data of all clients gives f(x), grad f(x) and grad f(u) together.
 
 The run configuration lives here too: the dataclasses hold every default,
 and ``SETTINGS`` is the one table of config keys that INI files, ``-o``
@@ -44,7 +45,6 @@ from .objectives import (
     FederatedProblem,
     PartitionSpec,
     csv_problem,
-    global_gradient,
     global_loss,
     logreg_problem,
     mlp_problem,
@@ -340,17 +340,16 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
         record.round_wall_ms.append((time.perf_counter() - round_started) * 1000.0)
 
         if (t + 1) % config.metric_every == 0:
-            grad = global_gradient(problem, state.x)
-            grad_at_u = None
+            points = [state.x]
             if config.algorithm == "fedmim":
-                u_row = u_next if u_next is not None else compute_u(
-                    state.x, state.delta_history, hyper.alpha, hyper.k_local)
-                grad_at_u = l2_norm_sq(global_gradient(problem, u_row))
+                points.append(u_next if u_next is not None else compute_u(
+                    state.x, state.delta_history, hyper.alpha, hyper.k_local))
+            losses, grads = problem.population.evaluate(np.stack(points))
             record.rows.append(MetricRow(
                 round=t + 1,
-                loss=global_loss(problem, state.x),
-                grad_norm_sq=l2_norm_sq(grad),
-                grad_norm_sq_at_u=grad_at_u,
+                loss=float(losses[0]),
+                grad_norm_sq=l2_norm_sq(grads[0]),
+                grad_norm_sq_at_u=l2_norm_sq(grads[1]) if len(grads) > 1 else None,
                 consistency=local_consistency(art.local_finals, state.x),
                 delta_norm_sq=l2_norm_sq(state.delta_history[0]),
                 residual_delta=res_delta,
@@ -392,7 +391,11 @@ def apply_axis(config: RunConfig, axis: str, value) -> RunConfig:
 
 
 def run_sweep(base: RunConfig, axis: str, values) -> list:
-    """Independent runs along one axis, all sharing the base master seed."""
+    """Independent runs along one axis, all sharing the base master seed.
+
+    The problem is built once per distinct (problem config, seed) and shared
+    by the runs on it; only the ``concentration`` axis changes it.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis '{axis}' (choose from {SWEEP_AXES})")
     if not values:
@@ -403,4 +406,11 @@ def run_sweep(base: RunConfig, axis: str, values) -> list:
             configs.append(apply_axis(base, axis, value).validated())
         except ValueError as exc:  # a value its parser, a dataclass or validated() rejects
             raise ConfigError(f"invalid {axis} value '{value}': {exc}") from None
-    return [run_training(cfg) for cfg in configs]
+    problems: dict = {}
+    records = []
+    for cfg in configs:
+        key = (cfg.problem, cfg.master_seed)
+        if key not in problems:
+            problems[key] = build_problem(*key)
+        records.append(run_training(cfg, problems[key]))
+    return records

@@ -1,13 +1,18 @@
 import configparser
 import dataclasses
+import hashlib
 import json
 import math
+import platform
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fedsim import simulator
 from fedsim.algorithms import MimHyper
 from fedsim.cli import (
+    METRIC_COLUMNS,
     main,
     parse_config,
     read_metrics_csv,
@@ -247,6 +252,18 @@ class TestCmdRun:
         assert bound["value"] == pytest.approx(expected, rel=1e-12)
         assert bound["satisfied"] == (cfg.hyper.eta_l <= expected)
 
+    def test_run_json_manifest(self, minimal_config, tmp_path):
+        digests = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["run", "-c", minimal_config, "--out", str(out)]) == 0
+            manifest = json.loads((out / "run.json").read_text())["manifest"]
+            assert manifest["python"] == platform.python_version()
+            assert manifest["numpy"] == np.__version__
+            assert manifest["metrics_csv_sha256"] == hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+            digests.append(manifest["metrics_csv_sha256"])
+        assert digests[0] == digests[1]
+
     def test_identical_invocations_byte_identical(self, minimal_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "-c", minimal_config, "--out", str(out_a)]) == 0
@@ -383,6 +400,23 @@ class TestCmdSweep:
         assert main(["run", "-c", minimal_config, "--out", str(tmp_path / "r"), "-o", "name=fedadam"]) == 0
         swept = [line.split(",", 2)[2] for line in (tmp_path / "s" / "sweep.csv").read_text().splitlines()]
         assert swept == (tmp_path / "r" / "metrics.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("axis, values, builds", [("eta_l", "0.02,0.05,0.1", 1),
+                                                      ("concentration", "0.5,iid", 2)])
+    def test_sweep_builds_each_problem_once(self, tmp_path, axis, values, builds):
+        config = write_ini(tmp_path / "logreg.ini", {"problem": {"kind": "logreg", "n_clients": "6", "dim": "3",
+                                                                 "samples_per_client": "20"}})
+        with mock.patch.object(simulator, "build_problem", wraps=simulator.build_problem) as build:
+            assert main(["sweep", "-c", config, "--out", str(tmp_path / "s"),
+                         "--axis", axis, "--values", values]) == 0
+        assert build.call_count == builds
+        # the bytes of one run per value, each on a problem built for it alone
+        expected = [",".join(("axis", "value") + METRIC_COLUMNS)]
+        for value in values.split(","):
+            out = tmp_path / value
+            assert main(["run", "-c", config, "--out", str(out), "-o", f"{axis}={value}"]) == 0
+            expected += [f"{axis},{value},{line}" for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+        assert (tmp_path / "s" / "sweep.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_unknown_axis_is_config_error(self, minimal_config, tmp_path):
         assert main(["sweep", "-c", minimal_config, "--out", str(tmp_path / "o"),

@@ -273,10 +273,11 @@ class TestPopulationOracle:
            concentration=st.sampled_from([0.5, 1.0, 5.0]),
            samples=st.integers(min_value=3, max_value=40),
            block_rows=st.sampled_from([1, 7, objectives.BLOCK_ROWS]),
+           n_points=st.integers(min_value=1, max_value=3),
            seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=80, deadline=None)
     def test_matches_explicit_client_mean(self, kind, n_clients, dim, concentration, samples,
-                                          block_rows, seed):
+                                          block_rows, n_points, seed):
         with tempfile.TemporaryDirectory() as csv_dir:
             try:
                 prob = _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir)
@@ -286,18 +287,22 @@ class TestPopulationOracle:
             for client_attr, stack_attr in _STACKED[kind]:
                 assert np.shares_memory(getattr(client, client_attr), getattr(prob.population, stack_attr))
 
-        x = 0.5 * np.random.default_rng(seed).standard_normal(prob.dim)
-        losses = [c.loss(x) for c in prob.clients]
-        grads = [c.full_gradient(x) for c in prob.clients]
-        expected_loss = sum(losses) / len(losses)
-        expected_grad = sum(grads) / len(grads)
-        # a mean is only as exact as its terms: scale the gradient tolerance by them
-        grad_scale = max(float(np.abs(g).max()) for g in grads)
+        points = 0.5 * np.random.default_rng(seed).standard_normal((n_points, prob.dim))
         with mock.patch.object(objectives, "BLOCK_ROWS", block_rows):
-            loss = global_loss(prob, x)
-            grad = global_gradient(prob, x)
-        assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
-        np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12 * grad_scale)
+            losses, grads = prob.population.evaluate(points)
+            again = prob.population.evaluate(points)
+            single = (points[0], global_loss(prob, points[0]), global_gradient(prob, points[0]))
+        assert losses.shape == (n_points,) and grads.shape == points.shape
+        assert losses.tobytes() == again[0].tobytes() and grads.tobytes() == again[1].tobytes()
+        for x, loss, grad in [single, *zip(points, losses, grads)]:
+            client_losses = [c.loss(x) for c in prob.clients]
+            client_grads = [c.full_gradient(x) for c in prob.clients]
+            expected_loss = sum(client_losses) / len(client_losses)
+            expected_grad = sum(client_grads) / len(client_grads)
+            # a mean is only as exact as its terms: scale the gradient tolerance by them
+            grad_scale = max(float(np.abs(g).max()) for g in client_grads)
+            assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
+            np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12 * grad_scale)
 
 
 class TestCsvIngestion:

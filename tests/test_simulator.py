@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fedsim.algorithms import MimHyper
+from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper
+from fedsim.cli import metrics_csv_bytes
 from fedsim.objectives import quadratic_problem_from
 from fedsim.simulator import (
     ConfigError,
@@ -159,6 +160,26 @@ class TestRunTraining:
         assert record.status == "completed"
         assert record.max_residual_delta <= 1e-9
         assert record.max_residual_u <= 1e-9
+
+    @given(algorithm=st.sampled_from(sorted(ROUND_FUNCTIONS)),
+           kind=st.sampled_from(["quadratic", "logreg", "mlp"]),
+           concentration=st.sampled_from([None, 1.0]),
+           n_clients=st.integers(min_value=1, max_value=5), data=st.data(),
+           k_local=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_rerun_is_byte_identical(self, algorithm, kind, concentration, n_clients, data, k_local, seed):
+        problem = ProblemConfig(kind=kind, n_clients=n_clients, dim=3, mlp_hidden=3, concentration=concentration,
+                                samples_per_client=12, batch_size=4, heterogeneity=1.0, sigma_l=0.1)
+        cfg = quad_config(problem=problem, algorithm=algorithm, rounds=4, master_seed=seed,
+                          hyper=MimHyper(eta_l=0.05, k_local=k_local,
+                                         s_participate=data.draw(st.integers(1, n_clients))))
+        try:
+            first = run_training(cfg)
+        except ConfigError:  # a label-skewed split that left a client empty
+            reject()
+        second = run_training(cfg)
+        assert metrics_csv_bytes(first.rows) == metrics_csv_bytes(second.rows)
+        assert first.final_x.tobytes() == second.final_x.tobytes()
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
