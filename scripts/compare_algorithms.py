@@ -1,71 +1,57 @@
 #!/usr/bin/env python3
 """Run every algorithm on one shared problem and tabulate the outcomes.
 
+Settings come from -c (configs/compare_algorithms.ini by default) and -o
+overrides.  Each seed is one ``algorithm`` sweep, so its problem is built
+once; every run's rows go to run.out_dir/compare.csv, grouped by algorithm.
+
 Example:
-    python scripts/compare_algorithms.py --kind logreg --concentration 0.1 \
-        --clients 5 --participate 3 --rounds 300 --seeds 0,1,2 --out runs/compare
+    python scripts/compare_algorithms.py --seeds 0,1,2 -o kind=logreg -o concentration=0.1
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from fedsim.algorithms import MimHyper
-from fedsim.cli import METRIC_COLUMNS, metric_row_fields
-from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training
+from fedsim.cli import METRIC_COLUMNS, metric_row_fields, parse_config
+from fedsim.simulator import ConfigError, run_sweep, with_settings
 
 ALGORITHMS = ("fedavg", "fedcm", "scaffold", "fedadam", "fedmim")
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "compare_algorithms.ini"
 
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--kind", default="quadratic", choices=("quadratic", "logreg", "mlp"))
-    p.add_argument("--clients", type=int, default=20)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--heterogeneity", type=float, default=1.0)
-    p.add_argument("--concentration", default="iid",
-                   help="'iid' or a Dirichlet concentration like 0.1")
-    p.add_argument("--sigma-l", type=float, default=0.1)
-    p.add_argument("--participate", type=int, default=5)
-    p.add_argument("--k-local", type=int, default=10)
-    p.add_argument("--eta-l", type=float, default=0.1)
-    p.add_argument("--rounds", type=int, default=300)
-    p.add_argument("--seeds", default="0", help="comma-separated master seeds")
-    p.add_argument("--out", default="runs/compare")
+    p.add_argument("-c", "--config", default=str(CONFIG), help="INI config file")
+    p.add_argument("-o", "--override", action="append", default=[], metavar="KEY=VALUE",
+                   help="override any config key (repeatable)")
+    p.add_argument("--seeds", type=lambda s: [int(v) for v in s.split(",")], default="0",
+                   help="comma-separated master seeds (replace run.seed)")
     return p.parse_args()
 
 
 def main():
     args = parse_args()
-    conc = None if args.concentration == "iid" else float(args.concentration)
-    problem_cfg = ProblemConfig(kind=args.kind, n_clients=args.clients, dim=args.dim,
-                                heterogeneity=args.heterogeneity, concentration=conc,
-                                sigma_l=args.sigma_l)
-    hyper = MimHyper(eta_l=args.eta_l, k_local=args.k_local, s_participate=args.participate)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        config = parse_config(args.config, args.override)
+        sweeps = [run_sweep(with_settings(config, {"seed": seed}), "algorithm", ALGORITHMS)
+                  for seed in args.seeds]
+    except ConfigError as exc:
+        sys.exit(f"error: {exc}")
 
-    out = Path(args.out)
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(("algorithm", "seed") + METRIC_COLUMNS)]
-    summary = {}
-    for algorithm in ALGORITHMS:
-        finals, consistencies = [], []
-        for seed in seeds:
-            problem = build_problem(problem_cfg, seed)
-            cfg = RunConfig(problem=problem_cfg, algorithm=algorithm, hyper=hyper,
-                            rounds=args.rounds, master_seed=seed)
-            record = run_training(cfg, problem=problem)
-            finals.append(record.final_loss)
-            consistencies.append(record.rows[-1].consistency)
-            for row in record.rows:
-                lines.append(",".join([algorithm, str(seed)] + metric_row_fields(row)))
-        summary[algorithm] = (np.median(finals), np.median(consistencies))
-
-    (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{'algorithm':>10}  {'median final loss':>18}  {'median consistency':>19}")
-    for algorithm, (loss, cons) in summary.items():
+    for algorithm, records in zip(ALGORITHMS, zip(*sweeps)):  # seed-major sweeps, algorithm-major rows
+        for seed, record in zip(args.seeds, records):
+            lines.extend(",".join([algorithm, str(seed)] + metric_row_fields(row)) for row in record.rows)
+        loss = np.median([r.final_loss for r in records])
+        cons = np.median([r.rows[-1].consistency for r in records])
         print(f"{algorithm:>10}  {loss:18.6g}  {cons:19.6g}")
+    (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"\nper-round table -> {out / 'compare.csv'}")
 
 

@@ -1,57 +1,60 @@
 #!/usr/bin/env python3
 """Participation study: rounds needed to push the gradient norm under a target.
 
-Sweeps the number of participating clients on a noisy quadratic and reports
+Sweeps the number of participating clients S on a noisy quadratic and reports
 the median number of rounds (over seeds) until ||grad f(x_t)||^2 drops below
-the threshold, the empirical speedup trend.
+the threshold, the empirical speedup trend.  Settings come from -c
+(configs/participation_study.ini by default) and -o overrides; each seed is
+one ``s_participate`` sweep, so its problem is built once.
 
 Example:
     python scripts/participation_study.py --participate 2,5,10,20 --seeds 0,1,2,3,4
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from fedsim.algorithms import MimHyper
-from fedsim.simulator import ProblemConfig, RunConfig, run_training
+from fedsim.cli import parse_config
+from fedsim.simulator import ConfigError, run_sweep, with_settings
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "participation_study.ini"
+
+
+def int_list(raw: str) -> list:
+    return [int(v) for v in raw.split(",")]
 
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--clients", type=int, default=20)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--heterogeneity", type=float, default=0.1)
-    p.add_argument("--sigma-l", type=float, default=0.1)
-    p.add_argument("--participate", default="2,5,10,20")
-    p.add_argument("--k-local", type=int, default=5)
-    p.add_argument("--eta-l", type=float, default=0.05)
-    p.add_argument("--rounds", type=int, default=2800)
+    p.add_argument("-c", "--config", default=str(CONFIG), help="INI config file")
+    p.add_argument("-o", "--override", action="append", default=[], metavar="KEY=VALUE",
+                   help="override any config key (repeatable)")
+    p.add_argument("--seeds", type=int_list, default="0,1,2,3,4", help="master seeds (replace run.seed)")
+    p.add_argument("--participate", type=int_list, default="2,5,10,20", help="S values to sweep")
     p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--seeds", default="0,1,2,3,4")
     return p.parse_args()
 
 
-def rounds_to_threshold(args, s_participate, seed):
-    cfg = RunConfig(
-        problem=ProblemConfig(kind="quadratic", n_clients=args.clients, dim=args.dim,
-                              heterogeneity=args.heterogeneity, sigma_l=args.sigma_l),
-        algorithm="fedmim",
-        hyper=MimHyper(eta_l=args.eta_l, k_local=args.k_local, s_participate=s_participate),
-        rounds=args.rounds, master_seed=seed)
-    for row in run_training(cfg).rows:
-        if row.grad_norm_sq <= args.threshold:
-            return row.round
-    return args.rounds + 1  # censored
+def rounds_to_threshold(record, threshold: float) -> int:
+    censored = record.config.rounds + 1
+    return next((row.round for row in record.rows if row.grad_norm_sq <= threshold), censored)
 
 
 def main():
     args = parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        config = parse_config(args.config, args.override)
+        sweeps = [run_sweep(with_settings(config, {"seed": seed}), "s_participate", args.participate)
+                  for seed in args.seeds]
+    except ConfigError as exc:
+        sys.exit(f"error: {exc}")
+
     print(f"{'S':>4}  {'median rounds':>13}  per-seed")
-    for s_str in args.participate.split(","):
-        s = int(s_str)
-        per_seed = [rounds_to_threshold(args, s, seed) for seed in seeds]
+    for s, records in zip(args.participate, zip(*sweeps)):
+        per_seed = [rounds_to_threshold(record, args.threshold) for record in records]
         print(f"{s:>4}  {np.median(per_seed):>13.0f}  {per_seed}")
 
 

@@ -50,6 +50,6 @@ from .simulator import (
     run_training,
     sample_clients,
 )
-from .vectors import ParamVector, RngStream, axpy, derive_rng, l2_norm_sq, mean_vectors
+from .vectors import ParamVector, RngStream, derive_rng, l2_norm_sq, mean_vectors
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .vectors import (
     RngStream,
     derive_rng,
     mean_vectors,
-    zeros_like,
+    weighted_sum,
 )
 
 
@@ -172,7 +172,7 @@ class RoundArtifacts:
 
 
 def init_round_state(x0: ParamVector, history_len: int) -> RoundState:
-    return RoundState(x0.copy(), tuple(zeros_like(x0) for _ in range(history_len)))
+    return RoundState(x0.copy(), tuple(np.zeros_like(x0) for _ in range(history_len)))
 
 
 def current_eta(hyper: MimHyper, round_index: int) -> float:
@@ -187,16 +187,6 @@ def compute_delta(x_t: ParamVector, x_prev: ParamVector, k_local: int) -> ParamV
     if k_local < 1:
         raise ValueError("k_local must be >= 1")
     return -(x_t - x_prev) / k_local
-
-
-def _weighted_shift(weights: Sequence[float], deltas: Sequence[ParamVector]) -> Optional[ParamVector]:
-    """sum_j w_j * delta_j, or None when every weight is zero (exact no-op)."""
-    total = None
-    for w, d in zip(weights, deltas):
-        if w == 0.0:
-            continue
-        total = w * d if total is None else total + w * d
-    return total
 
 
 def mim_local_update(
@@ -230,8 +220,8 @@ def mim_local_update(
     """
     eta = hyper.eta_l if eta_l is None else eta_l
     step = hyper.A * eta
-    shift_alpha = _weighted_shift(hyper.alpha, deltas)
-    shift_beta = _weighted_shift(hyper.beta, deltas)
+    shift_alpha = weighted_sum(hyper.alpha, deltas)
+    shift_beta = weighted_sum(hyper.beta, deltas)
     population = problem.population
     streams = [derive_rng(rng.master_seed, round_index, cid, PURPOSE_BATCH) for cid in ids]
     draws = population.draw_round(ids, streams, hyper.k_local, batch_size)

@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import ClientObjective
-from .vectors import ParamVector, max_abs
+from .vectors import ParamVector, max_abs, weighted_sum
 
 
 @dataclass
@@ -67,18 +66,14 @@ def compute_u(x: ParamVector, deltas: Sequence[ParamVector], alpha: Sequence[flo
     if a_scale <= 0:
         raise ValueError("alpha weights must sum below 1")
     tail = np.cumsum(alpha[::-1])[::-1]  # tail[j] = alpha_j + ... + alpha_{J-1}
-    shift = None
-    for c, d in zip(tail, deltas):
-        if c == 0.0:
-            continue
-        shift = c * d if shift is None else shift + c * d
+    shift = weighted_sum(tail, deltas)
     if shift is None:
         return x.copy()
     return x - (k_local / a_scale) * shift
 
 
 def verify_u_update(u_prev: ParamVector, u_next: ParamVector, grad_sum: ParamVector,
-                    eta_l: float, s_participate: int, k_local: int) -> float:
+                    eta_l: float, s_participate: int) -> float:
     """Residual of u_{t+1} = u_t - (eta_l / S) * grad_sum (max-norm)."""
     predicted = u_prev - (eta_l / s_participate) * grad_sum
     return max_abs(u_next - predicted)
@@ -120,8 +115,8 @@ def fit_geometric_rate(series: Sequence[tuple]) -> float:
     return float(np.exp(slope))
 
 
-def finite_difference_check(obj: ClientObjective, x: ParamVector, h: float) -> float:
-    """Max relative error of the gradient oracle against central differences."""
+def finite_difference_check(obj, x: ParamVector, h: float) -> float:
+    """Max relative error of ``obj.full_gradient`` against central differences of ``obj.loss``."""
     if h <= 0:
         raise ValueError("h must be positive")
     g = obj.full_gradient(x)

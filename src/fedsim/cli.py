@@ -58,7 +58,7 @@ def _locate(key: str) -> str:
 
 
 def parse_config(path: str, overrides: Sequence[str] = ()) -> RunConfig:
-    """Load, override and validate a run configuration."""
+    """Load and override a run configuration; the config dataclasses check the result."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
@@ -82,7 +82,7 @@ def parse_config(path: str, overrides: Sequence[str] = ()) -> RunConfig:
         if key not in raw:
             raise ConfigError(f"missing required key '{key}' in section [{SETTINGS[key].section}]")
     raw.setdefault("s_participate", raw.get("n_clients", ProblemConfig.n_clients))
-    return with_settings(RunConfig(), raw).validated()
+    return with_settings(RunConfig(), raw)
 
 
 def _fmt(value) -> str:

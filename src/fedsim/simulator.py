@@ -10,9 +10,10 @@ makes one call of the problem's population oracle, ``evaluate``, on x (and,
 for ``fedmim``, on the shifted iterate u too): one blocked pass over the
 stacked data of all clients gives f(x), grad f(x) and grad f(u) together.
 
-The run configuration lives here too: the dataclasses hold every default,
-and ``SETTINGS`` is the one table of config keys that INI files, ``-o``
-overrides and sweep axes all go through.
+The run configuration lives here too: the dataclasses hold every default
+and check their values when they are built, and ``SETTINGS`` is the one
+table of config keys that INI files, ``-o`` overrides, sweep axes and the
+study scripts all go through.
 """
 
 from __future__ import annotations
@@ -74,6 +75,23 @@ class ProblemConfig:
     csv_path: Optional[str] = None
     label_column: Optional[str] = None
 
+    def __post_init__(self):
+        if self.kind not in PROBLEM_KINDS:
+            raise ConfigError(f"unknown problem kind '{self.kind}' (choose from {PROBLEM_KINDS})")
+        for name in ("n_clients", "dim", "samples_per_client", "mlp_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("sigma_l", "heterogeneity", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0")
+        conc = self.concentration
+        if conc is not None and not (math.isfinite(conc) and conc > 0):
+            raise ConfigError("concentration must be 'iid' or finite and > 0")
+        for name in ("csv_path", "label_column"):
+            if self.kind == "csv" and not getattr(self, name):
+                raise ConfigError(f"csv problems need {name}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -88,36 +106,19 @@ class RunConfig:
     out_dir: str = "runs"
     corrupt_delta: float = 0.0  # fault injection for the verification self-test
 
-    def validated(self) -> "RunConfig":
+    def __post_init__(self):
         if self.algorithm not in ROUND_FUNCTIONS:
             raise ConfigError(f"unknown algorithm '{self.algorithm}' (choose from {sorted(ROUND_FUNCTIONS)})")
-        if self.problem.kind not in PROBLEM_KINDS:
-            raise ConfigError(f"unknown problem kind '{self.problem.kind}' (choose from {PROBLEM_KINDS})")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
-        if self.metric_every < 1:
-            raise ConfigError("metric_every must be >= 1")
+        if not (1 <= self.metric_every <= self.rounds):  # past rounds, no metric row would be written
+            raise ConfigError("metric_every must be in [1, rounds]")
         if not (1 <= self.hyper.s_participate <= self.problem.n_clients):
             raise ConfigError("s_participate must be in [1, n_clients]")
-        for name in ("n_clients", "dim", "samples_per_client", "mlp_hidden"):
-            if getattr(self.problem, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("sigma_l", "heterogeneity", "weight_decay"):
-            value = getattr(self.problem, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0")
-        conc = self.problem.concentration
-        if conc is not None and not (math.isfinite(conc) and conc > 0):
-            raise ConfigError("concentration must be 'iid' or finite and > 0")
-        if self.problem.kind == "csv" and not self.problem.csv_path:
-            raise ConfigError("csv problems need csv_path")
-        if self.problem.kind == "csv" and not self.problem.label_column:
-            raise ConfigError("csv problems need label_column")
         if self.master_seed < 0:
             raise ConfigError("seed must be >= 0")
         if not math.isfinite(self.corrupt_delta):
             raise ConfigError("corrupt_delta must be finite")
-        return self
 
 
 def _flag(raw) -> bool:
@@ -201,7 +202,7 @@ def with_settings(config: RunConfig, raw: dict) -> RunConfig:
         parts = {part: replace(getattr(config, part), **fields)
                  for part, fields in changes.items() if part is not None}
         return replace(config, **parts, **changes[None])
-    except ValueError as exc:  # MimHyper or AlgoParams
+    except ValueError as exc:  # a config dataclass rejected its values
         raise ConfigError(str(exc)) from None
 
 
@@ -246,8 +247,6 @@ def build_problem(cfg: ProblemConfig, master_seed: int) -> FederatedProblem:
     A problem the builders reject (a ``PartitionError`` or ``CsvFormatError``,
     for example) is a ``ConfigError``.
     """
-    if cfg.kind not in PROBLEM_KINDS:
-        raise ConfigError(f"unknown problem kind '{cfg.kind}'")
     rng = derive_rng(master_seed, 0, 0, PURPOSE_DATA)
     spec = PartitionSpec(cfg.n_clients, cfg.concentration)
     try:
@@ -277,7 +276,6 @@ def run_training(config: RunConfig, problem: Optional[FederatedProblem] = None) 
     ``problem`` can be passed in to reuse one dataset across runs (sweeps,
     seed studies); by default it is synthesized from the master seed.
     """
-    config = config.validated()
     if problem is None:
         problem = build_problem(config.problem, config.master_seed)
     record = RunRecord(config=config, eta_bound=_eta_bound_report(config, problem))
@@ -331,8 +329,7 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
                 state.delta_history[0], art.grad_sum, prev.delta_history,
                 hyper.alpha, art.eta_l, hyper.s_participate, hyper.k_local)
             u_next = compute_u(state.x, state.delta_history, hyper.alpha, hyper.k_local)
-            res_u = verify_u_update(verifier.u, u_next, art.grad_sum,
-                                    art.eta_l, hyper.s_participate, hyper.k_local)
+            res_u = verify_u_update(verifier.u, u_next, art.grad_sum, art.eta_l, hyper.s_participate)
             verifier.u = u_next
             verifier.max_residual_delta = max(verifier.max_residual_delta, res_delta)
             verifier.max_residual_u = max(verifier.max_residual_u, res_u)
@@ -403,8 +400,8 @@ def run_sweep(base: RunConfig, axis: str, values) -> list:
     configs = []
     for value in values:  # every value is checked before the first run starts
         try:
-            configs.append(apply_axis(base, axis, value).validated())
-        except ValueError as exc:  # a value its parser, a dataclass or validated() rejects
+            configs.append(apply_axis(base, axis, value))
+        except ValueError as exc:  # a value its parser or a config dataclass rejects
             raise ConfigError(f"invalid {axis} value '{value}': {exc}") from None
     problems: dict = {}
     records = []

@@ -1,50 +1,25 @@
 """Dense parameter vectors and deterministic stream derivation.
 
 Model parameters, gradients and momentum buffers are all plain float64
-``numpy`` arrays; the helpers here enforce the shape/finiteness contracts and
-keep every reduction order fixed so that runs are bit-reproducible regardless
+``numpy`` arrays; the helpers here check shapes where the contract demands it
+and keep every reduction order fixed so that runs are bit-reproducible regardless
 of how client work is scheduled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-# A parameter vector is a 1-D float64 array.  Helpers below validate shape and
-# finiteness where the contract demands it; hot loops stay plain numpy.
+# A parameter vector is a 1-D float64 array; hot loops stay plain numpy.
 ParamVector = np.ndarray
 
 # Purpose tags for derive_rng.
 PURPOSE_SAMPLING = 0   # per-round client selection
 PURPOSE_BATCH = 1      # local minibatch draws / gradient noise
 PURPOSE_DATA = 2       # dataset synthesis
-
-
-def param_vector(values: Iterable[float]) -> ParamVector:
-    """Build a validated float64 parameter vector."""
-    x = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                   dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"parameter vector must be 1-D and nonempty, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("parameter vector contains non-finite components")
-    return x
-
-
-def zeros_like(x: ParamVector) -> ParamVector:
-    return np.zeros_like(x)
-
-
-def axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """Return ``a*x + y`` without touching the inputs."""
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if not np.isfinite(a):
-        raise ValueError(f"scalar must be finite, got {a}")
-    return a * x + y
 
 
 def l2_norm_sq(x: ParamVector) -> float:
@@ -55,6 +30,16 @@ def l2_norm_sq(x: ParamVector) -> float:
 def max_abs(x: ParamVector) -> float:
     """Infinity norm, used for dimension-independent residuals."""
     return float(np.max(np.abs(x))) if x.size else 0.0
+
+
+def weighted_sum(weights: Sequence[float], vs: Sequence[ParamVector]) -> Optional[ParamVector]:
+    """sum_j w_j * v_j in list order, skipping zero weights; None when every weight is zero (exact no-op)."""
+    total = None
+    for w, v in zip(weights, vs):
+        if w == 0.0:
+            continue
+        total = w * v if total is None else total + w * v
+    return total
 
 
 def mean_vectors(vs: Sequence[ParamVector]) -> ParamVector:

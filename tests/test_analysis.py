@@ -103,7 +103,7 @@ class TestComputeU:
 class TestIdentityResiduals:
     def test_zero_gradients_keep_u(self):
         u = np.array([1.0, 2.0])
-        assert verify_u_update(u, u, np.zeros(2), 0.1, 4, 5) == 0.0
+        assert verify_u_update(u, u, np.zeros(2), 0.1, 4) == 0.0
 
     def test_fedavg_aggregation_identity(self):
         # alpha = 0: u == x and both identities reduce to plain averaging
@@ -121,7 +121,7 @@ class TestIdentityResiduals:
             finals.append(xi)
         x_next = np.mean(finals, axis=0)
         delta_next = -(x_next - x) / k_local
-        assert verify_u_update(x, x_next, grad_sum, eta, 4, k_local) <= 1e-12
+        assert verify_u_update(x, x_next, grad_sum, eta, 4) <= 1e-12
         assert verify_delta_recursion(delta_next, grad_sum, [np.zeros(3)], (0.0,),
                                       eta, 4, k_local) <= 1e-12
 

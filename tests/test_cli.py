@@ -4,13 +4,14 @@ import hashlib
 import json
 import math
 import platform
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from fedsim import simulator
-from fedsim.algorithms import MimHyper
+from fedsim.algorithms import AlgoParams, MimHyper
 from fedsim.cli import (
     METRIC_COLUMNS,
     main,
@@ -110,6 +111,34 @@ def write_ini(path, entries: dict) -> str:
     with open(path, "w") as handle:
         ini.write(handle)
     return str(path)
+
+
+def construct(overrides) -> RunConfig:
+    """The config that ``overrides`` (``key=value`` items) set, built directly from the dataclasses."""
+    fields: dict = {part: {} for part in ("problem", "hyper", "params", None)}
+    for item in overrides:
+        key, raw = item.split("=", 1)
+        fields[SETTINGS[key].part][SETTINGS[key].field] = SETTINGS[key].parse(raw)
+    return RunConfig(problem=ProblemConfig(**fields["problem"]), hyper=MimHyper(**fields["hyper"]),
+                     params=AlgoParams(**fields["params"]), **fields[None])
+
+
+def assert_rejected(minimal_config, tmp_path, capsys, overrides, message) -> None:
+    """``fedsim run`` exits 1 with ``message`` and writes nothing; building the config directly raises it.
+
+    ProblemConfig and RunConfig raise a ConfigError themselves; MimHyper and
+    AlgoParams raise a ValueError that the settings table turns into one.
+    """
+    out = tmp_path / "out"
+    args = ["run", "-c", minimal_config, "--out", str(out)]
+    for item in overrides:
+        args += ["-o", item]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    parts = {SETTINGS[item.split("=", 1)[0]].part for item in overrides}
+    with pytest.raises(ValueError if parts & {"hyper", "params"} else ConfigError, match=re.escape(message)):
+        construct(overrides)
 
 
 def leaves(cfg: RunConfig) -> dict:
@@ -221,7 +250,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("axis, value, overrides", AXIS_CASES)
     def test_sweep_axis_matches_override(self, minimal_config, axis, value, overrides):
-        swept = apply_axis(parse_config(minimal_config), axis, value).validated()
+        swept = apply_axis(parse_config(minimal_config), axis, value)
         assert swept == parse_config(minimal_config, overrides)
 
 
@@ -296,18 +325,31 @@ class TestCmdRun:
         assert main(["run", "-c", minimal_config, "-o", "alpha=0.9,0.2"]) == 1
         assert "alpha weights must sum below 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override, message", [
+    @pytest.mark.parametrize("override, message", [  # space-separated items are separate -o flags
         ("eta_l=nan", "eta_l must be positive and finite"),  # ran and exited 2 as a divergence
         ("dim=0", "dim must be >= 1"),  # escaped the builder as a ValueError traceback
         ("sigma_l=-1", "sigma_l must be finite and >= 0"),  # ran with no noise and exited 0
         ("corrupt_delta=nan", "corrupt_delta must be finite"),  # exited 2 as a divergence at round 2
         ("corrupt_delta=-inf", "corrupt_delta must be finite"),
+        ("metric_every=11", "metric_every must be in [1, rounds]"),  # exited 0 with an empty metrics.csv
+        ("metric_every=0", "metric_every must be in [1, rounds]"),
+        ("rounds=0", "rounds must be >= 1"),
+        ("seed=-1", "seed must be >= 0"),
+        ("name=fedprox", "unknown algorithm 'fedprox'"),
+        ("s_participate=11", "s_participate must be in [1, n_clients]"),
+        ("kind=cnn", "unknown problem kind 'cnn'"),
+        ("kind=csv", "csv problems need csv_path"),
+        ("kind=csv csv_path=data.csv", "csv problems need label_column"),
+        ("n_clients=0", "n_clients must be >= 1"),
+        ("samples_per_client=0", "samples_per_client must be >= 1"),
+        ("mlp_hidden=0", "mlp_hidden must be >= 1"),
+        ("heterogeneity=inf", "heterogeneity must be finite and >= 0"),
+        ("weight_decay=nan", "weight_decay must be finite and >= 0"),
+        ("concentration=0", "concentration must be 'iid' or finite and > 0"),
+        ("concentration=nan", "concentration must be 'iid' or finite and > 0"),
     ])
     def test_invalid_value_is_config_error(self, minimal_config, tmp_path, capsys, override, message):
-        out = tmp_path / "out"
-        assert main(["run", "-c", minimal_config, "--out", str(out), "-o", override]) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+        assert_rejected(minimal_config, tmp_path, capsys, override.split(), message)
 
     @pytest.mark.parametrize("overrides, message", [
         (["name=fedcm", "fedcm_alpha=2"], "fedcm_alpha must be in [0, 1)"),  # was a ValueError traceback
@@ -321,13 +363,7 @@ class TestCmdRun:
     ])
     def test_invalid_algorithm_param_is_config_error(self, minimal_config, tmp_path, capsys,
                                                       overrides, message):
-        out = tmp_path / "out"
-        args = ["run", "-c", minimal_config, "--out", str(out)]
-        for item in overrides:
-            args += ["-o", item]
-        assert main(args) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+        assert_rejected(minimal_config, tmp_path, capsys, overrides, message)
 
     def test_partition_failure_is_config_error(self, tmp_path, capsys):
         # a PartitionError from the problem builder used to escape as a traceback

@@ -1,42 +1,74 @@
-"""Smoke runs of the study scripts in scripts/, with tiny arguments."""
+"""Smoke runs of the study scripts in scripts/, with tiny settings."""
 
 import runpy
 import sys
 from pathlib import Path
+from unittest import mock
 
-from fedsim.cli import main
+import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from fedsim import simulator
+from fedsim.cli import main, read_metrics_csv
+
+ROOT = Path(__file__).resolve().parents[1]
+SMALL = ["-o", "n_clients=4", "-o", "dim=3", "-o", "k_local=2"]
 
 
-def run_script(monkeypatch, name: str, *args: str) -> None:
+def run_script(monkeypatch, name: str, *args: str) -> int:
+    """Run a script as ``__main__``; returns how many problems it built."""
     monkeypatch.setattr(sys, "argv", [name, *args])
-    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    with mock.patch.object(simulator, "build_problem", wraps=simulator.build_problem) as build:
+        runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
+    return build.call_count
 
 
 def test_compare_algorithms_rows_match_cli_runs(tmp_path, monkeypatch, capsys):
     out = tmp_path / "compare"
-    run_script(monkeypatch, "compare_algorithms.py", "--clients", "4", "--dim", "3", "--participate", "2",
-               "--k-local", "2", "--rounds", "3", "--seeds", "0,1", "--out", str(out))
+    overrides = SMALL + ["-o", "s_participate=2", "-o", "rounds=3"]
+    builds = run_script(monkeypatch, "compare_algorithms.py", *overrides, "--seeds", "0,1",
+                        "-o", f"out_dir={out}")
+    assert builds == 2  # one problem per seed, shared by all five rules
     assert "fedadam" in capsys.readouterr().out
     lines = (out / "compare.csv").read_text().splitlines()
     assert len(lines) == 1 + 5 * 2 * 3  # header + algorithms x seeds x rounds
-    # the script's other settings are the config defaults, so `fedsim run` needs only these
-    ini = tmp_path / "same.ini"
-    ini.write_text("[problem]\nkind = quadratic\nn_clients = 4\ndim = 3\n"
-                   "[algorithm]\nname = fedmim\nk_local = 2\ns_participate = 2\n[run]\nrounds = 3\n")
+    assert [line.split(",")[0] for line in lines[1::6]] == ["fedavg", "fedcm", "scaffold", "fedadam", "fedmim"]
+    # the script reads the same settings table as `fedsim run`
+    ini = str(ROOT / "configs" / "compare_algorithms.ini")
     for algorithm in ("fedavg", "fedcm", "scaffold", "fedadam", "fedmim"):
         run_dir = tmp_path / algorithm
-        assert main(["run", "-c", str(ini), "--out", str(run_dir), "--seed", "1", "-o", f"name={algorithm}"]) == 0
+        assert main(["run", "-c", ini, *overrides, "--out", str(run_dir), "--seed", "1",
+                     "-o", f"name={algorithm}"]) == 0
         rows = [line.split(",", 2)[2] for line in lines if line.startswith(f"{algorithm},1,")]
         assert rows == (run_dir / "metrics.csv").read_text().splitlines()[1:]
 
 
 def test_participation_study_table(monkeypatch, capsys):
-    run_script(monkeypatch, "participation_study.py", "--clients", "4", "--dim", "3", "--participate", "2,4",
-               "--k-local", "2", "--rounds", "30", "--seeds", "0,1")
+    builds = run_script(monkeypatch, "participation_study.py", *SMALL, "-o", "rounds=30",
+                        "--participate", "2,4", "--seeds", "0,1")
+    assert builds == 2  # one problem per seed, shared by every S
     header, *rows = capsys.readouterr().out.strip().splitlines()
     assert header.split()[:3] == ["S", "median", "rounds"]
     assert [row.split()[0] for row in rows] == ["2", "4"]
     for row in rows:
         assert 1 <= float(row.split()[1]) <= 31  # a censored seed counts as rounds + 1
+
+
+def test_participation_study_row_matches_cli_run(tmp_path, monkeypatch, capsys):
+    overrides = SMALL + ["-o", "rounds=30"]
+    run_dir = tmp_path / "run"
+    assert main(["run", "-c", str(ROOT / "configs" / "participation_study.ini"), *overrides,
+                 "-o", "s_participate=2", "--seed", "1", "--out", str(run_dir)]) == 0
+    rows = read_metrics_csv(run_dir / "metrics.csv")
+    threshold = rows[len(rows) // 2].grad_norm_sq
+    expected = next(row.round for row in rows if row.grad_norm_sq <= threshold)
+    capsys.readouterr()
+    run_script(monkeypatch, "participation_study.py", *overrides, "--participate", "2", "--seeds", "1",
+               "--threshold", repr(threshold))
+    table = capsys.readouterr().out.strip().splitlines()
+    assert table[1].split() == ["2", str(expected), f"[{expected}]"]
+
+
+@pytest.mark.parametrize("name", ["compare_algorithms.py", "participation_study.py"])
+def test_script_config_error_exits_1(monkeypatch, name):
+    with pytest.raises(SystemExit, match="^error: rounds must be >= 1$"):  # sys.exit(str) exits 1
+        run_script(monkeypatch, name, *SMALL, "-o", "rounds=0")

@@ -267,12 +267,12 @@ class TestRunConfig:
 
 class TestBuildProblem:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            RunConfig(problem=ProblemConfig(kind="cnn"), rounds=1).validated()
+        with pytest.raises(ConfigError, match="unknown problem kind 'cnn'"):
+            ProblemConfig(kind="cnn")
 
     def test_csv_requires_path(self):
-        with pytest.raises(ConfigError):
-            RunConfig(problem=ProblemConfig(kind="csv"), rounds=1).validated()
+        with pytest.raises(ConfigError, match="csv problems need csv_path"):
+            ProblemConfig(kind="csv")
 
     def test_problem_synthesis_deterministic(self):
         cfg = ProblemConfig(kind="logreg", n_clients=4, dim=3, samples_per_client=20)

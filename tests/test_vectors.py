@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from fedsim.vectors import (
     RngStream,
-    axpy,
     derive_rng,
     l2_norm_sq,
     max_abs,
     mean_vectors,
-    param_vector,
 )
 
 finite_components = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -18,35 +16,6 @@ finite_components = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 def vec(*values):
     return np.array(values, dtype=np.float64)
-
-
-class TestAxpy:
-    def test_zero_scalar_identity(self):
-        assert np.array_equal(axpy(0.0, vec(1, 2), vec(3, 4)), vec(3, 4))
-
-    def test_unit_scalar_identity(self):
-        assert np.array_equal(axpy(1.0, vec(1, 2), vec(0, 0)), vec(1, 2))
-
-    def test_closed_form(self):
-        assert np.array_equal(axpy(2.0, vec(1, -1), vec(0.5, 0.5)), vec(2.5, -1.5))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            axpy(1.0, vec(1, 2), vec(1, 2, 3))
-
-    def test_non_finite_scalar(self):
-        with pytest.raises(ValueError):
-            axpy(float("nan"), vec(1.0), vec(1.0))
-
-    def test_inputs_unmodified(self):
-        x, y = vec(1, 2), vec(3, 4)
-        axpy(2.0, x, y)
-        assert np.array_equal(x, vec(1, 2)) and np.array_equal(y, vec(3, 4))
-
-    @given(st.lists(finite_components, min_size=1, max_size=20))
-    def test_self_cancellation_is_exact(self, values):
-        x = np.array(values)
-        assert l2_norm_sq(axpy(-1.0, x, x)) == 0.0
 
 
 class TestNormAndMean:
@@ -89,19 +58,6 @@ class TestNormAndMean:
         else:
             # summation of identical values then division is within 1 ulp
             assert np.all(np.abs(m - v) <= np.spacing(np.abs(v)))
-
-
-class TestParamVector:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            param_vector([1.0, float("nan")])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            param_vector([])
-
-    def test_builds_float64(self):
-        assert param_vector([1, 2]).dtype == np.float64
 
 
 class TestRngDerivation:
