@@ -4,12 +4,15 @@
 Settings come from -c (configs/compare_algorithms.ini by default) and -o
 overrides.  Each seed is one ``algorithm`` sweep, so its problem is built
 once; every run's rows go to run.out_dir/compare.csv, grouped by algorithm.
+The median consistency is over the runs that recorded a metric row (nan when
+none did).  Exits 2 when any run diverged, as ``fedsim sweep`` does.
 
 Example:
     python scripts/compare_algorithms.py --seeds 0,1,2 -o kind=logreg -o concentration=0.1
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -45,14 +48,21 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(("algorithm", "seed") + METRIC_COLUMNS)]
     print(f"{'algorithm':>10}  {'median final loss':>18}  {'median consistency':>19}")
+    diverged = []
     for algorithm, records in zip(ALGORITHMS, zip(*sweeps)):  # seed-major sweeps, algorithm-major rows
         for seed, record in zip(args.seeds, records):
             lines.extend(",".join([algorithm, str(seed)] + metric_row_fields(row)) for row in record.rows)
+            if record.diverged_round is not None:
+                diverged.append(f"{algorithm} seed {seed}: {record.status}")
         loss = np.median([r.final_loss for r in records])
-        cons = np.median([r.rows[-1].consistency for r in records])
+        finals = [r.rows[-1].consistency for r in records if r.rows]  # a run can diverge before its first row
+        cons = np.median(finals) if finals else math.nan
         print(f"{algorithm:>10}  {loss:18.6g}  {cons:19.6g}")
     (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"\nper-round table -> {out / 'compare.csv'}")
+    if diverged:
+        print("\n".join(diverged), file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from .analysis import (
 )
 from .objectives import (
     FederatedProblem,
-    PartitionSpec,
     dirichlet_partition,
     estimate_dissimilarity,
     ingest_csv,

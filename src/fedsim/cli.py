@@ -35,8 +35,7 @@ from .simulator import (
 )
 from .vectors import derive_rng
 
-METRIC_COLUMNS = ("round", "loss", "grad_norm_sq", "grad_norm_sq_at_u", "consistency",
-                  "delta_norm_sq", "residual_delta", "residual_u", "eta_l")
+METRIC_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRow))
 
 VERIFY_TOLERANCE = 1e-9
 GRADCHECK_SETTINGS = {  # kind -> (fd step, max relative error)
@@ -179,8 +178,6 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    if config.algorithm != "fedmim":
-        raise ConfigError("verify requires algorithm=fedmim")
     record = run_training(dataclasses.replace(config, verify=True))
     out = _emit_run(record, config.out_dir)
     if record.diverged_round is not None:

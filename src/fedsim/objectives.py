@@ -7,8 +7,10 @@ Three synthetic problem families with progressively weaker structure:
 * a small two-layer tanh network (non-convex, no constants).
 
 Plus Dirichlet label-skew partitioning and CSV ingestion for tabular data.
-All randomness flows through :class:`~fedsim.vectors.RngStream`; objectives
-are immutable after construction and never store generator state.
+Each builder takes a :class:`~fedsim.simulator.ProblemConfig`, which holds
+every problem parameter and its default, and the data stream.  All
+randomness flows through :class:`~fedsim.vectors.RngStream`; objectives are
+immutable after construction and never store generator state.
 
 Each problem builder lays its data out once, stacked in client-id order:
 the (N, d, d) Hessians and (N, d) centres of a quadratic, or every client's
@@ -33,15 +35,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .vectors import ParamVector, RngStream
 
-DEFAULT_SIGMA_L = 0.1
-DEFAULT_WEIGHT_DECAY = 1e-3
+if TYPE_CHECKING:  # the simulator imports this module
+    from .simulator import ProblemConfig
 
 # Rows per block in the population oracles.  On the 10,000 x 50 mlp benchmark
 # stack (2 cores, OpenBLAS 0.3.31), blocks of up to 1,024 rows ran on one
@@ -131,7 +133,7 @@ class LogisticClient(ClientObjective):
     with z = X w and labels y in {0, 1}.
     """
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, weight_decay: float = DEFAULT_WEIGHT_DECAY):
+    def __init__(self, features: np.ndarray, labels: np.ndarray, weight_decay: float):
         self.features = np.asarray(features, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.float64)
         self.weight_decay = float(weight_decay)
@@ -247,24 +249,6 @@ class EpochSampler:
         batch = self._queue[: self.batch_size]
         self._queue = self._queue[self.batch_size:]
         return np.sort(batch)
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """How to split a labeled sample set across clients.
-
-    ``concentration is None`` means a random equal (IID) split; otherwise it
-    is the Dirichlet concentration controlling label skew (smaller = more
-    skewed).  ``labels`` is filled in by whoever owns the dataset.
-    """
-
-    num_clients: int
-    concentration: Optional[float] = None
-    labels: Optional[np.ndarray] = None
-
-    @property
-    def iid(self) -> bool:
-        return self.concentration is None
 
 
 @dataclass(frozen=True)
@@ -483,12 +467,6 @@ def _stack_by_client(features: np.ndarray, values: np.ndarray, client_indices: S
     return features[order], values[order], weights, list(zip(bounds[:-1], bounds[1:]))
 
 
-def _logistic_clients(features: np.ndarray, labels: np.ndarray, part: PartitionResult, weight_decay: float):
-    feats, labs, weights, spans = _stack_by_client(features, labels.astype(np.float64), part.client_indices)
-    clients = [LogisticClient(feats[a:b], labs[a:b], weight_decay) for a, b in spans]
-    return clients, LogisticPopulation(feats, labs, weights, weight_decay, clients)
-
-
 def _largest_remainder_counts(quotas: np.ndarray, total: int) -> np.ndarray:
     """Integer counts summing to ``total`` that track fractional quotas."""
     base = np.floor(quotas).astype(int)
@@ -500,31 +478,31 @@ def _largest_remainder_counts(quotas: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def dirichlet_partition(spec: PartitionSpec, rng: RngStream) -> PartitionResult:
+def dirichlet_partition(labels: np.ndarray, num_clients: int, concentration: Optional[float],
+                        rng: RngStream) -> PartitionResult:
     """Assign samples to clients, per-class, by Dirichlet-drawn proportions.
 
     For every class the label mass over clients is drawn from
-    Dirichlet(concentration); samples are dealt out with largest-remainder
-    rounding so counts are conserved exactly.  An IID spec gives a random
-    equal split.  Retries with fresh draws (up to 10) if any client ends up
-    empty, then raises :class:`PartitionError`.
+    Dirichlet(concentration); smaller is more skewed.  Samples are dealt out
+    with largest-remainder rounding so counts are conserved exactly.
+    ``concentration is None`` gives a random equal (IID) split.  Retries with
+    fresh draws (up to 10) if any client ends up empty, then raises
+    :class:`PartitionError`.
     """
-    if spec.labels is None:
-        raise ValueError("partition spec has no labels")
-    labels = np.asarray(spec.labels)
-    n, num_clients = labels.shape[0], spec.num_clients
+    labels = np.asarray(labels)
+    n = labels.shape[0]
     if n < num_clients:
         raise PartitionError(f"{n} samples cannot cover {num_clients} clients")
     gen = rng.generator
 
-    if spec.iid:
+    if concentration is None:
         perm = gen.permutation(n)
         sizes = np.full(num_clients, n // num_clients)
         sizes[: n % num_clients] += 1
         splits = np.split(perm, np.cumsum(sizes)[:-1])
         return PartitionResult([np.sort(s) for s in splits])
 
-    if spec.concentration <= 0:
+    if concentration <= 0:
         raise ValueError("Dirichlet concentration must be positive")
     class_values = np.unique(labels)
     for _ in range(10):
@@ -532,7 +510,7 @@ def dirichlet_partition(spec: PartitionSpec, rng: RngStream) -> PartitionResult:
         proportions = np.empty((len(class_values), num_clients))
         for ci, cls in enumerate(class_values):
             idx = gen.permutation(np.flatnonzero(labels == cls))
-            p = gen.dirichlet(np.full(num_clients, float(spec.concentration)))
+            p = gen.dirichlet(np.full(num_clients, float(concentration)))
             proportions[ci] = p
             counts = _largest_remainder_counts(p * len(idx), len(idx))
             start = 0
@@ -570,85 +548,61 @@ def quadratic_problem_from(
                             known_optimum=x_star, smoothness_L=smooth, pl_mu=mu)
 
 
-def quadratic_problem(
-    n_clients: int,
-    dim: int,
-    heterogeneity: float,
-    rng: RngStream,
-    sigma_l: float = DEFAULT_SIGMA_L,
-    eig_range: tuple[float, float] = (0.5, 2.0),
-) -> FederatedProblem:
-    """Random SPD quadratics with centers spread proportionally to ``heterogeneity``."""
-    if n_clients < 1 or dim < 1:
-        raise ValueError("need n_clients >= 1 and dim >= 1")
-    if heterogeneity < 0:
-        raise ValueError("heterogeneity must be nonnegative")
+def quadratic_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
+    """Random SPD quadratics, eigenvalues in [0.5, 2), centres spread proportionally to ``heterogeneity``."""
+    n_clients, dim = cfg.n_clients, cfg.dim
     gen = rng.generator
     hessians = np.empty((n_clients, dim, dim))
     centers = np.empty((n_clients, dim))
     for i in range(n_clients):
         q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
-        eigs = gen.uniform(eig_range[0], eig_range[1], size=dim)
+        eigs = gen.uniform(0.5, 2.0, size=dim)
         h = (q * eigs) @ q.T
         hessians[i] = 0.5 * (h + h.T)
         assert np.linalg.eigvalsh(hessians[i])[0] > 0, "drawn client Hessian is not positive definite"
-        centers[i] = heterogeneity * gen.standard_normal(dim)
-    return quadratic_problem_from(hessians, centers, sigma_l)
+        centers[i] = cfg.heterogeneity * gen.standard_normal(dim)
+    return quadratic_problem_from(hessians, centers, cfg.sigma_l)
 
 
-def _two_blob_dataset(n: int, dim: int, gen: np.random.Generator, class_sep: float = 2.0):
-    """Balanced two-class Gaussian blobs along a random unit direction."""
+def _two_blob_dataset(cfg: ProblemConfig, gen: np.random.Generator):
+    """Two balanced Gaussian blobs of n_clients * samples_per_client points, 2 apart on a random axis."""
+    n, dim = cfg.n_clients * cfg.samples_per_client, cfg.dim
     labels = np.zeros(n, dtype=np.intp)
     labels[n // 2:] = 1
     labels = labels[gen.permutation(n)]
     direction = gen.standard_normal(dim)
     direction /= np.linalg.norm(direction)
-    shift = (labels[:, None] - 0.5) * class_sep * direction
+    shift = (labels[:, None] - 0.5) * 2.0 * direction
     features = gen.standard_normal((n, dim)) + shift
     return features, labels
 
 
-def logreg_problem(
-    n_clients: int,
-    dim: int,
-    samples_per_client: int,
-    partition: PartitionSpec,
-    rng: RngStream,
-    weight_decay: float = DEFAULT_WEIGHT_DECAY,
-    class_sep: float = 2.0,
-) -> FederatedProblem:
-    """Synthetic two-blob logistic regression split across clients.
+def _logistic_problem(features: np.ndarray, labels: np.ndarray, cfg: ProblemConfig,
+                      rng: RngStream) -> FederatedProblem:
+    """Logistic regression on ``features``/``labels``, split across the clients as ``cfg`` says.
 
-    ``samples_per_client`` fixes the average client size (total n_clients *
-    samples_per_client samples); the actual per-client counts follow the
-    partition spec.  The smoothness constant is the analytic bound
+    The smoothness constant is the analytic bound
     max_i [ lambda_max(X_i^T X_i) / (4 n_i) + weight_decay ].
     """
-    if samples_per_client < 1:
-        raise ValueError("samples_per_client must be >= 1")
-    gen = rng.generator
-    features, labels = _two_blob_dataset(n_clients * samples_per_client, dim, gen, class_sep)
-    part = dirichlet_partition(replace(partition, num_clients=n_clients, labels=labels), rng)
-    clients, population = _logistic_clients(features, labels, part, weight_decay)
+    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, rng)
+    feats, labs, weights, spans = _stack_by_client(features, labels.astype(np.float64), part.client_indices)
+    clients = [LogisticClient(feats[a:b], labs[a:b], cfg.weight_decay) for a, b in spans]
+    population = LogisticPopulation(feats, labs, weights, cfg.weight_decay, clients)
     smooth = max(c.smoothness_bound() for c in clients)
-    return FederatedProblem(clients, dim, population, smoothness_L=smooth, partition=part)
+    return FederatedProblem(clients, features.shape[1], population, smoothness_L=smooth, partition=part)
 
 
-def mlp_problem(
-    n_clients: int,
-    widths: tuple[int, int, int],
-    partition: PartitionSpec,
-    rng: RngStream,
-    samples_per_client: int = 30,
-    class_sep: float = 2.0,
-) -> FederatedProblem:
-    """Two-layer tanh regression onto {0,1} blob labels; no known constants."""
-    d_in, hidden, d_out = widths
-    if d_out != 1:
-        raise ValueError("only scalar-output networks are supported")
-    gen = rng.generator
-    features, labels = _two_blob_dataset(n_clients * samples_per_client, d_in, gen, class_sep)
-    part = dirichlet_partition(replace(partition, num_clients=n_clients, labels=labels), rng)
+def logreg_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
+    """Synthetic two-blob logistic regression."""
+    features, labels = _two_blob_dataset(cfg, rng.generator)
+    return _logistic_problem(features, labels, cfg, rng)
+
+
+def mlp_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
+    """Two-layer tanh regression onto {0,1} blob labels, widths (dim, mlp_hidden, 1); no known constants."""
+    widths = (cfg.dim, cfg.mlp_hidden, 1)
+    features, labels = _two_blob_dataset(cfg, rng.generator)
+    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, rng)
     targets = labels.astype(np.float64)[:, None]
     feats, targs, weights, spans = _stack_by_client(features, targets, part.client_indices)
     clients = [MlpClient(feats[a:b], targs[a:b], widths) for a, b in spans]
@@ -714,21 +668,12 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def csv_problem(
-    path: str,
-    label_column: str,
-    partition: PartitionSpec,
-    rng: RngStream,
-    weight_decay: float = DEFAULT_WEIGHT_DECAY,
-) -> FederatedProblem:
-    """Logistic regression over an ingested two-class CSV dataset."""
-    labels, features = ingest_csv(path, label_column)
+def csv_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
+    """Logistic regression over the two-class CSV dataset at ``csv_path``."""
+    labels, features = ingest_csv(cfg.csv_path, cfg.label_column)
     if len(np.unique(labels)) != 2:
         raise CsvFormatError("logistic objective needs exactly 2 label classes")
-    part = dirichlet_partition(replace(partition, labels=labels), rng)
-    clients, population = _logistic_clients(features, labels, part, weight_decay)
-    smooth = max(c.smoothness_bound() for c in clients)
-    return FederatedProblem(clients, features.shape[1], population, smoothness_L=smooth, partition=part)
+    return _logistic_problem(features, labels, cfg, rng)
 
 
 def estimate_dissimilarity(problem: FederatedProblem, probe_points: Sequence[ParamVector]):

@@ -44,7 +44,6 @@ from .analysis import (
 )
 from .objectives import (
     FederatedProblem,
-    PartitionSpec,
     csv_problem,
     global_loss,
     logreg_problem,
@@ -53,7 +52,13 @@ from .objectives import (
 )
 from .vectors import PURPOSE_DATA, PURPOSE_SAMPLING, RngStream, derive_rng, l2_norm_sq
 
-PROBLEM_KINDS = ("quadratic", "logreg", "mlp", "csv")
+BUILDERS = {  # problem kind -> builder(cfg, data stream)
+    "quadratic": quadratic_problem,
+    "logreg": logreg_problem,
+    "mlp": mlp_problem,
+    "csv": csv_problem,
+}
+PROBLEM_KINDS = tuple(BUILDERS)
 
 
 class ConfigError(ValueError):
@@ -117,6 +122,8 @@ class RunConfig:
             raise ConfigError("s_participate must be in [1, n_clients]")
         if self.master_seed < 0:
             raise ConfigError("seed must be >= 0")
+        if self.verify and self.algorithm != "fedmim":  # the identities are the momentum rule's
+            raise ConfigError("verify requires algorithm=fedmim")
         if not math.isfinite(self.corrupt_delta):
             raise ConfigError("corrupt_delta must be finite")
 
@@ -247,18 +254,8 @@ def build_problem(cfg: ProblemConfig, master_seed: int) -> FederatedProblem:
     A problem the builders reject (a ``PartitionError`` or ``CsvFormatError``,
     for example) is a ``ConfigError``.
     """
-    rng = derive_rng(master_seed, 0, 0, PURPOSE_DATA)
-    spec = PartitionSpec(cfg.n_clients, cfg.concentration)
     try:
-        if cfg.kind == "quadratic":
-            return quadratic_problem(cfg.n_clients, cfg.dim, cfg.heterogeneity, rng, sigma_l=cfg.sigma_l)
-        if cfg.kind == "logreg":
-            return logreg_problem(cfg.n_clients, cfg.dim, cfg.samples_per_client, spec, rng,
-                                  weight_decay=cfg.weight_decay)
-        if cfg.kind == "mlp":
-            return mlp_problem(cfg.n_clients, (cfg.dim, cfg.mlp_hidden, 1), spec, rng,
-                               samples_per_client=cfg.samples_per_client)
-        return csv_problem(cfg.csv_path, cfg.label_column, spec, rng, weight_decay=cfg.weight_decay)
+        return BUILDERS[cfg.kind](cfg, derive_rng(master_seed, 0, 0, PURPOSE_DATA))
     except ValueError as exc:
         raise ConfigError(f"cannot build the {cfg.kind} problem: {exc}") from None
 
@@ -293,8 +290,7 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
     hyper = config.hyper
     round_fn = ROUND_FUNCTIONS[config.algorithm]
     state = init_round_state(np.zeros(problem.dim), hyper.J)
-    track_identities = config.verify and config.algorithm == "fedmim"
-    verifier = VerifierState(u=state.x.copy()) if track_identities else None
+    verifier = VerifierState(u=state.x.copy()) if config.verify else None
     root = RngStream(config.master_seed)
 
     for t in range(config.rounds):
@@ -306,7 +302,7 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
             state, art = round_fn(
                 prev, problem, hyper, sampled, root,
                 batch_size=config.problem.batch_size,
-                collect_grads=track_identities,
+                collect_grads=config.verify,
                 params=config.params,
             )
         except DivergenceError as exc:

@@ -24,7 +24,7 @@ from fedsim.algorithms import (
     scaffold_round,
     validate_eta_l,
 )
-from fedsim.objectives import EpochSampler, quadratic_problem, quadratic_problem_from
+from fedsim.objectives import EpochSampler, quadratic_problem_from
 from fedsim.simulator import ConfigError, ProblemConfig, build_problem, sample_clients
 from fedsim.vectors import PURPOSE_BATCH, PURPOSE_SAMPLING, RngStream, derive_rng
 
@@ -262,7 +262,7 @@ def run_rounds(round_fn, problem, hyper, rounds, seed, batch_size=0, params=Algo
 
 class TestMimRound:
     def test_full_participation_single_step_is_gradient_descent(self):
-        problem = quadratic_problem(3, 4, 1.0, derive_rng(5, 0, 0, 2), sigma_l=0.0)
+        problem = build_problem(ProblemConfig(n_clients=3, dim=4, heterogeneity=1.0, sigma_l=0.0), 5)
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.05, k_local=1,
                          s_participate=3, lr_decay=1.0)
         state = init_round_state(np.zeros(4), 1)
@@ -278,7 +278,7 @@ class TestMimRound:
             assert state.x == pytest.approx([0.0], abs=1e-16)
 
     def test_delta_bookkeeping(self):
-        problem = quadratic_problem(4, 3, 1.0, derive_rng(9, 0, 0, 2), sigma_l=0.1)
+        problem = build_problem(ProblemConfig(n_clients=4, dim=3, heterogeneity=1.0, sigma_l=0.1), 9)
         hyper = MimHyper(s_participate=2, k_local=4, eta_l=0.05)
         states = run_rounds(mim_round, problem, hyper, 10, seed=2)
         for prev, cur in zip(states, states[1:]):
@@ -287,7 +287,7 @@ class TestMimRound:
             assert cur.delta_history[1:] == prev.delta_history[: hyper.J - 1]
 
     def test_sampled_order_does_not_matter(self):
-        problem = quadratic_problem(5, 3, 1.0, derive_rng(3, 0, 0, 2), sigma_l=0.1)
+        problem = build_problem(ProblemConfig(n_clients=5, dim=3, heterogeneity=1.0, sigma_l=0.1), 3)
         hyper = MimHyper(s_participate=3, k_local=3, eta_l=0.05)
         a = run_rounds(mim_round, problem, hyper, 5, seed=3)[-1]
         b = run_rounds(mim_round, problem, hyper, 5, seed=3,
@@ -311,7 +311,7 @@ class TestMimRound:
 
     def test_zero_history_alpha_scaling_identity(self):
         # round 1 with sigma=0 and K=1: the step scales exactly with A
-        problem = quadratic_problem(4, 3, 1.0, derive_rng(11, 0, 0, 2), sigma_l=0.0)
+        problem = build_problem(ProblemConfig(n_clients=4, dim=3, heterogeneity=1.0, sigma_l=0.0), 11)
         x0 = np.zeros(3)
         base = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=1, s_participate=4)
         half = MimHyper(alpha=(0.5,), beta=(0.0,), eta_l=0.1, k_local=1, s_participate=4)
@@ -322,7 +322,7 @@ class TestMimRound:
 
 class TestFedAvgDegeneracy:
     def test_bitwise_equal_to_zero_momentum_mim(self):
-        problem = quadratic_problem(6, 4, 1.5, derive_rng(21, 0, 0, 2), sigma_l=0.1)
+        problem = build_problem(ProblemConfig(n_clients=6, dim=4, heterogeneity=1.5, sigma_l=0.1), 21)
         hyper = MimHyper(alpha=(0.0, 0.0), beta=(0.0, 0.0), s_participate=3, k_local=5, eta_l=0.05)
         mim_states = run_rounds(mim_round, problem, hyper, 100, seed=21)
         avg_states = run_rounds(fedavg_round, problem, hyper, 100, seed=21)
@@ -341,7 +341,7 @@ class TestFedAvgDegeneracy:
 
 class TestFedCm:
     def test_zero_weight_matches_fedavg(self):
-        problem = quadratic_problem(4, 3, 1.0, derive_rng(31, 0, 0, 2), sigma_l=0.1)
+        problem = build_problem(ProblemConfig(n_clients=4, dim=3, heterogeneity=1.0, sigma_l=0.1), 31)
         hyper = MimHyper(s_participate=2, k_local=5, eta_l=0.05)
         cm = run_rounds(fedcm_round, problem, hyper, 30, seed=4,
                         params=AlgoParams(fedcm_alpha=0.0))
@@ -350,7 +350,7 @@ class TestFedCm:
             assert np.array_equal(sc.x, sa.x)
 
     def test_matches_single_step_momentum_mapping(self):
-        problem = quadratic_problem(6, 4, 1.0, derive_rng(42, 0, 0, 2), sigma_l=0.1)
+        problem = build_problem(ProblemConfig(n_clients=6, dim=4, heterogeneity=1.0, sigma_l=0.1), 42)
         mim_hyper = MimHyper(alpha=(0.1,), beta=(0.0,), s_participate=3, k_local=5, eta_l=0.05)
         mim_states = run_rounds(mim_round, problem, mim_hyper, 50, seed=42)
         cm_states = run_rounds(fedcm_round, problem, mim_hyper, 50, seed=42,
@@ -359,7 +359,7 @@ class TestFedCm:
             assert np.abs(sm.x - sc.x).max() <= 1e-12
 
     def test_first_round_scales_gradient_only(self):
-        problem = quadratic_problem(3, 3, 1.0, derive_rng(8, 0, 0, 2), sigma_l=0.0)
+        problem = build_problem(ProblemConfig(n_clients=3, dim=3, heterogeneity=1.0, sigma_l=0.0), 8)
         hyper = MimHyper(s_participate=3, k_local=1, eta_l=0.1)
         s_cm, _ = fedcm_round(init_round_state(np.zeros(3), hyper.J), problem, hyper,
                               [0, 1, 2], RngStream(0), params=AlgoParams(fedcm_alpha=0.3))

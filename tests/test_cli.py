@@ -5,6 +5,7 @@ import json
 import math
 import platform
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,8 @@ from fedsim.cli import (
     write_metrics_csv,
 )
 from fedsim.simulator import SETTINGS, SWEEP_AXES, ConfigError, ProblemConfig, RunConfig, apply_axis
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 MINIMAL = """\
 [problem]
@@ -347,6 +350,7 @@ class TestCmdRun:
         ("weight_decay=nan", "weight_decay must be finite and >= 0"),
         ("concentration=0", "concentration must be 'iid' or finite and > 0"),
         ("concentration=nan", "concentration must be 'iid' or finite and > 0"),
+        ("name=fedavg verify=true", "verify requires algorithm=fedmim"),  # exited 0 with no verification block
     ])
     def test_invalid_value_is_config_error(self, minimal_config, tmp_path, capsys, override, message):
         assert_rejected(minimal_config, tmp_path, capsys, override.split(), message)
@@ -480,6 +484,13 @@ class TestCmdGradcheck:
                        "samples_per_client = 15\n[algorithm]\nname = fedmim\n"
                        "[run]\nrounds = 1\n")
         assert main(["gradcheck", "-c", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_config(self, path):
+        config = parse_config(str(path))
+        problem = simulator.build_problem(config.problem, config.master_seed)
+        assert problem.num_clients == config.problem.n_clients
+        assert main(["gradcheck", "-c", str(path)]) == 0
 
 
 class TestCsvProblemEndToEnd:

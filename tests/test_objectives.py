@@ -16,20 +16,15 @@ from fedsim.objectives import (
     LogisticClient,
     MlpClient,
     PartitionError,
-    PartitionSpec,
     QuadraticClient,
-    csv_problem,
     dirichlet_partition,
     estimate_dissimilarity,
     global_gradient,
     global_loss,
     ingest_csv,
-    logreg_problem,
-    mlp_problem,
-    quadratic_problem,
     quadratic_problem_from,
 )
-from fedsim.simulator import ProblemConfig, build_problem
+from fedsim.simulator import ConfigError, ProblemConfig, build_problem
 from fedsim.vectors import derive_rng, l2_norm_sq
 
 
@@ -52,7 +47,7 @@ class TestQuadraticProblem:
         assert global_gradient(prob, np.zeros(1)) == pytest.approx(0.0)
 
     def test_generated_optimum_against_dense_solve(self):
-        prob = quadratic_problem(5, 4, 2.0, data_rng(42), sigma_l=0.0)
+        prob = build_problem(ProblemConfig(n_clients=5, dim=4, heterogeneity=2.0, sigma_l=0.0), 42)
         assert l2_norm_sq(global_gradient(prob, prob.known_optimum)) <= 1e-18
         # independent oracle: explicit inverse instead of the solver
         h_sum = np.sum([c.hessian for c in prob.clients], axis=0)
@@ -61,7 +56,7 @@ class TestQuadraticProblem:
         assert np.allclose(prob.known_optimum, oracle, atol=1e-10)
 
     def test_smoothness_witness(self):
-        prob = quadratic_problem(4, 5, 1.5, data_rng(3), sigma_l=0.0)
+        prob = build_problem(ProblemConfig(n_clients=4, dim=5, heterogeneity=1.5, sigma_l=0.0), 3)
         gen = np.random.default_rng(0)
         for _ in range(1000):
             x, y = gen.standard_normal(5), gen.standard_normal(5)
@@ -70,7 +65,7 @@ class TestQuadraticProblem:
                 assert lhs <= prob.smoothness_L * np.linalg.norm(x - y) * (1 + 1e-12)
 
     def test_pl_witness(self):
-        prob = quadratic_problem(4, 5, 1.5, data_rng(3), sigma_l=0.0)
+        prob = build_problem(ProblemConfig(n_clients=4, dim=5, heterogeneity=1.5, sigma_l=0.0), 3)
         f_star = global_loss(prob, prob.known_optimum)
         gen = np.random.default_rng(1)
         for _ in range(1000):
@@ -182,21 +177,21 @@ class TestEpochSampler:
 class TestDirichletPartition:
     def test_iid_equal_split(self):
         labels = np.tile([0, 1], 50)
-        part = dirichlet_partition(PartitionSpec(4, None, labels), data_rng(0))
+        part = dirichlet_partition(labels, 4, None, data_rng(0))
         assert [len(p) for p in part.client_indices] == [25, 25, 25, 25]
 
     @given(st.integers(min_value=0, max_value=50), st.integers(min_value=2, max_value=6))
     @settings(max_examples=30, deadline=None)
     def test_partition_property(self, seed, n_clients):
         labels = np.tile([0, 1, 2], 40)
-        part = dirichlet_partition(PartitionSpec(n_clients, 0.5, labels), data_rng(seed))
+        part = dirichlet_partition(labels, n_clients, 0.5, data_rng(seed))
         merged = np.concatenate(part.client_indices)
         assert len(merged) == len(labels)
         assert np.array_equal(np.sort(merged), np.arange(len(labels)))
 
     def test_near_uniform_concentration(self):
         labels = np.tile([0, 1], 5000)
-        part = dirichlet_partition(PartitionSpec(5, 1e6, labels), data_rng(0))
+        part = dirichlet_partition(labels, 5, 1e6, data_rng(0))
         for idx in part.client_indices:
             assert abs(labels[idx].mean() - 0.5) <= 0.05
 
@@ -205,7 +200,7 @@ class TestDirichletPartition:
         hits = 0
         labels = np.repeat([0, 1], 250)
         for seed in range(10):
-            part = dirichlet_partition(PartitionSpec(5, 0.1, labels), data_rng(seed))
+            part = dirichlet_partition(labels, 5, 0.1, data_rng(seed))
             hits += any(max(labels[i].mean(), 1 - labels[i].mean()) >= 0.9
                         for i in part.client_indices)
         assert hits >= 8
@@ -214,47 +209,44 @@ class TestDirichletPartition:
         # 2 classes over 10 clients at concentration 0.1 rarely covers everyone
         labels = np.repeat([0, 1], 250)
         with pytest.raises(PartitionError):
-            dirichlet_partition(PartitionSpec(10, 0.1, labels), data_rng(0))
+            dirichlet_partition(labels, 10, 0.1, data_rng(0))
 
     def test_determinism(self):
         labels = np.tile([0, 1], 30)
-        a = dirichlet_partition(PartitionSpec(3, 0.3, labels), data_rng(11))
-        b = dirichlet_partition(PartitionSpec(3, 0.3, labels), data_rng(11))
+        a = dirichlet_partition(labels, 3, 0.3, data_rng(11))
+        b = dirichlet_partition(labels, 3, 0.3, data_rng(11))
         for pa, pb in zip(a.client_indices, b.client_indices):
             assert np.array_equal(pa, pb)
 
 
 class TestProblemGenerators:
     def test_logreg_sets_conservative_smoothness(self):
-        prob = logreg_problem(4, 3, 25, PartitionSpec(4, None), data_rng(1))
+        prob = build_problem(ProblemConfig(kind="logreg", n_clients=4, dim=3, samples_per_client=25), 1)
         assert prob.smoothness_L == max(c.smoothness_bound() for c in prob.clients)
         assert prob.dim == 3 and prob.num_clients == 4
 
     def test_mlp_problem_shapes(self):
-        prob = mlp_problem(3, (4, 5, 1), PartitionSpec(3, None), data_rng(2), samples_per_client=10)
+        prob = build_problem(ProblemConfig(kind="mlp", n_clients=3, dim=4, mlp_hidden=5,
+                                           samples_per_client=10), 2)
         assert prob.dim == 5 * 4 + 5 + 5 + 1
         assert prob.smoothness_L is None
 
 
 def _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir):
-    rng = data_rng(seed)
-    spec = PartitionSpec(n_clients, concentration)
-    if kind == "quadratic":
-        return quadratic_problem(n_clients, dim, 1.5, rng, sigma_l=0.1)
-    if kind == "logreg":
-        return logreg_problem(n_clients, dim, samples, spec, rng, weight_decay=0.01)
-    if kind == "mlp":
-        return mlp_problem(n_clients, (dim, 3, 1), spec, rng, samples_per_client=samples)
-    gen = np.random.default_rng(seed)
-    n_rows = n_clients * samples
-    labels = gen.permutation(np.arange(n_rows) % 2)
     path = Path(csv_dir) / "data.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(dim)] + ["label"])
-        for row, lab in zip(gen.standard_normal((n_rows, dim)), labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [int(lab)])
-    return csv_problem(str(path), "label", spec, rng, weight_decay=0.01)
+    if kind == "csv":
+        gen = np.random.default_rng(seed)
+        n_rows = n_clients * samples
+        labels = gen.permutation(np.arange(n_rows) % 2)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"f{j}" for j in range(dim)] + ["label"])
+            for row, lab in zip(gen.standard_normal((n_rows, dim)), labels):
+                writer.writerow([f"{v:.17g}" for v in row] + [int(lab)])
+    cfg = ProblemConfig(kind=kind, n_clients=n_clients, dim=dim, heterogeneity=1.5, sigma_l=0.1,
+                        concentration=concentration, samples_per_client=samples, weight_decay=0.01,
+                        mlp_hidden=3, csv_path=str(path), label_column="label")
+    return build_problem(cfg, seed)
 
 
 # (client attribute, population attribute) pairs that must share memory
@@ -281,7 +273,7 @@ class TestPopulationOracle:
         with tempfile.TemporaryDirectory() as csv_dir:
             try:
                 prob = _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir)
-            except PartitionError:
+            except ConfigError:  # a Dirichlet draw that left a client empty
                 reject()
         for client in prob.clients:
             for client_attr, stack_attr in _STACKED[kind]:
@@ -371,7 +363,7 @@ class TestDissimilarityEstimate:
         assert g_hat >= 1.0 - 1e-12
 
     def test_fitted_bound_holds_at_held_out_points(self):
-        prob = quadratic_problem(6, 5, 1.5, data_rng(42), sigma_l=0.0)
+        prob = build_problem(ProblemConfig(n_clients=6, dim=5, heterogeneity=1.5, sigma_l=0.0), 42)
         gen = derive_rng(42, 1, 0, 2).generator
         x_star = prob.known_optimum
         probes = [x_star + r * gen.standard_normal(5)

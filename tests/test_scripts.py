@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 
 from fedsim import simulator
-from fedsim.cli import main, read_metrics_csv
+from fedsim.cli import METRIC_COLUMNS, main, read_metrics_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 SMALL = ["-o", "n_clients=4", "-o", "dim=3", "-o", "k_local=2"]
@@ -40,6 +40,21 @@ def test_compare_algorithms_rows_match_cli_runs(tmp_path, monkeypatch, capsys):
                      "-o", f"name={algorithm}"]) == 0
         rows = [line.split(",", 2)[2] for line in lines if line.startswith(f"{algorithm},1,")]
         assert rows == (run_dir / "metrics.csv").read_text().splitlines()[1:]
+
+
+def test_compare_algorithms_divergence_before_first_row(tmp_path, monkeypatch, capsys):
+    # died with IndexError at rows[-1] before writing compare.csv
+    out = tmp_path / "compare"
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, "compare_algorithms.py", "-o", "eta_l=1e300", "-o", "k_local=50",
+                   "-o", "rounds=3", "-o", f"out_dir={out}")
+    assert exit_info.value.code == 2  # as `fedsim sweep` exits on a divergence
+    captured = capsys.readouterr()
+    table = captured.out.splitlines()[1:6]
+    assert [(row.split()[0], row.split()[2]) for row in table] == [
+        (algorithm, "nan") for algorithm in ("fedavg", "fedcm", "scaffold", "fedadam", "fedmim")]
+    assert (out / "compare.csv").read_text().splitlines() == [",".join(("algorithm", "seed") + METRIC_COLUMNS)]
+    assert captured.err.count("diverged at round 1") == 5
 
 
 def test_participation_study_table(monkeypatch, capsys):
