@@ -18,6 +18,8 @@ Every rule runs its local steps through one batched kernel,
 :func:`mim_local_update`: the S sampled clients share the broadcast model
 and both shifts, so they are held as one (S, d) array and each local step
 is one call of the problem's population oracle on the whole array.  The
+kernel reads the start, the history and eta_l off the :class:`RoundState`,
+and the population draws the round's minibatches or gradient noise.  The
 rules differ only in the kernel's parameters and the server step:
 
 * the averaging baseline sets every weight to zero (plain local SGD);
@@ -35,14 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .objectives import FederatedProblem
-from .vectors import (
-    PURPOSE_BATCH,
-    ParamVector,
-    RngStream,
-    derive_rng,
-    mean_vectors,
-    weighted_sum,
-)
+from .vectors import ParamVector, RngStream, mean_vectors, weighted_sum
 
 
 class DivergenceError(RuntimeError):
@@ -192,25 +187,22 @@ def compute_delta(x_t: ParamVector, x_prev: ParamVector, k_local: int) -> ParamV
 def mim_local_update(
     problem: FederatedProblem,
     ids: Sequence[int],
-    x_start: ParamVector,
-    deltas: Sequence[ParamVector],
+    state: RoundState,
     hyper: MimHyper,
     rng: RngStream,
     *,
-    round_index: int = 0,
-    eta_l: Optional[float] = None,
-    batch_size: int = 0,
     collect_grad_sum: bool = False,
     correction: Optional[np.ndarray] = None,
 ) -> tuple:
     """K inertial-momentum SGD steps from the broadcast model, on all sampled clients at once.
 
     Row s of the (S, d) iterate is client ``ids[s]``; ``ids`` are sorted and
-    distinct.  Each client's randomness for the round comes from its own
-    ``(round_index, client, PURPOSE_BATCH)`` stream, drawn up front.  The
-    increment history is fixed for the whole round, so both momentum shifts
-    are computed once.  ``correction`` is a constant (S, d) offset added to
-    the gradient before each step (the control-variate baseline).
+    distinct; every row starts at ``state.x``, with eta_l
+    ``current_eta(hyper, state.round)``.  The population draws the round's
+    randomness up front, under the master seed of ``rng``.  The increment
+    history is fixed for the whole round, so both momentum shifts are
+    computed once.  ``correction`` is a constant (S, d) offset added to the
+    gradient before each step (the control-variate baseline).
 
     Returns the (S, d) final iterates and, with ``collect_grad_sum``, the
     (S, d) per-client sums of the exact stochastic gradients consumed, for
@@ -218,14 +210,12 @@ def mim_local_update(
     raises :class:`DivergenceError` after the last step, for the lowest such
     client id and its first non-finite step.
     """
-    eta = hyper.eta_l if eta_l is None else eta_l
-    step = hyper.A * eta
-    shift_alpha = weighted_sum(hyper.alpha, deltas)
-    shift_beta = weighted_sum(hyper.beta, deltas)
+    step = hyper.A * current_eta(hyper, state.round)
+    shift_alpha = weighted_sum(hyper.alpha, state.delta_history)
+    shift_beta = weighted_sum(hyper.beta, state.delta_history)
     population = problem.population
-    streams = [derive_rng(rng.master_seed, round_index, cid, PURPOSE_BATCH) for cid in ids]
-    draws = population.draw_round(ids, streams, hyper.k_local, batch_size)
-    x = np.repeat(x_start[None, :], len(ids), axis=0)
+    draws = population.draw_round(rng.master_seed, state.round, ids, hyper.k_local)
+    x = np.repeat(state.x[None, :], len(ids), axis=0)
     grad_sum = np.zeros_like(x) if collect_grad_sum else None
     first_bad = np.full(len(ids), -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught explicitly
@@ -258,7 +248,7 @@ def _total_grad_sum(grad_sums: Optional[np.ndarray]) -> Optional[ParamVector]:
 
 
 def _advance(state: RoundState, hyper: MimHyper, x_next: ParamVector, ids, finals, grad_sums,
-             eta: float, algo_aux=None) -> tuple:
+             algo_aux=None) -> tuple:
     delta_next = compute_delta(x_next, state.x, hyper.k_local)
     history = (delta_next,) + state.delta_history[: hyper.J - 1]
     new_state = RoundState(x_next, history, state.round + 1,
@@ -267,7 +257,7 @@ def _advance(state: RoundState, hyper: MimHyper, x_next: ParamVector, ids, final
         sampled=tuple(ids),
         local_finals=finals,
         grad_sum=_total_grad_sum(grad_sums),
-        eta_l=eta,
+        eta_l=current_eta(hyper, state.round),
     )
     return new_state, artifacts
 
@@ -286,46 +276,25 @@ def _check_round_args(state: RoundState, problem: FederatedProblem, hyper: MimHy
     return ids
 
 
-def _local_round(state: RoundState, problem: FederatedProblem, hyper: MimHyper, ids, rng: RngStream,
-                 batch_size: int, collect_grads: bool, correction=None) -> tuple:
-    """(eta, final rows, per-client gradient sums) of the round's local updates."""
-    eta = current_eta(hyper, state.round)
-    finals, grad_sums = mim_local_update(
-        problem, ids, state.x, state.delta_history, hyper, rng, round_index=state.round,
-        eta_l=eta, batch_size=batch_size, collect_grad_sum=collect_grads, correction=correction,
-    )
-    return eta, finals, grad_sums
-
-
 def _zero_momentum(hyper: MimHyper) -> MimHyper:
     return replace(hyper, alpha=(0.0,) * hyper.J, beta=(0.0,) * hyper.J)
 
 
-def mim_round(
-    state: RoundState,
-    problem: FederatedProblem,
-    hyper: MimHyper,
-    sampled: Sequence[int],
-    rng: RngStream,
-    *,
-    batch_size: int = 0,
-    collect_grads: bool = False,
-    params: AlgoParams = AlgoParams(),
-) -> tuple:
+def mim_round(state: RoundState, problem: FederatedProblem, hyper: MimHyper, sampled: Sequence[int],
+              rng: RngStream, *, collect_grads: bool = False, params: AlgoParams = AlgoParams()) -> tuple:
     """One inertial-momentum round: local updates on the sampled clients, mean aggregation."""
     ids = _check_round_args(state, problem, hyper, sampled)
-    eta, finals, grad_sums = _local_round(state, problem, hyper, ids, rng, batch_size, collect_grads)
-    return _advance(state, hyper, mean_vectors(finals), ids, finals, grad_sums, eta)
+    finals, grad_sums = mim_local_update(problem, ids, state, hyper, rng, collect_grad_sum=collect_grads)
+    return _advance(state, hyper, mean_vectors(finals), ids, finals, grad_sums)
 
 
-def fedavg_round(state, problem, hyper, sampled, rng, *, batch_size=0, collect_grads=False,
+def fedavg_round(state, problem, hyper, sampled, rng, *, collect_grads=False,
                  params: AlgoParams = AlgoParams()):
     """Local SGD plus averaging: the zero-momentum path, hard-coded."""
-    return mim_round(state, problem, _zero_momentum(hyper), sampled, rng, batch_size=batch_size,
-                     collect_grads=collect_grads)
+    return mim_round(state, problem, _zero_momentum(hyper), sampled, rng, collect_grads=collect_grads)
 
 
-def fedcm_round(state, problem, hyper, sampled, rng, *, batch_size=0, collect_grads=False,
+def fedcm_round(state, problem, hyper, sampled, rng, *, collect_grads=False,
                 params: AlgoParams = AlgoParams()):
     """Client-momentum baseline.
 
@@ -338,11 +307,10 @@ def fedcm_round(state, problem, hyper, sampled, rng, *, batch_size=0, collect_gr
     """
     a = params.fedcm_alpha
     single = replace(hyper, alpha=(a,) + (0.0,) * (hyper.J - 1), beta=(0.0,) * hyper.J)
-    return mim_round(state, problem, single, sampled, rng, batch_size=batch_size,
-                     collect_grads=collect_grads)
+    return mim_round(state, problem, single, sampled, rng, collect_grads=collect_grads)
 
 
-def scaffold_round(state, problem, hyper, sampled, rng, *, batch_size=0, collect_grads=False,
+def scaffold_round(state, problem, hyper, sampled, rng, *, collect_grads=False,
                    params: AlgoParams = AlgoParams()):
     """Control-variate baseline.
 
@@ -355,13 +323,13 @@ def scaffold_round(state, problem, hyper, sampled, rng, *, batch_size=0, collect
     if aux is None:
         aux = ScaffoldAux.zeros(problem.num_clients, state.x.shape[0])
     c_old = aux.c_clients[ids]
-    eta, finals, grad_sums = _local_round(state, problem, _zero_momentum(hyper), ids, rng, batch_size,
-                                          collect_grads, correction=aux.c - c_old)
-    c_new = c_old - aux.c + (state.x - finals) / (hyper.k_local * eta)
+    finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), rng,
+                                         collect_grad_sum=collect_grads, correction=aux.c - c_old)
+    c_new = c_old - aux.c + (state.x - finals) / (hyper.k_local * current_eta(hyper, state.round))
     c_next = aux.c + (hyper.s_participate / problem.num_clients) * mean_vectors(c_new - c_old)
     clients_next = aux.c_clients.copy()
     clients_next[ids] = c_new
-    return _advance(state, hyper, mean_vectors(finals), ids, finals, grad_sums, eta,
+    return _advance(state, hyper, mean_vectors(finals), ids, finals, grad_sums,
                     algo_aux=ScaffoldAux(c_next, clients_next))
 
 
@@ -378,17 +346,17 @@ def adam_server_step(aux: AdamAux, pseudo_grad: ParamVector, params: AlgoParams)
     return AdamAux(m, v), update
 
 
-def fedadam_round(state, problem, hyper, sampled, rng, *, batch_size=0, collect_grads=False,
+def fedadam_round(state, problem, hyper, sampled, rng, *, collect_grads=False,
                   params: AlgoParams = AlgoParams()):
     """Adaptive server baseline: plain local SGD, one server Adam step per round."""
     ids = _check_round_args(state, problem, hyper, sampled)
     aux = state.algo_aux
     if aux is None:
         aux = AdamAux.zeros(state.x.shape[0])
-    eta, finals, grad_sums = _local_round(state, problem, _zero_momentum(hyper), ids, rng, batch_size,
-                                          collect_grads)
+    finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), rng,
+                                         collect_grad_sum=collect_grads)
     aux_next, update = adam_server_step(aux, state.x - mean_vectors(finals), params)
-    return _advance(state, hyper, state.x - update, ids, finals, grad_sums, eta, algo_aux=aux_next)
+    return _advance(state, hyper, state.x - update, ids, finals, grad_sums, algo_aux=aux_next)
 
 
 ROUND_FUNCTIONS = {

@@ -24,11 +24,12 @@ shifted iterate u of a metric row in one call.  ``global_loss`` and
 ``global_gradient`` are its single-point wrappers.
 
 The population oracle also serves training, one round at a time:
-``draw_round`` draws every sampled client's randomness for the round up front
-from that client's own stream, and ``client_gradients`` returns the (S, d)
-gradients of all sampled clients at one local step.  Quadratics evaluate them
-as one batched product over the Hessian stack; the sample-based kinds call
-each client's ``batch_gradient`` on its row view.
+``draw_round(seed, round_index, ids, k_local)`` draws every sampled client's
+randomness for the round up front from its own (round, client, PURPOSE_BATCH)
+stream, at the population's ``sigma_l`` or ``batch_size`` set at build time.
+``client_gradients`` returns the (S, d) gradients of all sampled clients at
+one local step: one batched product over the Hessian stack for quadratics,
+each client's ``batch_gradient`` on its row view for the sample-based kinds.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .vectors import ParamVector, RngStream
+from .vectors import PURPOSE_BATCH, ParamVector, RngStream, derive_rng
 
 if TYPE_CHECKING:  # the simulator imports this module
     from .simulator import ProblemConfig
@@ -289,7 +290,7 @@ class QuadraticPopulation:
         self.centers = centers
         self.noise_sigma = float(noise_sigma)
 
-    def draw_round(self, ids: Sequence[int], streams: Sequence[RngStream], k_local: int, batch_size: int):
+    def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
         """The sampled clients' Hessians, centres and K scaled noise vectors.
 
         ``ids`` are sorted and distinct.  At full participation they are
@@ -304,7 +305,8 @@ class QuadraticPopulation:
         noise = None
         if self.noise_sigma > 0.0:
             d = centers.shape[1]
-            draws = [s.generator.standard_normal((k_local, d)) for s in streams]
+            draws = [derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator.standard_normal((k_local, d))
+                     for cid in ids]
             noise = (self.noise_sigma / np.sqrt(d)) * np.stack(draws, axis=1)
         return hessians, centers, noise
 
@@ -326,13 +328,15 @@ class _SampledPopulation:
     """Training draws and gradients of the sample-based kinds, through the clients' row views."""
 
     clients: Sequence[ClientObjective]
+    batch: int  # minibatch size, ProblemConfig.batch_size; 0 or >= n_i is client i's full batch
 
-    def draw_round(self, ids: Sequence[int], streams: Sequence[RngStream], k_local: int, batch_size: int):
+    def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
         """Each sampled client's K minibatches, drawn up front from its own stream."""
         draws = []
-        for cid, stream in zip(ids, streams):
+        for cid in ids:
             client = self.clients[cid]
-            sampler = EpochSampler(client.sample_count, batch_size, stream.generator)
+            gen = derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator
+            sampler = EpochSampler(client.sample_count, self.batch, gen)
             draws.append((client, [sampler.next_batch() for _ in range(k_local)]))
         return draws
 
@@ -346,11 +350,12 @@ class LogisticPopulation(_SampledPopulation):
     """f(x) = sum_s w_s [log(1 + e^{z_s}) - y_s z_s] + 0.5 lam ||x||^2, w_s = 1/(N n_i)."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, weights: np.ndarray, weight_decay: float,
-                 clients: Sequence[ClientObjective]):
+                 batch: int, clients: Sequence[ClientObjective]):
         self.features = features
         self.labels = labels
         self.weights = weights
         self.weight_decay = float(weight_decay)
+        self.batch = batch
         self.clients = clients
 
     def evaluate(self, points: np.ndarray):
@@ -381,11 +386,12 @@ class MlpPopulation(_SampledPopulation):
     """
 
     def __init__(self, features: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                 widths: tuple[int, int, int], clients: Sequence[ClientObjective]):
+                 widths: tuple[int, int, int], batch: int, clients: Sequence[ClientObjective]):
         self.features = features
         self.targets = targets
         self.weights = weights
         self.widths = widths
+        self.batch = batch
         self.clients = clients
 
     def evaluate(self, points: np.ndarray):
@@ -528,7 +534,7 @@ def quadratic_problem_from(
     centers: Sequence[np.ndarray],
     sigma_l: float = 0.0,
 ) -> FederatedProblem:
-    """Assemble a quadratic problem from explicit (H_i, b_i), deriving constants.
+    """Assemble a quadratic problem from explicit positive-definite (H_i, b_i), deriving constants.
 
     known_optimum solves (sum H_i) x = sum H_i b_i; smoothness is the largest
     client Hessian eigenvalue; the PL constant is the smallest eigenvalue of
@@ -537,13 +543,16 @@ def quadratic_problem_from(
     hessians = np.asarray(hessians, dtype=np.float64)  # no copy when already stacked
     centers = np.asarray(centers, dtype=np.float64)
     clients = [QuadraticClient(h, b, sigma_l) for h, b in zip(hessians, centers)]
+    eigs = np.linalg.eigvalsh(hessians)  # (N, d), each row ascending
+    definite = eigs[:, 0] > 0
+    if not definite.all():
+        raise ValueError(f"the Hessian of client {int(np.argmin(definite))} is not positive definite")
     dim = centers.shape[1]
     h_sum = hessians.sum(axis=0)
-    rhs = np.sum([c.hessian @ c.center for c in clients], axis=0)
+    rhs = _hessian_products(hessians, centers).sum(axis=0)
     x_star = np.linalg.solve(h_sum, rhs)
-    smooth = max(float(np.linalg.eigvalsh(c.hessian)[-1]) for c in clients)
+    smooth = float(eigs[:, -1].max())
     mu = float(np.linalg.eigvalsh(h_sum / len(clients))[0])
-    assert mu > 0, "averaged Hessian is not positive definite"
     return FederatedProblem(clients, dim, QuadraticPopulation(hessians, centers, sigma_l),
                             known_optimum=x_star, smoothness_L=smooth, pl_mu=mu)
 
@@ -559,7 +568,6 @@ def quadratic_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
         eigs = gen.uniform(0.5, 2.0, size=dim)
         h = (q * eigs) @ q.T
         hessians[i] = 0.5 * (h + h.T)
-        assert np.linalg.eigvalsh(hessians[i])[0] > 0, "drawn client Hessian is not positive definite"
         centers[i] = cfg.heterogeneity * gen.standard_normal(dim)
     return quadratic_problem_from(hessians, centers, cfg.sigma_l)
 
@@ -587,7 +595,7 @@ def _logistic_problem(features: np.ndarray, labels: np.ndarray, cfg: ProblemConf
     part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, rng)
     feats, labs, weights, spans = _stack_by_client(features, labels.astype(np.float64), part.client_indices)
     clients = [LogisticClient(feats[a:b], labs[a:b], cfg.weight_decay) for a, b in spans]
-    population = LogisticPopulation(feats, labs, weights, cfg.weight_decay, clients)
+    population = LogisticPopulation(feats, labs, weights, cfg.weight_decay, cfg.batch_size, clients)
     smooth = max(c.smoothness_bound() for c in clients)
     return FederatedProblem(clients, features.shape[1], population, smoothness_L=smooth, partition=part)
 
@@ -606,8 +614,8 @@ def mlp_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
     targets = labels.astype(np.float64)[:, None]
     feats, targs, weights, spans = _stack_by_client(features, targets, part.client_indices)
     clients = [MlpClient(feats[a:b], targs[a:b], widths) for a, b in spans]
-    return FederatedProblem(clients, clients[0].dim, MlpPopulation(feats, targs, weights, widths, clients),
-                            partition=part)
+    population = MlpPopulation(feats, targs, weights, widths, cfg.batch_size, clients)
+    return FederatedProblem(clients, clients[0].dim, population, partition=part)
 
 
 def ingest_csv(path: str, label_column: str):

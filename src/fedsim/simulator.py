@@ -86,6 +86,8 @@ class ProblemConfig:
         for name in ("n_clients", "dim", "samples_per_client", "mlp_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.batch_size < 0:
+            raise ConfigError("batch_size must be >= 0 (0 = full batch)")
         for name in ("sigma_l", "heterogeneity", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -299,12 +301,8 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
                                  derive_rng(config.master_seed, t, 0, PURPOSE_SAMPLING))
         prev = state
         try:
-            state, art = round_fn(
-                prev, problem, hyper, sampled, root,
-                batch_size=config.problem.batch_size,
-                collect_grads=config.verify,
-                params=config.params,
-            )
+            state, art = round_fn(prev, problem, hyper, sampled, root,
+                                  collect_grads=config.verify, params=config.params)
         except DivergenceError as exc:
             record.status = (f"diverged at round {t + 1} "
                              f"(client {exc.client_id}, local step {exc.iteration})")

@@ -37,8 +37,7 @@ def verdict(num, name, ok):
     assert ok, f"criterion {num} ({name}) failed"
 
 
-def lockstep_trajectories(problem, hyper_a, round_a, hyper_b, round_b, rounds, seed,
-                          batch_size=0, params=AlgoParams()):
+def lockstep_trajectories(problem, hyper_a, round_a, hyper_b, round_b, rounds, seed, params=AlgoParams()):
     """Run two round rules on the same problem/seeds; return max coordinate gap."""
     state_a = init_round_state(np.zeros(problem.dim), hyper_a.J)
     state_b = init_round_state(np.zeros(problem.dim), hyper_b.J)
@@ -47,10 +46,8 @@ def lockstep_trajectories(problem, hyper_a, round_a, hyper_b, round_b, rounds, s
     for t in range(rounds):
         sampled = sample_clients(problem.num_clients, hyper_a.s_participate,
                                  derive_rng(seed, t, 0, PURPOSE_SAMPLING))
-        state_a, _ = round_a(state_a, problem, hyper_a, sampled, root,
-                             batch_size=batch_size, params=params)
-        state_b, _ = round_b(state_b, problem, hyper_b, sampled, root,
-                             batch_size=batch_size, params=params)
+        state_a, _ = round_a(state_a, problem, hyper_a, sampled, root, params=params)
+        state_b, _ = round_b(state_b, problem, hyper_b, sampled, root, params=params)
         worst = max(worst, float(np.abs(state_a.x - state_b.x).max()))
     return worst
 
@@ -62,7 +59,7 @@ def test_criterion_01_fedavg_degeneracy():
     hyper = MimHyper(alpha=(0.0, 0.0), beta=(0.0, 0.0), eta_l=0.1, k_local=10,
                      s_participate=5)
     worst = lockstep_trajectories(problem, hyper, mim_round, hyper, fedavg_round,
-                                  rounds=200, seed=42, batch_size=20)
+                                  rounds=200, seed=42)
     verdict(1, "zero-momentum rule equals plain averaging", worst <= 1e-15)
 
 

@@ -12,6 +12,7 @@ from fedsim.algorithms import (
     AlgoParams,
     DivergenceError,
     MimHyper,
+    RoundState,
     adam_server_step,
     compute_delta,
     current_eta,
@@ -82,8 +83,8 @@ class TestMimLocalUpdate:
 
     def test_plain_sgd_step(self):
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=1)
-        x_final, _ = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0], np.array([1.0]),
-                                      [np.zeros(1)], hyper, RngStream(0))
+        x_final, _ = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0],
+                                      RoundState(np.array([1.0]), (np.zeros(1),)), hyper, RngStream(0))
         assert x_final[0] == pytest.approx([0.9])
 
     def test_single_step_hand_example(self):
@@ -97,32 +98,32 @@ class TestMimLocalUpdate:
         assert expected == Fraction(171, 200)
 
         hyper = MimHyper(alpha=(0.5,), beta=(0.5,), eta_l=0.1, k_local=1)
-        x_final, _ = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0], np.array([1.0]),
-                                      [np.array([0.2])], hyper, RngStream(0))
+        x_final, _ = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0],
+                                      RoundState(np.array([1.0]), (np.array([0.2]),)), hyper, RngStream(0))
         assert x_final[0] == pytest.approx([float(expected)], abs=1e-15)
 
     def test_zero_history_matches_zero_momentum_trajectory(self):
-        start = np.array([1.0, -2.0])
-        deltas = [np.zeros(2), np.zeros(2)]
+        state = RoundState(np.array([1.0, -2.0]), (np.zeros(2), np.zeros(2)))
         with_momentum = MimHyper(alpha=(0.4, 0.2), beta=(0.5, 0.1), eta_l=0.05, k_local=3)
         problem = one_client(np.eye(2), np.zeros(2))
-        x_m, _ = mim_local_update(problem, [0], start, deltas, with_momentum, RngStream(0))
+        x_m, _ = mim_local_update(problem, [0], state, with_momentum, RngStream(0))
         # same A so the gradient scaling matches; history is all zero
         zero = MimHyper(alpha=(0.4, 0.2), beta=(0.0, 0.0), eta_l=0.05, k_local=3)
-        x_z, _ = mim_local_update(problem, [0], start, deltas, zero, RngStream(0))
+        x_z, _ = mim_local_update(problem, [0], state, zero, RngStream(0))
         assert np.array_equal(x_m, x_z)
 
     def test_grad_sum_collection(self):
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=4)
-        _, grad_sum = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0], np.array([1.0]),
-                                       [np.zeros(1)], hyper, RngStream(0), collect_grad_sum=True)
+        _, grad_sum = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0],
+                                       RoundState(np.array([1.0]), (np.zeros(1),)), hyper, RngStream(0),
+                                       collect_grad_sum=True)
         assert grad_sum[0] == pytest.approx([1.0 + 0.9 + 0.81 + 0.729])
 
     def test_divergence_detection(self):
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=1e8, k_local=60)
         problem = one_client(np.eye(1), np.zeros(1), copies=4)
         with pytest.raises(DivergenceError) as err:
-            mim_local_update(problem, [3], np.array([1.0]), [np.zeros(1)], hyper, RngStream(0))
+            mim_local_update(problem, [3], RoundState(np.array([1.0]), (np.zeros(1),)), hyper, RngStream(0))
         assert err.value.client_id == 3
         assert err.value.iteration > 0
 
@@ -185,7 +186,8 @@ def kernel_cases(draw):
 
 def random_problem(case):
     cfg = ProblemConfig(kind=case["kind"], n_clients=case["n_clients"], dim=3, sigma_l=0.3,
-                        concentration=0.5, samples_per_client=15, mlp_hidden=3)
+                        concentration=0.5, samples_per_client=15, mlp_hidden=3,
+                        batch_size=case["batch_size"])
     try:
         return build_problem(cfg, case["seed"])
     except ConfigError:  # a Dirichlet draw that left a client empty
@@ -204,13 +206,14 @@ class TestBatchedKernel:
         x_start = 0.3 * gen.standard_normal(problem.dim)
         deltas = [0.1 * gen.standard_normal(problem.dim) for _ in range(hyper.J)]
         correction = 0.2 * gen.standard_normal((len(ids), problem.dim)) if case["correction"] else None
-        round_index, eta = 4, 0.04
+        round_index = 4
 
         finals, grad_sums = mim_local_update(
-            problem, ids, x_start, deltas, hyper, RngStream(case["seed"]), round_index=round_index,
-            eta_l=eta, batch_size=case["batch_size"], collect_grad_sum=True, correction=correction)
+            problem, ids, RoundState(x_start, tuple(deltas), round_index), hyper, RngStream(case["seed"]),
+            collect_grad_sum=True, correction=correction)
         ref_finals, ref_grad_sums = reference_local_updates(
-            problem, ids, x_start, deltas, hyper, case["seed"], round_index, eta, case["batch_size"], correction)
+            problem, ids, x_start, deltas, hyper, case["seed"], round_index, current_eta(hyper, round_index),
+            case["batch_size"], correction)
 
         assert finals.shape == grad_sums.shape == (len(ids), problem.dim)
         for row in range(len(ids)):
@@ -230,8 +233,7 @@ class TestBatchedKernel:
             sampled = sample_clients(problem.num_clients, hyper.s_participate,
                                      derive_rng(case["seed"], t, 0, PURPOSE_SAMPLING))
             orders = (sampled, [int(i) for i in gen.permutation(sampled)])
-            results = [ROUND_FUNCTIONS[algorithm](state, problem, hyper, order, root,
-                                                  batch_size=case["batch_size"], collect_grads=True)
+            results = [ROUND_FUNCTIONS[algorithm](state, problem, hyper, order, root, collect_grads=True)
                        for state, order in zip(states, orders)]
             (a, art_a), (b, art_b) = results
             assert a.x.tobytes() == b.x.tobytes()
@@ -244,8 +246,7 @@ class TestBatchedKernel:
             states = [a, b]
 
 
-def run_rounds(round_fn, problem, hyper, rounds, seed, batch_size=0, params=AlgoParams(),
-               sampled_orders=None):
+def run_rounds(round_fn, problem, hyper, rounds, seed, params=AlgoParams(), sampled_orders=None):
     state = init_round_state(np.zeros(problem.dim), hyper.J)
     root = RngStream(seed)
     history = [state]
@@ -254,8 +255,7 @@ def run_rounds(round_fn, problem, hyper, rounds, seed, batch_size=0, params=Algo
                                  derive_rng(seed, t, 0, PURPOSE_SAMPLING))
         if sampled_orders is not None:
             sampled = sampled_orders(sampled)
-        state, _ = round_fn(state, problem, hyper, sampled, root,
-                            batch_size=batch_size, params=params)
+        state, _ = round_fn(state, problem, hyper, sampled, root, params=params)
         history.append(state)
     return history
 

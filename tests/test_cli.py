@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fedsim import simulator
+from fedsim import objectives, simulator
 from fedsim.algorithms import AlgoParams, MimHyper
 from fedsim.cli import (
     METRIC_COLUMNS,
@@ -22,7 +22,8 @@ from fedsim.cli import (
 )
 from fedsim.simulator import SETTINGS, SWEEP_AXES, ConfigError, ProblemConfig, RunConfig, apply_axis
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.ini"))
 
 MINIMAL = """\
 [problem]
@@ -346,6 +347,7 @@ class TestCmdRun:
         ("n_clients=0", "n_clients must be >= 1"),
         ("samples_per_client=0", "samples_per_client must be >= 1"),
         ("mlp_hidden=0", "mlp_hidden must be >= 1"),
+        ("batch_size=-3", "batch_size must be >= 0 (0 = full batch)"),  # trained full-batch and exited 0
         ("heterogeneity=inf", "heterogeneity must be finite and >= 0"),
         ("weight_decay=nan", "weight_decay must be finite and >= 0"),
         ("concentration=0", "concentration must be 'iid' or finite and > 0"),
@@ -491,6 +493,16 @@ class TestCmdGradcheck:
         problem = simulator.build_problem(config.problem, config.master_seed)
         assert problem.num_clients == config.problem.n_clients
         assert main(["gradcheck", "-c", str(path)]) == 0
+
+    @pytest.mark.parametrize("name, client_class", [
+        ("quadratic_verify.ini", objectives.QuadraticClient),
+        ("logreg_dirichlet.ini", objectives.LogisticClient),
+        ("mlp_small.ini", objectives.MlpClient),
+    ])
+    def test_wrong_gradient_fails(self, monkeypatch, name, client_class):
+        exact = client_class.full_gradient
+        monkeypatch.setattr(client_class, "full_gradient", lambda client, x: 1.001 * exact(client, x))
+        assert main(["gradcheck", "-c", str(CONFIG_DIR / name)]) == 3
 
 
 class TestCsvProblemEndToEnd:

@@ -55,6 +55,12 @@ class TestQuadraticProblem:
         oracle = np.linalg.inv(h_sum) @ rhs
         assert np.allclose(prob.known_optimum, oracle, atol=1e-10)
 
+    def test_indefinite_client_rejected(self):
+        # the mean Hessian diag(5/3, 1/3) is positive definite, but client 2's gradient is 3-Lipschitz
+        hessians = [np.diag([2.0, 2.0]), np.diag([2.0, 2.0]), np.diag([1.0, -3.0])]
+        with pytest.raises(ValueError, match="client 2 is not positive definite"):
+            quadratic_problem_from(hessians, [np.zeros(2)] * 3)
+
     def test_smoothness_witness(self):
         prob = build_problem(ProblemConfig(n_clients=4, dim=5, heterogeneity=1.5, sigma_l=0.0), 3)
         gen = np.random.default_rng(0)

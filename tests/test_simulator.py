@@ -218,7 +218,7 @@ class TestRunTraining:
         state = init_round_state(np.zeros(problem.dim), hyper.J)
         x_before = state.x.copy()
         history_before = [d.copy() for d in state.delta_history]
-        mim_round(state, problem, hyper, [0, 1, 2], RngStream(13), batch_size=0)
+        mim_round(state, problem, hyper, [0, 1, 2], RngStream(13))
         assert np.array_equal(state.x, x_before)
         for d, before in zip(state.delta_history, history_before):
             assert np.array_equal(d, before)

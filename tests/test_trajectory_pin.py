@@ -75,8 +75,7 @@ def _replay(config: RunConfig):
         sampled = sample_clients(problem.num_clients, config.hyper.s_participate,
                                  derive_rng(config.master_seed, t, 0, PURPOSE_SAMPLING))
         state, _ = ROUND_FUNCTIONS[config.algorithm](
-            state, problem, config.hyper, sampled, root, batch_size=config.problem.batch_size,
-            params=config.params)
+            state, problem, config.hyper, sampled, root, params=config.params)
     return state
 
 
