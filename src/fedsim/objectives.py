@@ -1,4 +1,4 @@
-"""Federated problem construction: per-client loss/gradient oracles.
+"""Federated problem construction: one population oracle per problem kind.
 
 Three synthetic problem families with progressively weaker structure:
 
@@ -15,21 +15,20 @@ immutable after construction and never store generator state.
 Each problem builder lays its data out once, stacked in client-id order:
 the (N, d, d) Hessians and (N, d) centres of a quadratic, or every client's
 feature rows and labels/targets for the sample-based kinds, with a per-sample
-weight 1/(N n_i).  Every client object holds row views into that stack, not
-copies.  The stack also backs the problem's population oracle, whose one
-method ``evaluate(points)`` computes the full-batch losses and gradients at
-a (P, d) stack of points together, in one pass over fixed-size row blocks
-instead of looping over the clients: the simulator evaluates x and the
-shifted iterate u of a metric row in one call.  ``global_loss`` and
-``global_gradient`` are its single-point wrappers.
-
-The population oracle also serves training, one round at a time:
-``draw_round(seed, round_index, ids, k_local)`` draws every sampled client's
-randomness for the round up front from its own (round, client, PURPOSE_BATCH)
-stream, at the population's ``sigma_l`` or ``batch_size`` set at build time.
-``client_gradients`` returns the (S, d) gradients of all sampled clients at
-one local step: one batched product over the Hessian stack for quadratics,
-each client's ``batch_gradient`` on its row view for the sample-based kinds.
+weight 1/(N n_i) and each client's ``(start, stop)`` row range.  The
+population class of that kind holds the stack and is the only copy of its
+arithmetic.  ``evaluate(points)`` computes the full-batch losses and
+gradients at a (P, d) stack of points in one pass over fixed-size row blocks
+(the simulator evaluates x and the shifted iterate u of a metric row in one
+call); ``global_loss`` and ``global_gradient`` are its single-point wrappers.
+``draw_round(seed, round_index, ids, k_local)`` draws each sampled client's
+gradient noise or K minibatches (as stack rows) for the round up front, from
+its own (round, client, PURPOSE_BATCH) stream, and ``client_gradients``
+returns the (S, d) gradients of the sampled clients at one local step.
+``client_evaluate(cid, x)`` is one client's full-batch loss and gradient: the
+gradient by the training arithmetic, the loss computed on its own, so that
+finite differences of the loss (``fedsim gradcheck``, through the one-client
+view :class:`ClientObjective`) check the gradient that trains.
 """
 
 from __future__ import annotations
@@ -63,61 +62,6 @@ class CsvFormatError(ValueError):
     """Malformed CSV input, with row/column location where known."""
 
 
-class ClientObjective:
-    """Loss/gradient oracle for one client's local objective.
-
-    Finite-sum objectives expose ``batch_gradient`` over explicit sample
-    indices; ``sample_count == 0`` marks a population objective (noise model
-    instead of minibatching).
-    """
-
-    sample_count: int = 0
-
-    def loss(self, x: ParamVector) -> float:
-        raise NotImplementedError
-
-    def full_gradient(self, x: ParamVector) -> ParamVector:
-        raise NotImplementedError
-
-    def batch_gradient(self, x: ParamVector, indices: np.ndarray) -> ParamVector:
-        raise NotImplementedError
-
-
-class QuadraticClient(ClientObjective):
-    """f_i(x) = 0.5 (x - b)^T H (x - b) with optional additive gradient noise.
-
-    A population objective (sample_count == 0): the stochastic gradient
-    (``noisy_gradient``) is the exact gradient plus zero-mean Gaussian noise
-    with E||noise||^2 equal to ``noise_sigma**2``, so the bounded-variance
-    constant is a direct knob.  ``noise_sigma == 0`` makes stochastic and
-    full gradients identical.
-    """
-
-    sample_count = 0
-
-    def __init__(self, hessian: np.ndarray, center: np.ndarray, noise_sigma: float = 0.0):
-        self.hessian = np.asarray(hessian, dtype=np.float64)
-        self.center = np.asarray(center, dtype=np.float64)
-        self.noise_sigma = float(noise_sigma)
-        d = self.center.shape[0]
-        if self.hessian.shape != (d, d):
-            raise ValueError(f"hessian shape {self.hessian.shape} does not match center dim {d}")
-
-    def loss(self, x: ParamVector) -> float:
-        r = x - self.center
-        return 0.5 * float(r @ self.hessian @ r)
-
-    def full_gradient(self, x: ParamVector) -> ParamVector:
-        return self.hessian @ (x - self.center)
-
-    def noisy_gradient(self, x: ParamVector, gen: np.random.Generator) -> ParamVector:
-        g = self.full_gradient(x)
-        if self.noise_sigma > 0.0:
-            d = g.shape[0]
-            g = g + (self.noise_sigma / np.sqrt(d)) * gen.standard_normal(d)
-        return g
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -125,41 +69,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-class LogisticClient(ClientObjective):
-    """L2-regularized binary logistic regression on the client's samples.
-
-    loss(w) = mean_s [ log(1 + e^{z_s}) - y_s z_s ] + 0.5 * lam * ||w||^2
-    with z = X w and labels y in {0, 1}.
-    """
-
-    def __init__(self, features: np.ndarray, labels: np.ndarray, weight_decay: float):
-        self.features = np.asarray(features, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.float64)
-        self.weight_decay = float(weight_decay)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features/labels shape mismatch")
-        self.sample_count = self.features.shape[0]
-        self._all = np.arange(self.sample_count)
-
-    def loss(self, x: ParamVector) -> float:
-        z = self.features @ x
-        data = float(np.mean(np.logaddexp(0.0, z) - self.labels * z))
-        return data + 0.5 * self.weight_decay * float(x @ x)
-
-    def batch_gradient(self, x: ParamVector, indices: np.ndarray) -> ParamVector:
-        xb = self.features[indices]
-        z = xb @ x
-        r = _sigmoid(z) - self.labels[indices]
-        return xb.T @ r / len(indices) + self.weight_decay * x
-
-    def full_gradient(self, x: ParamVector) -> ParamVector:
-        return self.batch_gradient(x, self._all)
-
-    def smoothness_bound(self) -> float:
-        gram_top = float(np.linalg.eigvalsh(self.features.T @ self.features)[-1])
-        return 0.25 * gram_top / self.sample_count + self.weight_decay
 
 
 def unpack_mlp(x: np.ndarray, widths: tuple[int, int, int]):
@@ -176,56 +85,6 @@ def unpack_mlp(x: np.ndarray, widths: tuple[int, int, int]):
     w2 = x[..., i:i + o * h].reshape(lead + (o, h)); i += o * h
     b2 = x[..., i:i + o]
     return w1, b1, w2, b2
-
-
-class MlpClient(ClientObjective):
-    """Two-layer tanh network with squared loss, hand-coded backprop.
-
-    Parameters are packed flat as [W1 (h,d), b1 (h), W2 (o,h), b2 (o)].
-    """
-
-    def __init__(self, features: np.ndarray, targets: np.ndarray, widths: tuple[int, int, int]):
-        self.features = np.asarray(features, dtype=np.float64)
-        self.targets = np.atleast_2d(np.asarray(targets, dtype=np.float64).T).T
-        d_in, hidden, d_out = widths
-        if self.features.shape[1] != d_in or self.targets.shape[1] != d_out:
-            raise ValueError("data shape does not match widths")
-        self.widths = (d_in, hidden, d_out)
-        self.sample_count = self.features.shape[0]
-        self._all = np.arange(self.sample_count)
-
-    @property
-    def dim(self) -> int:
-        d, h, o = self.widths
-        return h * d + h + o * h + o
-
-    def unpack(self, x: ParamVector):
-        return unpack_mlp(x, self.widths)
-
-    def _forward(self, x: ParamVector, indices: np.ndarray):
-        w1, b1, w2, b2 = self.unpack(x)
-        xb = self.features[indices]
-        a1 = np.tanh(xb @ w1.T + b1)
-        out = a1 @ w2.T + b2
-        return xb, a1, out, w2
-
-    def loss(self, x: ParamVector) -> float:
-        _, _, out, _ = self._forward(x, self._all)
-        r = out - self.targets
-        return 0.5 * float(np.mean(np.sum(r * r, axis=1)))
-
-    def batch_gradient(self, x: ParamVector, indices: np.ndarray) -> ParamVector:
-        xb, a1, out, w2 = self._forward(x, indices)
-        r = (out - self.targets[indices]) / len(indices)
-        g_w2 = r.T @ a1
-        g_b2 = r.sum(axis=0)
-        dz1 = (r @ w2) * (1.0 - a1 * a1)
-        g_w1 = dz1.T @ xb
-        g_b1 = dz1.sum(axis=0)
-        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
-
-    def full_gradient(self, x: ParamVector) -> ParamVector:
-        return self.batch_gradient(x, self._all)
 
 
 class EpochSampler:
@@ -272,7 +131,8 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _hessian_products(hessians: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Row i: H_i @ r_i, bit for bit (a batched matmul, unlike einsum, matches the per-row product).
 
-    ``r`` is (N, d), or (P, N, d) for P points at once.
+    ``r`` is (N, d), or (P, N, d) for P points at once; one client's (d, d)
+    Hessian takes a (d,) ``r``.
     """
     return np.matmul(hessians, r[..., None])[..., 0]
 
@@ -281,8 +141,10 @@ class QuadraticPopulation:
     """f(x) = (1/N) sum_i 0.5 (x - b_i)^T H_i (x - b_i) over the stacked clients.
 
     The metric temporaries are (P, N, d) for P points, so the (N, d, d)
-    Hessian stack is used whole.
-    Training gradients carry the clients' additive noise (see QuadraticClient).
+    Hessian stack is used whole.  A training gradient is the exact gradient
+    plus zero-mean Gaussian noise with E||noise||^2 = ``noise_sigma**2``, so
+    the bounded-variance constant is a direct knob; ``noise_sigma == 0``
+    makes stochastic and full gradients identical.
     """
 
     def __init__(self, hessians: np.ndarray, centers: np.ndarray, noise_sigma: float = 0.0):
@@ -316,6 +178,12 @@ class QuadraticPopulation:
         g = _hessian_products(hessians, x - centers)
         return g if noise is None else g + noise[step]
 
+    def client_evaluate(self, cid: int, x: ParamVector) -> tuple:
+        """Client ``cid``'s loss 0.5 r^T H r and its gradient H r, r = x - b, by the training product."""
+        r = x - self.centers[cid]
+        hessian = self.hessians[cid]
+        return 0.5 * float(r @ hessian @ r), _hessian_products(hessian, r)
+
     def evaluate(self, points: np.ndarray):
         """Losses (P,) and gradients (P, d) at the (P, d) ``points``: one batched product for all P."""
         r = points[:, None, :] - self.centers
@@ -325,38 +193,55 @@ class QuadraticPopulation:
 
 
 class _SampledPopulation:
-    """Training draws and gradients of the sample-based kinds, through the clients' row views."""
+    """Training draws and per-client oracles of the sample-based kinds, on rows of the stack."""
 
-    clients: Sequence[ClientObjective]
+    spans: Sequence[tuple]  # client i's (start, stop) row range in the stack
     batch: int  # minibatch size, ProblemConfig.batch_size; 0 or >= n_i is client i's full batch
 
     def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
-        """Each sampled client's K minibatches, drawn up front from its own stream."""
+        """Each sampled client's K minibatches as stack rows, drawn up front from its own stream."""
         draws = []
         for cid in ids:
-            client = self.clients[cid]
+            start, stop = self.spans[cid]
             gen = derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator
-            sampler = EpochSampler(client.sample_count, self.batch, gen)
-            draws.append((client, [sampler.next_batch() for _ in range(k_local)]))
+            sampler = EpochSampler(stop - start, self.batch, gen)
+            draws.append([start + sampler.next_batch() for _ in range(k_local)])
         return draws
 
     def client_gradients(self, x: np.ndarray, draws, step: int) -> np.ndarray:
         """Row s: the minibatch gradient of client s at row s of ``x``."""
-        return np.stack([client.batch_gradient(row, batches[step])
-                         for row, (client, batches) in zip(x, draws)])
+        return np.stack([self._rows_gradient(row, batches[step]) for row, batches in zip(x, draws)])
+
+    def client_evaluate(self, cid: int, x: ParamVector) -> tuple:
+        """Client ``cid``'s full-batch loss and gradient: the minibatch gradient over all its rows."""
+        rows = np.arange(*self.spans[cid])
+        return self._rows_loss(x, rows), self._rows_gradient(x, rows)
 
 
 class LogisticPopulation(_SampledPopulation):
     """f(x) = sum_s w_s [log(1 + e^{z_s}) - y_s z_s] + 0.5 lam ||x||^2, w_s = 1/(N n_i)."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, weights: np.ndarray, weight_decay: float,
-                 batch: int, clients: Sequence[ClientObjective]):
+                 batch: int, spans: Sequence[tuple]):
         self.features = features
         self.labels = labels
         self.weights = weights
         self.weight_decay = float(weight_decay)
         self.batch = batch
-        self.clients = clients
+        self.spans = spans
+
+    def _rows_loss(self, x: ParamVector, rows: np.ndarray) -> float:
+        """mean over ``rows`` of log(1 + e^z) - y z, z = X_rows x, plus 0.5 lam ||x||^2."""
+        z = self.features[rows] @ x
+        data = float(np.mean(np.logaddexp(0.0, z) - self.labels[rows] * z))
+        return data + 0.5 * self.weight_decay * float(x @ x)
+
+    def _rows_gradient(self, x: ParamVector, rows: np.ndarray) -> ParamVector:
+        """Gradient of the loss over the stack ``rows`` at ``x``."""
+        xb = self.features[rows]
+        z = xb @ x
+        r = _sigmoid(z) - self.labels[rows]
+        return xb.T @ r / len(rows) + self.weight_decay * x
 
     def evaluate(self, points: np.ndarray):
         """Losses (P,) and gradients (P, d) at the (P, d) ``points``, in one blocked pass.
@@ -380,19 +265,45 @@ class LogisticPopulation(_SampledPopulation):
 
 
 class MlpPopulation(_SampledPopulation):
-    """f(x) = sum_s w_s 0.5 (net(x_s) - t_s)^2, w_s = 1/(N n_i); the backprop of MlpClient.
+    """f(x) = sum_s w_s 0.5 (net(x_s) - t_s)^2, w_s = 1/(N n_i), with hand-coded backprop.
 
-    Scalar output only (widths (d, h, 1)), as ``mlp_problem`` builds it.
+    The network is two-layer tanh, parameters packed flat as [W1 (h,d),
+    b1 (h), W2 (o,h), b2 (o)] (see ``unpack_mlp``).  ``evaluate`` handles
+    scalar output only (widths (d, h, 1)), as ``mlp_problem`` builds it.
     """
 
     def __init__(self, features: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                 widths: tuple[int, int, int], batch: int, clients: Sequence[ClientObjective]):
+                 widths: tuple[int, int, int], batch: int, spans: Sequence[tuple]):
         self.features = features
         self.targets = targets
         self.weights = weights
         self.widths = widths
         self.batch = batch
-        self.clients = clients
+        self.spans = spans
+
+    def _forward(self, x: ParamVector, rows: np.ndarray):
+        w1, b1, w2, b2 = unpack_mlp(x, self.widths)
+        xb = self.features[rows]
+        a1 = np.tanh(xb @ w1.T + b1)
+        out = a1 @ w2.T + b2
+        return xb, a1, out, w2
+
+    def _rows_loss(self, x: ParamVector, rows: np.ndarray) -> float:
+        """0.5 mean over ``rows`` of the squared residual."""
+        _, _, out, _ = self._forward(x, rows)
+        r = out - self.targets[rows]
+        return 0.5 * float(np.mean(np.sum(r * r, axis=1)))
+
+    def _rows_gradient(self, x: ParamVector, rows: np.ndarray) -> ParamVector:
+        """Gradient of the loss over the stack ``rows`` at ``x``, by backprop."""
+        xb, a1, out, w2 = self._forward(x, rows)
+        r = (out - self.targets[rows]) / len(rows)
+        g_w2 = r.T @ a1
+        g_b2 = r.sum(axis=0)
+        dz1 = (r @ w2) * (1.0 - a1 * a1)
+        g_w1 = dz1.T @ xb
+        g_b1 = dz1.sum(axis=0)
+        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
 
     def evaluate(self, points: np.ndarray):
         """Losses (P,) and gradients (P, dim) at the (P, dim) ``points``, in one blocked pass.
@@ -425,29 +336,39 @@ class MlpPopulation(_SampledPopulation):
         return 0.5 * losses, grads
 
 
+@dataclass(frozen=True)
+class ClientObjective:
+    """Client ``cid``'s full-batch loss and gradient, read off its population's ``client_evaluate``."""
+
+    population: QuadraticPopulation | LogisticPopulation | MlpPopulation
+    cid: int
+
+    def loss(self, x: ParamVector) -> float:
+        return self.population.client_evaluate(self.cid, x)[0]
+
+    def full_gradient(self, x: ParamVector) -> ParamVector:
+        return self.population.client_evaluate(self.cid, x)[1]
+
+
 @dataclass
 class FederatedProblem:
-    """N client objectives plus whatever closed-form constants are known.
+    """N clients' objectives, held by one population oracle, plus whatever closed-form constants are known.
 
-    ``population`` evaluates the full-batch objective over the stacked data
-    that the clients view: row p of ``evaluate(points)`` holds the loss and
-    gradient at ``points[p]``, the mean of the clients' ``loss`` /
-    ``full_gradient`` up to summation order.  Its
-    ``draw_round`` / ``client_gradients`` give the training gradients of a
-    round's sampled clients, bit for bit those of the client objects.
+    ``population`` holds the clients' data stacked in client-id order and
+    is the only copy of the objective's arithmetic.  Row p of
+    ``evaluate(points)`` holds the full-batch loss and gradient at
+    ``points[p]``, the mean of the clients' ``client_evaluate`` up to
+    summation order.  ``draw_round`` / ``client_gradients`` give the
+    training gradients of a round's sampled clients.
     """
 
-    clients: list
+    num_clients: int
     dim: int
     population: QuadraticPopulation | LogisticPopulation | MlpPopulation
     known_optimum: Optional[ParamVector] = None
     smoothness_L: Optional[float] = None
     pl_mu: Optional[float] = None
     partition: Optional[PartitionResult] = None
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.clients)
 
 
 def global_loss(problem: FederatedProblem, x: ParamVector) -> float:
@@ -464,10 +385,10 @@ def _stack_by_client(features: np.ndarray, values: np.ndarray, client_indices: S
     """Samples regrouped in client-id order.
 
     Returns the stacked features and values, the per-sample weights
-    1/(N n_i), and each client's ``(start, stop)`` row range.
+    1/(N n_i), and each client's ``(start, stop)`` row range as Python ints.
     """
     sizes = np.array([len(idx) for idx in client_indices])
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     weights = np.repeat(1.0 / (len(sizes) * sizes), sizes)
     order = np.concatenate(client_indices)
     return features[order], values[order], weights, list(zip(bounds[:-1], bounds[1:]))
@@ -542,7 +463,6 @@ def quadratic_problem_from(
     """
     hessians = np.asarray(hessians, dtype=np.float64)  # no copy when already stacked
     centers = np.asarray(centers, dtype=np.float64)
-    clients = [QuadraticClient(h, b, sigma_l) for h, b in zip(hessians, centers)]
     eigs = np.linalg.eigvalsh(hessians)  # (N, d), each row ascending
     definite = eigs[:, 0] > 0
     if not definite.all():
@@ -552,8 +472,8 @@ def quadratic_problem_from(
     rhs = _hessian_products(hessians, centers).sum(axis=0)
     x_star = np.linalg.solve(h_sum, rhs)
     smooth = float(eigs[:, -1].max())
-    mu = float(np.linalg.eigvalsh(h_sum / len(clients))[0])
-    return FederatedProblem(clients, dim, QuadraticPopulation(hessians, centers, sigma_l),
+    mu = float(np.linalg.eigvalsh(h_sum / len(centers))[0])
+    return FederatedProblem(len(centers), dim, QuadraticPopulation(hessians, centers, sigma_l),
                             known_optimum=x_star, smoothness_L=smooth, pl_mu=mu)
 
 
@@ -594,10 +514,10 @@ def _logistic_problem(features: np.ndarray, labels: np.ndarray, cfg: ProblemConf
     """
     part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, rng)
     feats, labs, weights, spans = _stack_by_client(features, labels.astype(np.float64), part.client_indices)
-    clients = [LogisticClient(feats[a:b], labs[a:b], cfg.weight_decay) for a, b in spans]
-    population = LogisticPopulation(feats, labs, weights, cfg.weight_decay, cfg.batch_size, clients)
-    smooth = max(c.smoothness_bound() for c in clients)
-    return FederatedProblem(clients, features.shape[1], population, smoothness_L=smooth, partition=part)
+    population = LogisticPopulation(feats, labs, weights, cfg.weight_decay, cfg.batch_size, spans)
+    smooth = max(0.25 * float(np.linalg.eigvalsh(feats[a:b].T @ feats[a:b])[-1]) / (b - a)
+                 + population.weight_decay for a, b in spans)
+    return FederatedProblem(len(spans), features.shape[1], population, smoothness_L=smooth, partition=part)
 
 
 def logreg_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
@@ -613,9 +533,9 @@ def mlp_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
     part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, rng)
     targets = labels.astype(np.float64)[:, None]
     feats, targs, weights, spans = _stack_by_client(features, targets, part.client_indices)
-    clients = [MlpClient(feats[a:b], targs[a:b], widths) for a, b in spans]
-    population = MlpPopulation(feats, targs, weights, widths, cfg.batch_size, clients)
-    return FederatedProblem(clients, clients[0].dim, population, partition=part)
+    population = MlpPopulation(feats, targs, weights, widths, cfg.batch_size, spans)
+    dim = cfg.mlp_hidden * (cfg.dim + 2) + 1  # W1 (h, d), b1 (h), W2 (1, h), b2 (1)
+    return FederatedProblem(len(spans), dim, population, partition=part)
 
 
 def ingest_csv(path: str, label_column: str):
@@ -625,7 +545,7 @@ def ingest_csv(path: str, label_column: str):
     values mapped to 0..C-1) and per-column standardized features
     (zero-variance columns map to all zeros).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig drops a byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -634,6 +554,8 @@ def ingest_csv(path: str, label_column: str):
         header = [h.strip() for h in header]
         if label_column not in header:
             raise CsvFormatError(f"label column '{label_column}' not found in header {header}")
+        if len(header) == 1:
+            raise CsvFormatError("no feature columns")
         label_idx = header.index(label_column)
         raw_labels: list[str] = []
         rows: list[list[float]] = []
@@ -698,7 +620,7 @@ def estimate_dissimilarity(problem: FederatedProblem, probe_points: Sequence[Par
     a = np.empty(len(probe_points))
     y = np.empty(len(probe_points))
     for p, x in enumerate(probe_points):
-        grads = [c.full_gradient(x) for c in problem.clients]
+        grads = [problem.population.client_evaluate(cid, x)[1] for cid in range(problem.num_clients)]
         mean_grad = np.mean(grads, axis=0)
         a[p] = float(mean_grad @ mean_grad)
         y[p] = float(np.mean([g @ g for g in grads]))

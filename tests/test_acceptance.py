@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from client_reference import clients_of
 from fedsim.algorithms import (
     MimHyper,
     AlgoParams,
@@ -21,7 +22,7 @@ from fedsim.algorithms import (
 )
 from fedsim.analysis import finite_difference_check, fit_geometric_rate
 from fedsim.cli import main
-from fedsim.objectives import global_loss
+from fedsim.objectives import ClientObjective, global_loss
 from fedsim.simulator import (
     ProblemConfig,
     RunConfig,
@@ -95,19 +96,22 @@ def test_criterion_04_gradient_oracles():
     logreg = build_problem(ProblemConfig(kind="logreg", n_clients=4, dim=5,
                                          samples_per_client=40), 11)
     gen = np.random.default_rng(0)
-    for client in logreg.clients:
+    population = logreg.population
+    for cid, client in enumerate(clients_of(logreg)):
         w = 0.5 * gen.standard_normal(5)
-        n = client.sample_count
+        start, stop = population.spans[cid]
+        n = stop - start
         size = next(b for b in range(min(10, n), 0, -1) if n % b == 0)
-        batches = [np.arange(i, i + size) for i in range(0, n, size)]
-        avg = np.mean([client.batch_gradient(w, b) for b in batches], axis=0)
+        # the training minibatch gradients over a disjoint cover average to the reference full gradient
+        batches = [np.arange(i, i + size) for i in range(start, stop, size)]
+        avg = np.mean([population._rows_gradient(w, b) for b in batches], axis=0)
         ok &= bool(np.abs(avg - client.full_gradient(w)).max() <= 1e-12)
-        ok &= finite_difference_check(client, w, 1e-6) <= 1e-5
+        ok &= finite_difference_check(ClientObjective(population, cid), w, 1e-6) <= 1e-5
     mlp = build_problem(ProblemConfig(kind="mlp", n_clients=3, dim=4, mlp_hidden=6,
                                       samples_per_client=20), 12)
-    for client in mlp.clients:
-        x = 0.2 * gen.standard_normal(client.dim)
-        ok &= finite_difference_check(client, x, 1e-5) <= 1e-4
+    for cid in range(mlp.num_clients):
+        x = 0.2 * gen.standard_normal(mlp.dim)
+        ok &= finite_difference_check(ClientObjective(mlp.population, cid), x, 1e-5) <= 1e-4
     verdict(4, "gradient oracles unbiased and finite-difference sound", ok)
 
 

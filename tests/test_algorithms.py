@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from client_reference import clients_of
 from fedsim.algorithms import (
     ROUND_FUNCTIONS,
     AdamAux,
@@ -140,12 +141,13 @@ def _reference_shift(weights, deltas):
 
 def reference_local_updates(problem, ids, x_start, deltas, hyper, seed, round_index, eta, batch_size,
                             correction):
-    """The local updates one client at a time, through the client objects' own oracles."""
+    """The local updates one client at a time, through the reference clients' own oracles."""
     shift_a = _reference_shift(hyper.alpha, deltas)
     shift_b = _reference_shift(hyper.beta, deltas)
+    clients = clients_of(problem)
     finals, grad_sums = [], []
     for row, cid in enumerate(ids):
-        client = problem.clients[cid]
+        client = clients[cid]
         gen = derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator
         sampler = EpochSampler(client.sample_count, batch_size, gen) if client.sample_count else None
         x = x_start.copy()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from client_reference import LogisticClient, MlpClient, QuadraticClient
 from fedsim.analysis import (
     compute_u,
     finite_difference_check,
@@ -13,7 +14,6 @@ from fedsim.analysis import (
     verify_delta_recursion,
     verify_u_update,
 )
-from fedsim.objectives import LogisticClient, MlpClient, QuadraticClient
 
 small_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 

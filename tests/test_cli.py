@@ -494,15 +494,19 @@ class TestCmdGradcheck:
         assert problem.num_clients == config.problem.n_clients
         assert main(["gradcheck", "-c", str(path)]) == 0
 
-    @pytest.mark.parametrize("name, client_class", [
-        ("quadratic_verify.ini", objectives.QuadraticClient),
-        ("logreg_dirichlet.ini", objectives.LogisticClient),
-        ("mlp_small.ini", objectives.MlpClient),
+    @pytest.mark.parametrize("name, owner, attr", [
+        pytest.param("quadratic_verify.ini", objectives, "_hessian_products", id="quadratic_verify.ini"),
+        pytest.param("logreg_dirichlet.ini", objectives.LogisticPopulation, "_rows_gradient",
+                     id="logreg_dirichlet.ini"),
+        pytest.param("mlp_small.ini", objectives.MlpPopulation, "_rows_gradient", id="mlp_small.ini"),
     ])
-    def test_wrong_gradient_fails(self, monkeypatch, name, client_class):
-        exact = client_class.full_gradient
-        monkeypatch.setattr(client_class, "full_gradient", lambda client, x: 1.001 * exact(client, x))
-        assert main(["gradcheck", "-c", str(CONFIG_DIR / name)]) == 3
+    def test_wrong_gradient_fails(self, monkeypatch, name, owner, attr):
+        # scale the gradient that training uses; gradcheck must see it
+        path = str(CONFIG_DIR / name)
+        assert main(["gradcheck", "-c", path]) == 0
+        exact = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *args: 1.001 * exact(*args))
+        assert main(["gradcheck", "-c", path]) == 3
 
 
 class TestCsvProblemEndToEnd:
@@ -525,3 +529,14 @@ class TestCsvProblemEndToEnd:
         assert main(["run", "-c", str(cfg), "--out", str(out)]) == 0
         rows = read_metrics_csv(out / "metrics.csv")
         assert rows[-1].loss < rows[0].loss
+
+    @pytest.mark.parametrize("subcommand", ["run", "gradcheck"])
+    def test_label_only_csv_is_a_config_error(self, tmp_path, capsys, subcommand):
+        # used to die with an IndexError in the smoothness bound
+        data = tmp_path / "labels.csv"
+        data.write_text("y\n0\n1\n0\n1\n", encoding="utf-8")
+        cfg = tmp_path / "csv.ini"
+        cfg.write_text(f"[problem]\nkind = csv\ncsv_path = {data}\nlabel_column = y\nn_clients = 2\n"
+                       "[algorithm]\nname = fedmim\n[run]\nrounds = 2\n")
+        assert main([subcommand, "-c", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "no feature columns" in capsys.readouterr().err

@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from client_reference import LogisticClient, MlpClient, clients_of
 from fedsim import objectives
 from fedsim.objectives import (
     CsvFormatError,
     EpochSampler,
-    LogisticClient,
-    MlpClient,
     PartitionError,
-    QuadraticClient,
     dirichlet_partition,
     estimate_dissimilarity,
     global_gradient,
@@ -50,8 +48,9 @@ class TestQuadraticProblem:
         prob = build_problem(ProblemConfig(n_clients=5, dim=4, heterogeneity=2.0, sigma_l=0.0), 42)
         assert l2_norm_sq(global_gradient(prob, prob.known_optimum)) <= 1e-18
         # independent oracle: explicit inverse instead of the solver
-        h_sum = np.sum([c.hessian for c in prob.clients], axis=0)
-        rhs = np.sum([c.hessian @ c.center for c in prob.clients], axis=0)
+        pop = prob.population
+        h_sum = np.sum(list(pop.hessians), axis=0)
+        rhs = np.sum([h @ b for h, b in zip(pop.hessians, pop.centers)], axis=0)
         oracle = np.linalg.inv(h_sum) @ rhs
         assert np.allclose(prob.known_optimum, oracle, atol=1e-10)
 
@@ -66,8 +65,9 @@ class TestQuadraticProblem:
         gen = np.random.default_rng(0)
         for _ in range(1000):
             x, y = gen.standard_normal(5), gen.standard_normal(5)
-            for c in prob.clients:
-                lhs = np.linalg.norm(c.full_gradient(x) - c.full_gradient(y))
+            for cid in range(prob.num_clients):
+                gx, gy = (prob.population.client_evaluate(cid, p)[1] for p in (x, y))
+                lhs = np.linalg.norm(gx - gy)
                 assert lhs <= prob.smoothness_L * np.linalg.norm(x - y) * (1 + 1e-12)
 
     def test_pl_witness(self):
@@ -80,13 +80,13 @@ class TestQuadraticProblem:
             assert 0.5 * l2_norm_sq(global_gradient(prob, x)) >= prob.pl_mu * gap * (1 - 1e-12)
 
     def test_noise_model(self):
-        client = QuadraticClient(np.eye(4), np.zeros(4), noise_sigma=0.3)
-        x = np.ones(4)
-        exact = QuadraticClient(np.eye(4), np.zeros(4), noise_sigma=0.0)
-        assert np.array_equal(exact.noisy_gradient(x, data_rng(0).generator), exact.full_gradient(x))
-        gen = data_rng(5).generator
-        draws = np.array([client.noisy_gradient(x, gen) - client.full_gradient(x)
-                          for _ in range(20000)])
+        x = np.ones((1, 4))
+        exact = quadratic_problem_from([np.eye(4)], [np.zeros(4)], 0.0).population
+        assert np.array_equal(exact.client_gradients(x, exact.draw_round(0, 0, [0], 1), 0), x)
+        noisy = quadratic_problem_from([np.eye(4)], [np.zeros(4)], 0.3).population
+        k_local = 20000
+        round_draws = noisy.draw_round(5, 0, [0], k_local)
+        draws = np.array([noisy.client_gradients(x, round_draws, k)[0] - x[0] for k in range(k_local)])
         assert np.abs(draws.mean(axis=0)).max() < 0.01  # unbiased
         assert np.mean(np.sum(draws**2, axis=1)) == pytest.approx(0.09, rel=0.05)
 
@@ -133,8 +133,9 @@ class TestLogisticClient:
         prob = build_problem(ProblemConfig(kind="logreg", n_clients=10, dim=5,
                                            concentration=0.1, samples_per_client=50), 7)
         p0, p1 = prob.partition.class_proportions
-        counts1 = np.array([c.labels.sum() for c in prob.clients])
-        sizes = np.array([c.sample_count for c in prob.clients])
+        clients = clients_of(prob)
+        counts1 = np.array([c.labels.sum() for c in clients])
+        sizes = np.array([c.sample_count for c in clients])
         n1 = counts1.sum()
         n0 = sizes.sum() - n1
         for i in range(10):
@@ -228,7 +229,7 @@ class TestDirichletPartition:
 class TestProblemGenerators:
     def test_logreg_sets_conservative_smoothness(self):
         prob = build_problem(ProblemConfig(kind="logreg", n_clients=4, dim=3, samples_per_client=25), 1)
-        assert prob.smoothness_L == max(c.smoothness_bound() for c in prob.clients)
+        assert prob.smoothness_L == max(c.smoothness_bound() for c in clients_of(prob))
         assert prob.dim == 3 and prob.num_clients == 4
 
     def test_mlp_problem_shapes(self):
@@ -255,17 +256,8 @@ def _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir)
     return build_problem(cfg, seed)
 
 
-# (client attribute, population attribute) pairs that must share memory
-_STACKED = {
-    "quadratic": (("hessian", "hessians"), ("center", "centers")),
-    "logreg": (("features", "features"), ("labels", "labels")),
-    "csv": (("features", "features"), ("labels", "labels")),
-    "mlp": (("features", "features"), ("targets", "targets")),
-}
-
-
 class TestPopulationOracle:
-    @given(kind=st.sampled_from(sorted(_STACKED)),
+    @given(kind=st.sampled_from(["csv", "logreg", "mlp", "quadratic"]),
            n_clients=st.integers(min_value=1, max_value=6),
            dim=st.integers(min_value=1, max_value=5),
            concentration=st.sampled_from([0.5, 1.0, 5.0]),
@@ -281,10 +273,7 @@ class TestPopulationOracle:
                 prob = _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir)
             except ConfigError:  # a Dirichlet draw that left a client empty
                 reject()
-        for client in prob.clients:
-            for client_attr, stack_attr in _STACKED[kind]:
-                assert np.shares_memory(getattr(client, client_attr), getattr(prob.population, stack_attr))
-
+        clients = clients_of(prob)
         points = 0.5 * np.random.default_rng(seed).standard_normal((n_points, prob.dim))
         with mock.patch.object(objectives, "BLOCK_ROWS", block_rows):
             losses, grads = prob.population.evaluate(points)
@@ -293,14 +282,20 @@ class TestPopulationOracle:
         assert losses.shape == (n_points,) and grads.shape == points.shape
         assert losses.tobytes() == again[0].tobytes() and grads.tobytes() == again[1].tobytes()
         for x, loss, grad in [single, *zip(points, losses, grads)]:
-            client_losses = [c.loss(x) for c in prob.clients]
-            client_grads = [c.full_gradient(x) for c in prob.clients]
+            client_losses = [c.loss(x) for c in clients]
+            client_grads = [c.full_gradient(x) for c in clients]
             expected_loss = sum(client_losses) / len(client_losses)
             expected_grad = sum(client_grads) / len(client_grads)
             # a mean is only as exact as its terms: scale the gradient tolerance by them
             grad_scale = max(float(np.abs(g).max()) for g in client_grads)
             assert abs(loss - expected_loss) <= 1e-12 * abs(expected_loss)
             np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12 * grad_scale)
+            # the per-client oracle, client by client
+            for cid, (client_loss, client_grad) in enumerate(zip(client_losses, client_grads)):
+                got_loss, got_grad = prob.population.client_evaluate(cid, x)
+                assert abs(got_loss - client_loss) <= 1e-12 * abs(client_loss)
+                np.testing.assert_allclose(got_grad, client_grad, rtol=1e-12,
+                                           atol=1e-12 * float(np.abs(client_grad).max()))
 
 
 class TestCsvIngestion:
@@ -332,6 +327,17 @@ class TestCsvIngestion:
         path = self._write(tmp_path, ["1.0,2.0,0", f"1.0,{cell},1", "2.0,3.0,0"])
         with pytest.raises(CsvFormatError, match=f"non-finite value '{cell}' at row 3, column 'b'"):
             ingest_csv(path, "label")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a BOM used to stick to the first header field, so label column 'y' was not found
+        text = "y,a,b\n0,1.0,2.0\n1,3.0,5.0\n0,2.0,4.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        plain_labels, plain_feats = ingest_csv(str(plain), "y")
+        bom_labels, bom_feats = ingest_csv(str(marked), "y")
+        assert np.array_equal(bom_labels, plain_labels) and np.array_equal(bom_feats, plain_feats)
 
     def test_missing_label_column(self, tmp_path):
         path = self._write(tmp_path, ["1.0,2.0,0"])
@@ -377,7 +383,7 @@ class TestDissimilarityEstimate:
         g_hat, b_hat = estimate_dissimilarity(prob, probes)
         for _ in range(100):
             x = x_star + gen.uniform(0.0, 2.0) * gen.standard_normal(5)
-            grads = [c.full_gradient(x) for c in prob.clients]
+            grads = [c.full_gradient(x) for c in clients_of(prob)]
             mean_sq = float(np.mean([g @ g for g in grads]))
             global_sq = l2_norm_sq(np.mean(grads, axis=0))
             assert mean_sq <= g_hat**2 + b_hat**2 * global_sq + 1e-9

@@ -278,5 +278,6 @@ class TestBuildProblem:
         cfg = ProblemConfig(kind="logreg", n_clients=4, dim=3, samples_per_client=20)
         a = build_problem(cfg, 3)
         b = build_problem(cfg, 3)
-        for ca, cb in zip(a.clients, b.clients):
-            assert np.array_equal(ca.features, cb.features)
+        assert a.population.spans == b.population.spans
+        for stack in ("features", "labels", "weights"):
+            assert np.array_equal(getattr(a.population, stack), getattr(b.population, stack))
