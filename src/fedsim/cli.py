@@ -34,7 +34,7 @@ from .simulator import (
     run_training,
     with_settings,
 )
-from .vectors import derive_rng
+from .vectors import PURPOSE_DATA, derive_rng
 
 METRIC_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRow))
 
@@ -223,7 +223,7 @@ def cmd_sweep(config: RunConfig, axis: str, raw_values: Sequence[str]) -> int:
 def cmd_gradcheck(config: RunConfig) -> int:
     problem = build_problem(config.problem, config.master_seed)
     h, tolerance = GRADCHECK_SETTINGS[config.problem.kind]
-    gen = derive_rng(config.master_seed, 1, 0, 2).generator
+    gen = derive_rng(config.master_seed, 1, 0, PURPOSE_DATA).generator
     worst = 0.0
     for cid in range(problem.num_clients):
         x = 0.1 * gen.standard_normal(problem.dim)

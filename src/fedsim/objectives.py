@@ -23,8 +23,11 @@ gradients at a (P, d) stack of points in one pass over fixed-size row blocks
 call); ``global_loss`` and ``global_gradient`` are its single-point wrappers.
 ``draw_round(seed, round_index, ids, k_local)`` draws each sampled client's
 gradient noise or K minibatches (as stack rows) for the round up front, from
-its own (round, client, PURPOSE_BATCH) stream, and ``client_gradients``
-returns the (S, d) gradients of the sampled clients at one local step.
+its own (round, client, PURPOSE_BATCH) stream.  The round's streams come from
+``vectors.round_generators``: their keys are computed in one pass and drawn
+on one reset Philox, with the same draws as ``derive_rng``.
+``client_gradients`` returns the (S, d) gradients of the sampled clients at
+one local step.
 ``client_evaluate(cid, x)`` is one client's full-batch loss and gradient: the
 gradient by the training arithmetic, the loss computed on its own, so that
 finite differences of the loss (``fedsim gradcheck``, through the one-client
@@ -40,7 +43,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .vectors import PURPOSE_BATCH, ParamVector, RngStream, derive_rng
+from .vectors import PURPOSE_BATCH, ParamVector, RngStream, round_generators
 
 if TYPE_CHECKING:  # the simulator imports this module
     from .simulator import ProblemConfig
@@ -167,8 +170,8 @@ class QuadraticPopulation:
         noise = None
         if self.noise_sigma > 0.0:
             d = centers.shape[1]
-            draws = [derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator.standard_normal((k_local, d))
-                     for cid in ids]
+            draws = [gen.standard_normal((k_local, d))
+                     for gen in round_generators(seed, round_index, ids, PURPOSE_BATCH)]
             noise = (self.noise_sigma / np.sqrt(d)) * np.stack(draws, axis=1)
         return hessians, centers, noise
 
@@ -201,9 +204,8 @@ class _SampledPopulation:
     def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
         """Each sampled client's K minibatches as stack rows, drawn up front from its own stream."""
         draws = []
-        for cid in ids:
+        for cid, gen in zip(ids, round_generators(seed, round_index, ids, PURPOSE_BATCH)):
             start, stop = self.spans[cid]
-            gen = derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator
             sampler = EpochSampler(stop - start, self.batch, gen)
             draws.append([start + sampler.next_batch() for _ in range(k_local)])
         return draws

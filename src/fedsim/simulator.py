@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -52,11 +52,12 @@ from .objectives import (
 )
 from .vectors import PURPOSE_DATA, PURPOSE_SAMPLING, RngStream, derive_rng, l2_norm_sq
 
-BUILDERS = {  # problem kind -> builder(cfg, data stream)
-    "quadratic": quadratic_problem,
-    "logreg": logreg_problem,
-    "mlp": mlp_problem,
-    "csv": csv_problem,
+_SAMPLED = ("n_clients", "concentration", "batch_size")  # the partition and the minibatch size
+BUILDERS = {  # problem kind -> (builder(cfg, data stream), the ProblemConfig fields besides kind it reads)
+    "quadratic": (quadratic_problem, ("n_clients", "dim", "heterogeneity", "sigma_l")),
+    "logreg": (logreg_problem, _SAMPLED + ("dim", "samples_per_client", "weight_decay")),
+    "mlp": (mlp_problem, _SAMPLED + ("dim", "samples_per_client", "mlp_hidden")),
+    "csv": (csv_problem, _SAMPLED + ("weight_decay", "csv_path", "label_column")),
 }
 PROBLEM_KINDS = tuple(BUILDERS)
 
@@ -98,6 +99,10 @@ class ProblemConfig:
         for name in ("csv_path", "label_column"):
             if self.kind == "csv" and not getattr(self, name):
                 raise ConfigError(f"csv problems need {name}")
+        read = BUILDERS[self.kind][1]
+        for f in fields(self):  # a key the builder never reads must keep its default
+            if f.name not in read and f.name != "kind" and getattr(self, f.name) != f.default:
+                raise ConfigError(f"'{f.name}' is not used by kind '{self.kind}'")
 
 
 @dataclass(frozen=True)
@@ -238,14 +243,16 @@ def sample_clients(n_clients: int, s_participate: int, rng: RngStream) -> list:
     """Uniform sample of S distinct client ids, returned sorted.
 
     Partial Fisher-Yates over the id range, so every client is selected with
-    probability S/N and pairs with probability S(S-1)/(N(N-1)).
+    probability S/N and pairs with probability S(S-1)/(N(N-1)).  The S swap
+    offsets, uniform on [0, N - i), are drawn in one call; they equal S
+    scalar ``integers(N - i)`` draws.
     """
     if not (1 <= s_participate <= n_clients):
         raise ConfigError(f"cannot sample {s_participate} of {n_clients} clients")
-    gen = rng.generator
+    offsets = rng.generator.integers(n_clients - np.arange(s_participate))
     ids = list(range(n_clients))
-    for i in range(s_participate):
-        j = i + int(gen.integers(n_clients - i))
+    for i, offset in enumerate(offsets.tolist()):
+        j = i + offset
         ids[i], ids[j] = ids[j], ids[i]
     return sorted(ids[:s_participate])
 
@@ -257,7 +264,7 @@ def build_problem(cfg: ProblemConfig, master_seed: int) -> FederatedProblem:
     for example) is a ``ConfigError``.
     """
     try:
-        return BUILDERS[cfg.kind](cfg, derive_rng(master_seed, 0, 0, PURPOSE_DATA))
+        return BUILDERS[cfg.kind][0](cfg, derive_rng(master_seed, 0, 0, PURPOSE_DATA))
     except ValueError as exc:
         raise ConfigError(f"cannot build the {cfg.kind} problem: {exc}") from None
 

@@ -2,14 +2,22 @@
 
 Model parameters, gradients and momentum buffers are all plain float64
 ``numpy`` arrays; the helpers here check shapes where the contract demands it
-and keep every reduction order fixed so that runs are bit-reproducible regardless
-of how client work is scheduled.
+and keep every reduction order fixed, so that runs are bit-reproducible.
+
+Every random draw comes from a stream keyed by the master seed and a
+``(round, client, purpose)`` path.  ``derive_rng`` builds one such stream,
+an :class:`RngStream` (data synthesis, client sampling, gradcheck probes).
+``round_generators`` serves the per-client streams of one round: it computes
+all the clients' Philox keys in one vectorized pass of ``SeedSequence``'s
+entropy mixing and draws them on one reused ``Philox``, reset per client, so
+its draws equal ``derive_rng``'s without building a ``SeedSequence`` and a
+``Philox`` per client.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -69,9 +77,9 @@ class RngStream:
     """Deterministic random stream keyed by a master seed and a derivation path.
 
     Two streams with the same ``(master_seed, path)`` produce identical draws;
-    different paths give statistically independent streams.  Derivation uses
-    ``numpy`` seed sequences with the path as spawn key, so results do not
-    depend on thread scheduling or call interleaving.
+    different paths give statistically independent streams.  The generator is
+    ``Philox`` seeded by ``SeedSequence(master_seed, spawn_key=path)``, so a
+    stream's draws depend only on its key, never on what other streams drew.
     """
 
     master_seed: int
@@ -90,3 +98,102 @@ class RngStream:
 def derive_rng(master_seed: int, round_index: int, client: int, purpose: int) -> RngStream:
     """Derive the stream for (round, client, purpose) under a master seed."""
     return RngStream(master_seed, (round_index, client, purpose))
+
+
+# SeedSequence's mixing constants (numpy/random/bit_generator.pyx).  Its hash
+# constant is multiplied by MULT_A at every hashmix call, whatever the entropy
+# words are, so mixing can resume from any point of the entropy given the
+# pool there and the number of calls before it.
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+MASK32 = 0xFFFFFFFF
+POOL_SIZE = 4
+
+
+def _hashmix(value, before, after):
+    """SeedSequence's hashmix (and generate_state's step), given its uint32 array constants.
+
+    The result is a uint32 array, whose products wrap mod 2^32 as the C code's do.
+    """
+    value = (value ^ before) * after
+    return value ^ (value >> XSHIFT)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the uint32 pool words ``x`` with hashed words ``y``."""
+    result = MIX_MULT_L * x - MIX_MULT_R * y
+    return result ^ (result >> XSHIFT)
+
+
+def _next_four(hash_const: int, mult: int):
+    """The before and after constants of the next four hashmix calls, as (4, 1) uint32 columns, and the next one."""
+    consts = [hash_const]
+    for _ in range(POOL_SIZE):
+        consts.append((consts[-1] * mult) & MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:], consts[-1]
+
+
+def _check_word(value: int, name: str) -> None:
+    if not 0 <= value <= MASK32:
+        raise ValueError(f"{name} {value} does not fit one 32-bit word")
+
+
+def round_keys(master_seed: int, round_index: int, ids: Sequence[int], purpose: int) -> np.ndarray:
+    """Row s: the Philox key of ``derive_rng(master_seed, round_index, ids[s], purpose)``, (S, 2) uint64.
+
+    It equals ``SeedSequence(master_seed, spawn_key=(round_index, ids[s],
+    purpose)).generate_state(2, np.uint64)``.  The entropy is the master
+    seed's 32-bit words, zero-padded to the pool size, then the three spawn
+    words, each of which must fit one 32-bit word.  The pool after the seed
+    and the round word, which every id shares, is numpy's own
+    ``SeedSequence(master_seed, spawn_key=(round_index,)).pool``; the ids
+    word then makes it (4, S), and the purpose word and ``generate_state``
+    run on that array.
+    """
+    _check_word(round_index, "round index")
+    _check_word(purpose, "purpose")
+    if len(ids) and not (0 <= min(ids) and max(ids) <= MASK32):
+        raise ValueError("a client id does not fit one 32-bit word")
+    shared = np.random.SeedSequence(master_seed, spawn_key=(round_index,))
+    # hashmix calls so far: four to fill the pool, twelve to mix it, then four per later entropy word
+    words = max(POOL_SIZE, -(-int(master_seed).bit_length() // 32)) + 1
+    calls = POOL_SIZE * POOL_SIZE + POOL_SIZE * (words - POOL_SIZE)
+    hash_const = (INIT_A * pow(MULT_A, calls, MASK32 + 1)) & MASK32
+    before, after, hash_const = _next_four(hash_const, MULT_A)
+    pool = _mix(shared.pool[:, None], _hashmix(np.array(ids, dtype=np.uint32), before, after))
+    before, after, _ = _next_four(hash_const, MULT_A)
+    pool = _mix(pool, _hashmix(purpose, before, after))
+
+    # generate_state(2, np.uint64): one 32-bit word per pool word, read little-endian in pairs
+    before, after, _ = _next_four(INIT_B, MULT_B)
+    state = _hashmix(pool, before, after).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+def round_generators(master_seed: int, round_index: int, ids: Sequence[int],
+                     purpose: int) -> Iterator[np.random.Generator]:
+    """For each id in order, a Generator whose draws equal ``derive_rng(master_seed, round_index, id, purpose)``'s.
+
+    The keys come from ``round_keys``; every id gets the same ``Generator``
+    object, its ``Philox`` reset to the next key (counter 0, empty buffer),
+    so the caller must finish one id's draws before it advances.
+    """
+    keys = round_keys(master_seed, round_index, ids, purpose)
+    return _reset_per_key(keys)
+
+
+def _reset_per_key(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Generator on one Philox, set to each (2,) key in turn: counter 0, no buffered output."""
+    bit_generator = np.random.Philox(0)
+    gen = np.random.Generator(bit_generator)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for key in keys:
+        bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                               "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield gen

@@ -27,7 +27,7 @@ from fedsim.algorithms import (
     validate_eta_l,
 )
 from fedsim.objectives import EpochSampler, quadratic_problem_from
-from fedsim.simulator import ConfigError, ProblemConfig, build_problem, sample_clients
+from fedsim.simulator import BUILDERS, ConfigError, ProblemConfig, build_problem, sample_clients
 from fedsim.vectors import PURPOSE_BATCH, PURPOSE_SAMPLING, RngStream, derive_rng
 
 
@@ -187,9 +187,11 @@ def kernel_cases(draw):
 
 
 def random_problem(case):
-    cfg = ProblemConfig(kind=case["kind"], n_clients=case["n_clients"], dim=3, sigma_l=0.3,
-                        concentration=0.5, samples_per_client=15, mlp_hidden=3,
-                        batch_size=case["batch_size"])
+    fields = dict(dim=3, sigma_l=0.3, concentration=0.5, samples_per_client=15, mlp_hidden=3,
+                  batch_size=case["batch_size"])
+    read = BUILDERS[case["kind"]][1]  # the other keys are a ConfigError for this kind
+    cfg = ProblemConfig(kind=case["kind"], n_clients=case["n_clients"],
+                        **{key: value for key, value in fields.items() if key in read})
     try:
         return build_problem(cfg, case["seed"])
     except ConfigError:  # a Dirichlet draw that left a client empty

@@ -92,6 +92,18 @@ SETTING_SAMPLES = {
     ("run", "corrupt_delta"): ("1e-6", 1e-6),
 }
 FIELD_OF_KEY = {"name": "algorithm", "seed": "master_seed"}  # every other key sets the field of its name
+# [problem] entries of a base whose kind reads the key; every other key is set on the quadratic MINIMAL
+LOGREG_BASE = {"kind": "logreg"}
+CSV_BASE = {"kind": "csv", "csv_path": "base.csv", "label_column": "label"}
+BASE_OF_KEY = {
+    "concentration": LOGREG_BASE,
+    "batch_size": LOGREG_BASE,
+    "samples_per_client": LOGREG_BASE,
+    "weight_decay": LOGREG_BASE,
+    "mlp_hidden": {"kind": "mlp"},
+    "csv_path": CSV_BASE,
+    "label_column": CSV_BASE,
+}
 
 # (sweep axis, value, the -o overrides that must give the same config)
 AXIS_CASES = [
@@ -106,12 +118,13 @@ AXIS_CASES = [
 ]
 
 
-def write_ini(path, entries: dict) -> str:
-    """MINIMAL plus ``s_participate = 5`` (so it no longer follows n_clients) plus ``entries``."""
+def write_ini(path, *entries: dict) -> str:
+    """MINIMAL plus ``s_participate = 5`` (so it no longer follows n_clients) plus each of ``entries`` in turn."""
     ini = configparser.ConfigParser()
     ini.read_string(MINIMAL)
     ini.read_dict({"algorithm": {"s_participate": "5"}})
-    ini.read_dict(entries)
+    for more in entries:
+        ini.read_dict(more)
     with open(path, "w") as handle:
         ini.write(handle)
     return str(path)
@@ -215,8 +228,8 @@ class TestParseConfig:
             parse_config(str(bad))
 
     def test_concentration_iid_token(self, minimal_config):
-        assert parse_config(minimal_config, ["concentration=iid"]).problem.concentration is None
-        assert parse_config(minimal_config, ["concentration=0.3"]).problem.concentration == 0.3
+        assert parse_config(minimal_config, ["kind=logreg", "concentration=iid"]).problem.concentration is None
+        assert parse_config(minimal_config, ["kind=logreg", "concentration=0.3"]).problem.concentration == 0.3
 
     def test_fedadam_global_lr_default(self, minimal_config):
         assert parse_config(minimal_config, ["name=fedadam"]).params.global_lr == 0.1
@@ -232,9 +245,10 @@ class TestParseConfig:
     @pytest.mark.parametrize("section, key", sorted(SETTING_SAMPLES))
     def test_key_sets_its_field_from_ini_and_overrides(self, tmp_path, section, key):
         raw, expected = SETTING_SAMPLES[(section, key)]
-        base = write_ini(tmp_path / "base.ini", {})
+        base_entries = {"problem": BASE_OF_KEY.get(key, {})}
+        base = write_ini(tmp_path / "base.ini", base_entries)
         before = leaves(parse_config(base))
-        for cfg in (parse_config(write_ini(tmp_path / "set.ini", {section: {key: raw}})),
+        for cfg in (parse_config(write_ini(tmp_path / "set.ini", base_entries, {section: {key: raw}})),
                     parse_config(base, [f"{key}={raw}"]),
                     parse_config(base, [f"{section}.{key}={raw}"])):
             changed = {name: value for name, value in leaves(cfg).items() if value != before[name]}
@@ -254,8 +268,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("axis, value, overrides", AXIS_CASES)
     def test_sweep_axis_matches_override(self, minimal_config, axis, value, overrides):
-        swept = apply_axis(parse_config(minimal_config), axis, value)
-        assert swept == parse_config(minimal_config, overrides)
+        swept = apply_axis(parse_config(minimal_config, ["kind=logreg"]), axis, value)  # logreg reads every axis
+        assert swept == parse_config(minimal_config, ["kind=logreg"] + overrides)
 
 
 class TestCmdRun:
@@ -370,6 +384,24 @@ class TestCmdRun:
     def test_invalid_algorithm_param_is_config_error(self, minimal_config, tmp_path, capsys,
                                                       overrides, message):
         assert_rejected(minimal_config, tmp_path, capsys, overrides, message)
+
+    @pytest.mark.parametrize("config, override, message", [  # both exited 0 with unchanged bytes
+        ("mlp_small.ini", "sigma_l=3", "'sigma_l' is not used by kind 'mlp'"),
+        ("quadratic_verify.ini", "batch_size=3", "'batch_size' is not used by kind 'quadratic'"),
+    ])
+    def test_key_the_kind_never_reads_is_config_error(self, tmp_path, capsys, config, override, message):
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(CONFIG_DIR / config), "--out", str(out), "-o", override]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_key_at_its_default_runs(self, tmp_path):
+        # compare_algorithms.ini keeps keys at their defaults that a kind never reads: concentration = iid
+        # for its quadratic, and heterogeneity and sigma_l for logreg
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(CONFIG_DIR / "compare_algorithms.ini"), "--out", str(out),
+                     "-o", "kind=logreg", "-o", "rounds=3"]) == 0
+        assert json.loads((out / "run.json").read_text())["status"] == "completed"
 
     def test_partition_failure_is_config_error(self, tmp_path, capsys):
         # a PartitionError from the problem builder used to escape as a traceback

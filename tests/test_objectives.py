@@ -22,8 +22,8 @@ from fedsim.objectives import (
     ingest_csv,
     quadratic_problem_from,
 )
-from fedsim.simulator import ConfigError, ProblemConfig, build_problem
-from fedsim.vectors import derive_rng, l2_norm_sq
+from fedsim.simulator import BUILDERS, ConfigError, ProblemConfig, build_problem
+from fedsim.vectors import PURPOSE_BATCH, derive_rng, l2_norm_sq
 
 
 def data_rng(seed):
@@ -181,6 +181,64 @@ class TestEpochSampler:
         assert np.array_equal(sampler.next_batch(), np.arange(6))
 
 
+def assert_batches_match_streams(population, seed, round_index, ids, k_local):
+    """Client s's K minibatches are its stack rows, drawn on derive_rng's (round, client, batch) stream."""
+    draws = population.draw_round(seed, round_index, ids, k_local)
+    for cid, batches in zip(ids, draws, strict=True):
+        start, stop = population.spans[cid]
+        if 0 < population.batch < stop - start:
+            sampler = EpochSampler(stop - start, population.batch,
+                                   derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator)
+            expected = [start + sampler.next_batch() for _ in range(k_local)]
+        else:  # a client with no more than a batch of samples takes its full batch
+            expected = [np.arange(start, stop)] * k_local
+        assert [batch.tolist() for batch in batches] == [rows.tolist() for rows in expected]
+
+
+class TestDrawRound:
+    """Each population's round draws equal one derive_rng stream per sampled client."""
+
+    @given(n_clients=st.integers(1, 8), dim=st.integers(1, 5), sigma_l=st.sampled_from([0.0, 0.3]),
+           k_local=st.integers(1, 4), data=st.data(), seed=st.integers(0, 10_000),
+           round_index=st.integers(0, 500))
+    @settings(max_examples=60, deadline=None)
+    def test_quadratic_noise(self, n_clients, dim, sigma_l, k_local, data, seed, round_index):
+        population = build_problem(ProblemConfig(n_clients=n_clients, dim=dim, sigma_l=sigma_l), seed).population
+        ids = sorted(data.draw(st.sets(st.integers(0, n_clients - 1), min_size=1)))
+        hessians, centers, noise = population.draw_round(seed, round_index, ids, k_local)
+        assert np.array_equal(hessians, population.hessians[ids])
+        assert np.array_equal(centers, population.centers[ids])
+        if sigma_l == 0.0:
+            assert noise is None
+            return
+        assert noise.shape == (k_local, len(ids), dim)
+        for s, cid in enumerate(ids):
+            ref = derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator.standard_normal((k_local, dim))
+            assert noise[:, s].tobytes() == ((sigma_l / np.sqrt(dim)) * ref).tobytes()
+
+    @given(kind=st.sampled_from(["logreg", "mlp"]), n_clients=st.integers(1, 6), batch=st.integers(0, 12),
+           k_local=st.integers(1, 4), data=st.data(), seed=st.integers(0, 10_000),
+           round_index=st.integers(0, 500))
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_batches(self, kind, n_clients, batch, k_local, data, seed, round_index):
+        cfg = ProblemConfig(kind=kind, n_clients=n_clients, dim=2, samples_per_client=6, concentration=0.5,
+                            batch_size=batch)
+        try:
+            population = build_problem(cfg, seed).population
+        except ConfigError:  # a Dirichlet draw that left a client empty
+            reject()
+        ids = sorted(data.draw(st.sets(st.integers(0, n_clients - 1), min_size=1)))
+        assert_batches_match_streams(population, seed, round_index, ids, k_local)
+
+    def test_small_and_large_clients_in_one_round(self):
+        cfg = ProblemConfig(kind="logreg", n_clients=6, dim=2, samples_per_client=8, concentration=0.5,
+                            batch_size=6)
+        population = build_problem(cfg, 4).population
+        sizes = [stop - start for start, stop in population.spans]
+        assert min(sizes) < 6 < max(sizes)
+        assert_batches_match_streams(population, 4, 3, list(range(6)), 5)
+
+
 class TestDirichletPartition:
     def test_iid_equal_split(self):
         labels = np.tile([0, 1], 50)
@@ -250,9 +308,12 @@ def _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir)
             writer.writerow([f"f{j}" for j in range(dim)] + ["label"])
             for row, lab in zip(gen.standard_normal((n_rows, dim)), labels):
                 writer.writerow([f"{v:.17g}" for v in row] + [int(lab)])
-    cfg = ProblemConfig(kind=kind, n_clients=n_clients, dim=dim, heterogeneity=1.5, sigma_l=0.1,
-                        concentration=concentration, samples_per_client=samples, weight_decay=0.01,
-                        mlp_hidden=3, csv_path=str(path), label_column="label")
+    fields = dict(dim=dim, heterogeneity=1.5, sigma_l=0.1, concentration=concentration,
+                  samples_per_client=samples, weight_decay=0.01, mlp_hidden=3, csv_path=str(path),
+                  label_column="label")
+    read = BUILDERS[kind][1]  # the other keys are a ConfigError for this kind
+    cfg = ProblemConfig(kind=kind, n_clients=n_clients,
+                        **{key: value for key, value in fields.items() if key in read})
     return build_problem(cfg, seed)
 
 

@@ -1,3 +1,7 @@
+import pickle
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -7,6 +11,7 @@ from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper
 from fedsim.cli import metrics_csv_bytes
 from fedsim.objectives import quadratic_problem_from
 from fedsim.simulator import (
+    BUILDERS,
     ConfigError,
     ProblemConfig,
     RunConfig,
@@ -16,7 +21,7 @@ from fedsim.simulator import (
     run_training,
     sample_clients,
 )
-from fedsim.vectors import PURPOSE_SAMPLING, derive_rng
+from fedsim.vectors import PURPOSE_DATA, PURPOSE_SAMPLING, derive_rng
 
 
 def quad_config(**kw):
@@ -31,7 +36,26 @@ def quad_config(**kw):
     return RunConfig(**defaults)
 
 
+def fisher_yates_reference(n_clients, s_participate, gen):
+    """The partial Fisher-Yates loop with one scalar offset draw per swap."""
+    ids = list(range(n_clients))
+    for i in range(s_participate):
+        j = i + int(gen.integers(n_clients - i))
+        ids[i], ids[j] = ids[j], ids[i]
+    return sorted(ids[:s_participate])
+
+
 class TestSampleClients:
+    @given(n_clients=st.integers(1, 10_000), data=st.data(), seed=st.integers(0, 2**40),
+           round_index=st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_fisher_yates(self, n_clients, data, seed, round_index):
+        s_participate = data.draw(st.one_of(st.just(n_clients), st.integers(1, n_clients)))
+        expected = fisher_yates_reference(n_clients, s_participate,
+                                          derive_rng(seed, round_index, 0, PURPOSE_SAMPLING).generator)
+        assert sample_clients(n_clients, s_participate,
+                              derive_rng(seed, round_index, 0, PURPOSE_SAMPLING)) == expected
+
     def test_full_set(self):
         assert sample_clients(5, 5, derive_rng(0, 0, 0, PURPOSE_SAMPLING)) == [0, 1, 2, 3, 4]
 
@@ -168,8 +192,11 @@ class TestRunTraining:
            k_local=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=100, deadline=None)
     def test_rerun_is_byte_identical(self, algorithm, kind, concentration, n_clients, data, k_local, seed):
-        problem = ProblemConfig(kind=kind, n_clients=n_clients, dim=3, mlp_hidden=3, concentration=concentration,
-                                samples_per_client=12, batch_size=4, heterogeneity=1.0, sigma_l=0.1)
+        fields = dict(dim=3, mlp_hidden=3, concentration=concentration, samples_per_client=12, batch_size=4,
+                      heterogeneity=1.0, sigma_l=0.1)
+        read = BUILDERS[kind][1]  # the other keys are a ConfigError for this kind
+        problem = ProblemConfig(kind=kind, n_clients=n_clients,
+                                **{key: value for key, value in fields.items() if key in read})
         cfg = quad_config(problem=problem, algorithm=algorithm, rounds=4, master_seed=seed,
                           hyper=MimHyper(eta_l=0.05, k_local=k_local,
                                          s_participate=data.draw(st.integers(1, n_clients))))
@@ -263,6 +290,62 @@ class TestRunConfig:
     def test_fedadam_global_lr_default(self):
         # AlgoParams holds the one default; fedadam's server step is its only reader
         assert RunConfig(algorithm="fedadam").params.global_lr == 0.1
+
+
+def write_two_label_csv(path, seed):
+    """Three features and two binary label columns, y and y2."""
+    gen = np.random.default_rng(seed)
+    rows = [",".join(["f0", "f1", "f2", "y", "y2"])]
+    for i in range(40):
+        feats = ",".join(f"{v:.17g}" for v in gen.standard_normal(3))
+        rows.append(f"{feats},{i % 2},{int(gen.integers(2)) if i > 1 else i}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestProblemKeys:
+    @pytest.mark.parametrize("kind, key, value", [
+        ("csv", "dim", 3),
+        ("mlp", "weight_decay", 0.01),
+        ("quadratic", "weight_decay", 0.01),
+        ("mlp", "sigma_l", 3.0),
+        ("quadratic", "batch_size", 3),
+        ("quadratic", "concentration", 0.5),
+        ("logreg", "mlp_hidden", 4),
+        ("logreg", "heterogeneity", 2.0),
+        ("csv", "samples_per_client", 7),
+        ("mlp", "csv_path", "data.csv"),
+    ])
+    def test_key_the_kind_never_reads_is_config_error(self, kind, key, value):
+        csv_keys = dict(csv_path="data.csv", label_column="y") if kind == "csv" else {}
+        with pytest.raises(ConfigError, match=f"'{key}' is not used by kind '{kind}'"):
+            ProblemConfig(kind=kind, **{**csv_keys, key: value})
+
+    def test_unread_key_at_its_default_is_accepted(self):
+        defaults = ProblemConfig()
+        for kind in ("quadratic", "logreg", "mlp"):
+            ProblemConfig(kind=kind, **{name: getattr(defaults, name) for name in BUILDERS["quadratic"][1]})
+            ProblemConfig(kind=kind, weight_decay=defaults.weight_decay, concentration=None)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_builder_reads_exactly_its_keys(self, kind, tmp_path):
+        builder, read = BUILDERS[kind]
+        base = dict(n_clients=4, dim=3, samples_per_client=12)
+        if kind == "csv":
+            base = dict(n_clients=4, csv_path=write_two_label_csv(tmp_path / "a.csv", 1), label_column="y")
+        other = dict(n_clients=3, dim=2, heterogeneity=2.0, sigma_l=0.3, concentration=2.0, batch_size=5,
+                     samples_per_client=10, weight_decay=0.01, mlp_hidden=4, label_column="y2",
+                     csv_path=write_two_label_csv(tmp_path / "b.csv", 2))
+        cfg = ProblemConfig(kind=kind, **{key: value for key, value in base.items() if key in read})
+
+        def fingerprint(problem_cfg):
+            return pickle.dumps(builder(problem_cfg, derive_rng(9, 0, 0, PURPOSE_DATA)))
+
+        # the builder finds every key it reads in ``read``, and nothing else
+        only_read = SimpleNamespace(kind=kind, **{key: getattr(cfg, key) for key in read})
+        assert fingerprint(only_read) == fingerprint(cfg)
+        for key in read:  # and each of them changes the problem
+            assert fingerprint(replace(cfg, **{key: other[key]})) != fingerprint(cfg), key
 
 
 class TestBuildProblem:

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.vectors import (
+    PURPOSE_BATCH,
+    PURPOSE_DATA,
+    PURPOSE_SAMPLING,
     RngStream,
     derive_rng,
     l2_norm_sq,
     max_abs,
     mean_vectors,
+    round_generators,
+    round_keys,
 )
 
 finite_components = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -90,3 +95,57 @@ class TestRngDerivation:
         assert len(np.unique(draws)) == draws.size
         assert 0.4 < draws.mean() < 0.6
         assert draws.min() < 0.1 and draws.max() > 0.9
+
+
+WORD = 2**32
+master_seeds = st.one_of(st.integers(0, 2**16), st.integers(0, WORD - 1), st.integers(0, 2**140),
+                         st.integers(2**128, 2**200))  # past four words, the seed has more words than the pool
+purposes = st.sampled_from([PURPOSE_SAMPLING, PURPOSE_BATCH, PURPOSE_DATA])
+id_subsets = st.one_of(st.sets(st.integers(0, 60), max_size=12),
+                       st.sets(st.integers(0, WORD - 1), max_size=6)).map(sorted)
+
+
+class TestRoundGenerators:
+    """The one-pass keys and the reused Philox reproduce SeedSequence / derive_rng exactly."""
+
+    @given(master_seed=master_seeds, round_index=st.integers(0, WORD - 1), ids=id_subsets, purpose=purposes)
+    @settings(max_examples=200, deadline=None)
+    def test_keys_equal_seed_sequence(self, master_seed, round_index, ids, purpose):
+        expected = [np.random.SeedSequence(master_seed, spawn_key=(round_index, cid, purpose)).generate_state(
+            2, np.uint64) for cid in ids]
+        keys = round_keys(master_seed, round_index, ids, purpose)
+        assert keys.dtype == np.uint64 and keys.shape == (len(ids), 2)
+        assert np.array_equal(keys, np.array(expected, dtype=np.uint64).reshape(-1, 2))
+
+    @given(master_seed=master_seeds, round_index=st.integers(0, WORD - 1), ids=id_subsets, purpose=purposes,
+           n=st.integers(1, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_draws_equal_derive_rng(self, master_seed, round_index, ids, purpose, n):
+        gens = round_generators(master_seed, round_index, ids, purpose)
+        for cid, gen in zip(ids, gens, strict=True):
+            ref = derive_rng(master_seed, round_index, cid, purpose).generator
+            # three 32-bit draws leave half a 64-bit word buffered; the next id must not see it
+            raw = dict(high=WORD, size=3, dtype=np.uint32)
+            assert np.array_equal(gen.integers(0, **raw), ref.integers(0, **raw))
+            assert np.array_equal(gen.standard_normal((2, 3)), ref.standard_normal((2, 3)))
+            assert np.array_equal(gen.permutation(n), ref.permutation(n))
+
+    def test_every_id_shares_one_generator(self):
+        gens = list(round_generators(1, 2, [3, 4, 5], PURPOSE_BATCH))
+        assert all(gen is gens[0] for gen in gens)
+
+    def test_no_ids(self):
+        assert round_keys(1, 2, [], PURPOSE_BATCH).shape == (0, 2)
+        assert list(round_generators(1, 2, [], PURPOSE_BATCH)) == []
+
+    @pytest.mark.parametrize("master_seed, round_index, ids, purpose", [
+        (0, WORD, [0], PURPOSE_BATCH),
+        (0, -1, [0], PURPOSE_BATCH),
+        (0, 0, [1, WORD], PURPOSE_BATCH),
+        (0, 0, [-1, 2], PURPOSE_BATCH),
+        (0, 0, [0], WORD),
+        (-1, 0, [0], PURPOSE_BATCH),
+    ])
+    def test_word_out_of_range_is_rejected(self, master_seed, round_index, ids, purpose):
+        with pytest.raises(ValueError):
+            round_generators(master_seed, round_index, ids, purpose)
