@@ -12,6 +12,7 @@ Example:
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -34,7 +35,8 @@ def parse_args():
                    help="override any config key (repeatable)")
     p.add_argument("--seeds", type=int_list, default="0,1,2,3,4", help="master seeds (replace run.seed)")
     p.add_argument("--participate", type=int_list, default="2,5,10,20", help="S values to sweep")
-    p.add_argument("--threshold", type=float, default=1e-4)
+    p.add_argument("--threshold", type=float, default=1e-4,
+                   help="target for ||grad f||^2, finite and > 0")
     return p.parse_args()
 
 
@@ -46,6 +48,8 @@ def rounds_to_threshold(record, threshold: float) -> int:
 def main():
     args = parse_args()
     try:
+        if not (math.isfinite(args.threshold) and args.threshold > 0):
+            raise ConfigError(f"threshold must be finite and > 0, got {args.threshold}")
         config = parse_config(args.config, args.override)
         sweeps = [run_sweep(with_settings(config, {"seed": seed}), "s_participate", args.participate)
                   for seed in args.seeds]

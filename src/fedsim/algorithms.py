@@ -238,13 +238,10 @@ def mim_local_update(
 
 
 def _total_grad_sum(grad_sums: Optional[np.ndarray]) -> Optional[ParamVector]:
-    """Sum of the per-client rows, added in client-id order."""
+    """Sum of the per-client rows, added in client-id order (one sequential accumulate)."""
     if grad_sums is None:
         return None
-    total = grad_sums[0].copy()
-    for row in grad_sums[1:]:
-        total += row
-    return total
+    return np.add.accumulate(grad_sums, axis=0)[-1]
 
 
 def _advance(state: RoundState, hyper: MimHyper, x_next: ParamVector, ids, finals, grad_sums,

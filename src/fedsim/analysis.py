@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .vectors import ParamVector, max_abs, weighted_sum
+from .vectors import ParamVector, max_abs, row_dots, stack_rows, weighted_sum
 
 
 @dataclass
@@ -48,16 +48,22 @@ class VerifierState:
 
 
 def local_consistency(local_finals: Sequence[ParamVector], global_next: ParamVector) -> float:
-    """Mean squared distance of the clients' end-of-round models from their aggregate."""
+    """Mean squared distance of the clients' end-of-round models from their aggregate.
+
+    ``local_finals`` is the (S, d) array of the clients' models (or a list
+    of S vectors).  Each row's squared distance is one BLAS dot, as
+    ``r @ r`` computes it, and the S of them are added in row order by
+    ``np.add.accumulate``: the same float as the sequential Python loop,
+    with no loop.  The stack must have the model's shape per row; an
+    (S, 1) stack is rejected, not broadcast against a (d,) model.
+    """
     if len(local_finals) == 0:
         raise ValueError("no local models")
-    total = 0.0
-    for x in local_finals:
-        if x.shape != global_next.shape:
-            raise ValueError(f"dimension mismatch: {x.shape} vs {global_next.shape}")
-        r = x - global_next
-        total += float(r @ r)
-    return total / len(local_finals)
+    finals = stack_rows(local_finals)
+    if finals.shape[1:] != global_next.shape:
+        raise ValueError(f"dimension mismatch: {finals.shape[1:]} vs {global_next.shape}")
+    r = finals - global_next
+    return float(np.add.accumulate(row_dots(r, r))[-1]) / len(finals)
 
 
 def compute_u(x: ParamVector, deltas: Sequence[ParamVector], alpha: Sequence[float], k_local: int) -> ParamVector:

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .vectors import PURPOSE_BATCH, ParamVector, RngStream, round_generators
+from .vectors import PURPOSE_BATCH, ParamVector, RngStream, round_generators, row_dots
 
 if TYPE_CHECKING:  # the simulator imports this module
     from .simulator import ProblemConfig
@@ -126,11 +126,6 @@ def _row_blocks(n: int):
         yield slice(start, start + BLOCK_ROWS)
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row p: a[p] @ b[p], or a[p] @ b for a 1-D ``b``; each the BLAS dot of a single pair."""
-    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
-
-
 def _hessian_products(hessians: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Row i: H_i @ r_i, bit for bit (a batched matmul, unlike einsum, matches the per-row product).
 
@@ -160,9 +155,11 @@ class QuadraticPopulation:
 
         ``ids`` are sorted and distinct.  At full participation they are
         0..N-1 and the stack itself is used; otherwise the sampled rows are
-        gathered once for the whole round.  Each client draws its (K, d) noise
-        in one call on its own stream, the same values as K draws of one
-        vector each.  The noise is laid out (K, S, d).
+        gathered once for the whole round.  The noise is drawn into one
+        (S, K, d) buffer: each client fills its (K, d) row in place on its own
+        stream, the same values as K draws of one vector each, and the buffer
+        is scaled in place.  It is returned as the (K, S, d) transposed view,
+        so step k reads ``noise[k]`` without a copy.
         """
         full = len(ids) == len(self.centers)
         hessians = self.hessians if full else self.hessians[ids]
@@ -170,16 +167,20 @@ class QuadraticPopulation:
         noise = None
         if self.noise_sigma > 0.0:
             d = centers.shape[1]
-            draws = [gen.standard_normal((k_local, d))
-                     for gen in round_generators(seed, round_index, ids, PURPOSE_BATCH)]
-            noise = (self.noise_sigma / np.sqrt(d)) * np.stack(draws, axis=1)
+            buf = np.empty((len(ids), k_local, d))
+            for row, gen in zip(buf, round_generators(seed, round_index, ids, PURPOSE_BATCH)):
+                gen.standard_normal(out=row)
+            buf *= self.noise_sigma / np.sqrt(d)
+            noise = buf.transpose(1, 0, 2)
         return hessians, centers, noise
 
     def client_gradients(self, x: np.ndarray, draws, step: int) -> np.ndarray:
         """Row s: H_s (x_s - b_s) plus that client's noise for local step ``step``."""
         hessians, centers, noise = draws
         g = _hessian_products(hessians, x - centers)
-        return g if noise is None else g + noise[step]
+        if noise is not None:
+            g += noise[step]  # in place: a new array from a strided view costs more
+        return g
 
     def client_evaluate(self, cid: int, x: ParamVector) -> tuple:
         """Client ``cid``'s loss 0.5 r^T H r and its gradient H r, r = x - b, by the training product."""
@@ -259,11 +260,11 @@ class LogisticPopulation(_SampledPopulation):
             xb = self.features[rows]
             labels = self.labels[rows]
             z = np.matmul(points[:, None, :], xb.T)[:, 0]
-            losses += _dots(np.logaddexp(0.0, z) - labels * z, self.weights[rows])
+            losses += row_dots(np.logaddexp(0.0, z) - labels * z, self.weights[rows])
             residuals = self.weights[rows] * (_sigmoid(z) - labels)
             grads += np.matmul(residuals[:, None, :], xb)[:, 0]
         decay = self.weight_decay
-        return losses + 0.5 * decay * _dots(points, points), grads + decay * points
+        return losses + 0.5 * decay * row_dots(points, points), grads + decay * points
 
 
 class MlpPopulation(_SampledPopulation):
@@ -328,7 +329,7 @@ class MlpPopulation(_SampledPopulation):
             xb = self.features[rows]
             a1 = np.tanh(w1 @ xb.T + b1).reshape(n_points, hidden, -1)  # (P, h, B)
             r = (w2 @ a1)[:, 0, :] + b2 - targets[rows]  # (P, B)
-            losses += _dots(r * r, self.weights[rows])
+            losses += row_dots(r * r, self.weights[rows])
             r *= self.weights[rows]
             g_w2 += (a1 @ r[:, :, None])[:, :, 0]
             g_b2 += r.sum(axis=1, keepdims=True)

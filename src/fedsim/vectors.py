@@ -50,26 +50,50 @@ def weighted_sum(weights: Sequence[float], vs: Sequence[ParamVector]) -> Optiona
     return total
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row p: a[p] @ b[p], or a[p] @ b for a 1-D ``b``; each the BLAS dot of a single pair."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def stack_rows(vs: Sequence[ParamVector]) -> np.ndarray:
+    """``vs`` as one (S, ...) array: an array as it is, a non-empty list of equally shaped vectors stacked."""
+    if isinstance(vs, np.ndarray):
+        return vs
+    first = np.shape(vs[0])
+    for v in vs[1:]:
+        if np.shape(v) != first:
+            raise ValueError(f"dimension mismatch: {np.shape(v)} vs {first}")
+    return np.stack(vs)
+
+
 def mean_vectors(vs: Sequence[ParamVector]) -> ParamVector:
-    """Arithmetic mean of equally shaped vectors, summed in list order.
+    """Arithmetic mean of the rows of an (S, d) array (or a list of S vectors), summed in row order.
 
     Callers that need a canonical result (server aggregation) must pass the
-    list already sorted by client id; the summation order is then fixed and
+    rows already sorted by client id; the summation order is then fixed and
     the output bit pattern is reproducible.  Summation is compensated
-    (Neumaier) so the mean of n identical vectors is within 1 ulp of the
-    input for any n, and exact when n is a power of two.
+    (Neumaier) so the mean of S identical vectors is within 1 ulp of the
+    input for any S, and exact when S is a power of two.
+
+    There is no loop over the rows.  ``np.add.accumulate`` gives every
+    running sum of the sequential loop at once, each step's Neumaier term
+    follows from the running sums before and after it, and a second
+    accumulate adds the terms in order.  The bytes are those of the loop
+    that starts from ``comp = 0`` and adds one row and one term at a time:
+    no term is ever -0.0, so starting from the first term changes nothing.
+    At S = 1 that loop returns ``(v + 0.0) / 1``, which turns -0.0 into
+    0.0, and so does this function.
     """
     if len(vs) == 0:
         raise ValueError("mean of empty vector list")
-    acc = vs[0].copy()
-    comp = np.zeros_like(acc)
-    for v in vs[1:]:
-        if v.shape != acc.shape:
-            raise ValueError(f"dimension mismatch: {v.shape} vs {acc.shape}")
-        total = acc + v
-        comp += np.where(np.abs(acc) >= np.abs(v), (acc - total) + v, (v - total) + acc)
-        acc = total
-    return (acc + comp) / len(vs)
+    vs = stack_rows(vs)
+    if len(vs) == 1:
+        return (vs[0] + 0.0) / 1
+    acc = np.add.accumulate(vs, axis=0)
+    before, after, rows = acc[:-1], acc[1:], vs[1:]
+    terms = np.where(np.abs(before) >= np.abs(rows), (before - after) + rows, (rows - after) + before)
+    comp = np.add.accumulate(terms, axis=0)[-1]
+    return (acc[-1] + comp) / len(vs)
 
 
 @dataclass(frozen=True)

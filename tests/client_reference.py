@@ -1,4 +1,4 @@
-"""Per-client reference objectives for the tests, written apart from fedsim's population classes.
+"""Per-client reference objectives and server reductions for the tests, written apart from fedsim.
 
 Each class is one client's objective, computed one client and one sample
 set at a time: the loop that the batched population oracles replace.  The
@@ -6,6 +6,10 @@ tests compare the populations against it: the training gradients bit for
 bit (same operations in the same order), the full-batch metrics to a
 tolerance.  Nothing here imports population code; ``clients_of`` builds the
 references on views of a problem's stacked data.
+
+The three functions at the end are the server's reductions as one Python
+loop over the client rows, the form that the loop-free reductions replace;
+the tests hold those to these bytes.
 """
 
 import numpy as np
@@ -126,3 +130,31 @@ def clients_of(problem):
     if hasattr(pop, "widths"):
         return [MlpClient(pop.features[a:b], pop.targets[a:b], pop.widths) for a, b in pop.spans]
     return [LogisticClient(pop.features[a:b], pop.labels[a:b], pop.weight_decay) for a, b in pop.spans]
+
+
+def mean_vectors_loop(vs):
+    """Neumaier-compensated mean of the rows, one row at a time."""
+    acc = vs[0].copy()
+    comp = np.zeros_like(acc)
+    for v in vs[1:]:
+        total = acc + v
+        comp += np.where(np.abs(acc) >= np.abs(v), (acc - total) + v, (v - total) + acc)
+        acc = total
+    return (acc + comp) / len(vs)
+
+
+def local_consistency_loop(local_finals, global_next):
+    """Mean of the rows' squared distances from ``global_next``, added as Python floats in row order."""
+    total = 0.0
+    for x in local_finals:
+        r = x - global_next
+        total += float(r @ r)
+    return total / len(local_finals)
+
+
+def total_grad_sum_loop(grad_sums):
+    """Sum of the rows, added in place in row order."""
+    total = grad_sums[0].copy()
+    for row in grad_sums[1:]:
+        total += row
+    return total

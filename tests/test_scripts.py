@@ -87,3 +87,10 @@ def test_participation_study_row_matches_cli_run(tmp_path, monkeypatch, capsys):
 def test_script_config_error_exits_1(monkeypatch, name):
     with pytest.raises(SystemExit, match="^error: rounds must be >= 1$"):  # sys.exit(str) exits 1
         run_script(monkeypatch, name, *SMALL, "-o", "rounds=0")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf"])
+def test_participation_study_rejects_bad_threshold(monkeypatch, threshold):
+    # nan, -1 and 0 used to censor every seed, inf to report round 1, all with exit 0
+    with pytest.raises(SystemExit, match="^error: threshold must be finite and > 0"):
+        run_script(monkeypatch, "participation_study.py", *SMALL, "-o", "rounds=3", "--threshold", threshold)
