@@ -5,20 +5,20 @@ Settings come from -c (configs/compare_algorithms.ini by default) and -o
 overrides.  Each seed is one ``algorithm`` sweep, so its problem is built
 once; every run's rows go to run.out_dir/compare.csv, grouped by algorithm.
 The median consistency is over the runs that recorded a metric row (nan when
-none did).  Exits 2 when any run diverged, as ``fedsim sweep`` does.
+none did).  Exits 1 on a usage or config error and 2 when any run diverged,
+as ``fedsim sweep`` does.
 
 Example:
     python scripts/compare_algorithms.py --seeds 0,1,2 -o kind=logreg -o concentration=0.1
 """
 
-import argparse
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from fedsim.cli import METRIC_COLUMNS, metric_row_fields, parse_config
+from fedsim.cli import METRIC_COLUMNS, UsageParser, metric_row_fields, parse_config
 from fedsim.simulator import ConfigError, run_sweep, with_settings
 
 ALGORITHMS = ("fedavg", "fedcm", "scaffold", "fedadam", "fedmim")
@@ -26,7 +26,7 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "compare_algorithms.i
 
 
 def parse_args():
-    p = argparse.ArgumentParser(description=__doc__)
+    p = UsageParser(description=__doc__)
     p.add_argument("-c", "--config", default=str(CONFIG), help="INI config file")
     p.add_argument("-o", "--override", action="append", default=[], metavar="KEY=VALUE",
                    help="override any config key (repeatable)")

@@ -11,14 +11,13 @@ Example:
     python scripts/participation_study.py --participate 2,5,10,20 --seeds 0,1,2,3,4
 """
 
-import argparse
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from fedsim.cli import parse_config
+from fedsim.cli import UsageParser, parse_config
 from fedsim.simulator import ConfigError, run_sweep, with_settings
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "participation_study.ini"
@@ -29,7 +28,7 @@ def int_list(raw: str) -> list:
 
 
 def parse_args():
-    p = argparse.ArgumentParser(description=__doc__)
+    p = UsageParser(description=__doc__)
     p.add_argument("-c", "--config", default=str(CONFIG), help="INI config file")
     p.add_argument("-o", "--override", action="append", default=[], metavar="KEY=VALUE",
                    help="override any config key (repeatable)")

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .objectives import FederatedProblem
-from .vectors import ParamVector, RngStream, mean_vectors, weighted_sum
+from .vectors import ParamVector, mean_vectors, weighted_sum
 
 
 class DivergenceError(RuntimeError):
@@ -189,7 +189,7 @@ def mim_local_update(
     ids: Sequence[int],
     state: RoundState,
     hyper: MimHyper,
-    rng: RngStream,
+    seed: int,
     *,
     collect_grad_sum: bool = False,
     correction: Optional[np.ndarray] = None,
@@ -199,7 +199,7 @@ def mim_local_update(
     Row s of the (S, d) iterate is client ``ids[s]``; ``ids`` are sorted and
     distinct; every row starts at ``state.x``, with eta_l
     ``current_eta(hyper, state.round)``.  The population draws the round's
-    randomness up front, under the master seed of ``rng``.  The increment
+    randomness up front, under the master ``seed``.  The increment
     history is fixed for the whole round, so both momentum shifts are
     computed once.  ``correction`` is a constant (S, d) offset added to the
     gradient before each step (the control-variate baseline).
@@ -214,7 +214,7 @@ def mim_local_update(
     shift_alpha = weighted_sum(hyper.alpha, state.delta_history)
     shift_beta = weighted_sum(hyper.beta, state.delta_history)
     population = problem.population
-    draws = population.draw_round(rng.master_seed, state.round, ids, hyper.k_local)
+    draws = population.draw_round(seed, state.round, ids, hyper.k_local)
     x = np.repeat(state.x[None, :], len(ids), axis=0)
     grad_sum = np.zeros_like(x) if collect_grad_sum else None
     first_bad = np.full(len(ids), -1)
@@ -278,20 +278,20 @@ def _zero_momentum(hyper: MimHyper) -> MimHyper:
 
 
 def mim_round(state: RoundState, problem: FederatedProblem, hyper: MimHyper, sampled: Sequence[int],
-              rng: RngStream, *, collect_grads: bool = False, params: AlgoParams = AlgoParams()) -> tuple:
+              seed: int, *, collect_grads: bool = False, params: AlgoParams = AlgoParams()) -> tuple:
     """One inertial-momentum round: local updates on the sampled clients, mean aggregation."""
     ids = _check_round_args(state, problem, hyper, sampled)
-    finals, grad_sums = mim_local_update(problem, ids, state, hyper, rng, collect_grad_sum=collect_grads)
+    finals, grad_sums = mim_local_update(problem, ids, state, hyper, seed, collect_grad_sum=collect_grads)
     return _advance(state, hyper, mean_vectors(finals), ids, finals, grad_sums)
 
 
-def fedavg_round(state, problem, hyper, sampled, rng, *, collect_grads=False,
+def fedavg_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
                  params: AlgoParams = AlgoParams()):
     """Local SGD plus averaging: the zero-momentum path, hard-coded."""
-    return mim_round(state, problem, _zero_momentum(hyper), sampled, rng, collect_grads=collect_grads)
+    return mim_round(state, problem, _zero_momentum(hyper), sampled, seed, collect_grads=collect_grads)
 
 
-def fedcm_round(state, problem, hyper, sampled, rng, *, collect_grads=False,
+def fedcm_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
                 params: AlgoParams = AlgoParams()):
     """Client-momentum baseline.
 
@@ -304,10 +304,10 @@ def fedcm_round(state, problem, hyper, sampled, rng, *, collect_grads=False,
     """
     a = params.fedcm_alpha
     single = replace(hyper, alpha=(a,) + (0.0,) * (hyper.J - 1), beta=(0.0,) * hyper.J)
-    return mim_round(state, problem, single, sampled, rng, collect_grads=collect_grads)
+    return mim_round(state, problem, single, sampled, seed, collect_grads=collect_grads)
 
 
-def scaffold_round(state, problem, hyper, sampled, rng, *, collect_grads=False,
+def scaffold_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
                    params: AlgoParams = AlgoParams()):
     """Control-variate baseline.
 
@@ -320,7 +320,7 @@ def scaffold_round(state, problem, hyper, sampled, rng, *, collect_grads=False,
     if aux is None:
         aux = ScaffoldAux.zeros(problem.num_clients, state.x.shape[0])
     c_old = aux.c_clients[ids]
-    finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), rng,
+    finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), seed,
                                          collect_grad_sum=collect_grads, correction=aux.c - c_old)
     c_new = c_old - aux.c + (state.x - finals) / (hyper.k_local * current_eta(hyper, state.round))
     c_next = aux.c + (hyper.s_participate / problem.num_clients) * mean_vectors(c_new - c_old)
@@ -343,14 +343,14 @@ def adam_server_step(aux: AdamAux, pseudo_grad: ParamVector, params: AlgoParams)
     return AdamAux(m, v), update
 
 
-def fedadam_round(state, problem, hyper, sampled, rng, *, collect_grads=False,
+def fedadam_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
                   params: AlgoParams = AlgoParams()):
     """Adaptive server baseline: plain local SGD, one server Adam step per round."""
     ids = _check_round_args(state, problem, hyper, sampled)
     aux = state.algo_aux
     if aux is None:
         aux = AdamAux.zeros(state.x.shape[0])
-    finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), rng,
+    finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), seed,
                                          collect_grad_sum=collect_grads)
     aux_next, update = adam_server_step(aux, state.x - mean_vectors(finals), params)
     return _advance(state, hyper, state.x - update, ids, finals, grad_sums, algo_aux=aux_next)

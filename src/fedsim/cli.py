@@ -2,8 +2,8 @@
 
 Config files are INI-style with three sections ([problem], [algorithm],
 [run]); any key can be overridden on the command line with repeated
-``-o key=value`` flags.  Exit codes are scriptable: 0 success, 1 config or
-I/O error, 2 divergence, 3 verification failure.
+``-o key=value`` flags.  Exit codes are scriptable: 0 success, 1 usage,
+config or I/O error, 2 divergence, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -60,7 +60,11 @@ def _locate(key: str) -> str:
 def parse_config(path: str, overrides: Sequence[str] = ()) -> RunConfig:
     """Load and override a run configuration; the config dataclasses check the result."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:  # no section header, a repeat, a non-UTF-8 byte
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+    if not found:
         raise ConfigError(f"config file not found: {path}")
 
     raw: dict = {}
@@ -237,8 +241,20 @@ def cmd_gradcheck(config: RunConfig) -> int:
     return 3
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fedsim", description=__doc__)
+class UsageParser(argparse.ArgumentParser):
+    """argparse's parser, except that a usage error exits 1, as a config error does.
+
+    argparse exits 2, which this command line reserves for divergence.  The
+    subcommand parsers are built from the same class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def build_arg_parser() -> UsageParser:
+    parser = UsageParser(prog="fedsim", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, helptext in (
         ("run", "train once and write metrics.csv + run.json"),

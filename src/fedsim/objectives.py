@@ -8,9 +8,11 @@ Three synthetic problem families with progressively weaker structure:
 
 Plus Dirichlet label-skew partitioning and CSV ingestion for tabular data.
 Each builder takes a :class:`~fedsim.simulator.ProblemConfig`, which holds
-every problem parameter and its default, and the data stream.  All
-randomness flows through :class:`~fedsim.vectors.RngStream`; objectives are
-immutable after construction and never store generator state.
+every problem parameter and its default, and the data generator, which
+``simulator.build_problem`` opens on the master seed's (0, 0, PURPOSE_DATA)
+stream.  Training randomness is drawn per round from the master seed (see
+``draw_round`` below); objectives are immutable after construction and never
+store generator state.
 
 Each problem builder lays its data out once, stacked in client-id order:
 the (N, d, d) Hessians and (N, d) centres of a quadratic, or every client's
@@ -43,7 +45,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .vectors import PURPOSE_BATCH, ParamVector, RngStream, round_generators, row_dots
+from .vectors import PURPOSE_BATCH, ParamVector, round_generators, row_dots
 
 if TYPE_CHECKING:  # the simulator imports this module
     from .simulator import ProblemConfig
@@ -409,7 +411,7 @@ def _largest_remainder_counts(quotas: np.ndarray, total: int) -> np.ndarray:
 
 
 def dirichlet_partition(labels: np.ndarray, num_clients: int, concentration: Optional[float],
-                        rng: RngStream) -> PartitionResult:
+                        gen: np.random.Generator) -> PartitionResult:
     """Assign samples to clients, per-class, by Dirichlet-drawn proportions.
 
     For every class the label mass over clients is drawn from
@@ -423,7 +425,6 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, concentration: Opt
     n = labels.shape[0]
     if n < num_clients:
         raise PartitionError(f"{n} samples cannot cover {num_clients} clients")
-    gen = rng.generator
 
     if concentration is None:
         perm = gen.permutation(n)
@@ -480,10 +481,9 @@ def quadratic_problem_from(
                             known_optimum=x_star, smoothness_L=smooth, pl_mu=mu)
 
 
-def quadratic_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
+def quadratic_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
     """Random SPD quadratics, eigenvalues in [0.5, 2), centres spread proportionally to ``heterogeneity``."""
     n_clients, dim = cfg.n_clients, cfg.dim
-    gen = rng.generator
     hessians = np.empty((n_clients, dim, dim))
     centers = np.empty((n_clients, dim))
     for i in range(n_clients):
@@ -509,13 +509,13 @@ def _two_blob_dataset(cfg: ProblemConfig, gen: np.random.Generator):
 
 
 def _logistic_problem(features: np.ndarray, labels: np.ndarray, cfg: ProblemConfig,
-                      rng: RngStream) -> FederatedProblem:
+                      gen: np.random.Generator) -> FederatedProblem:
     """Logistic regression on ``features``/``labels``, split across the clients as ``cfg`` says.
 
     The smoothness constant is the analytic bound
     max_i [ lambda_max(X_i^T X_i) / (4 n_i) + weight_decay ].
     """
-    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, rng)
+    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, gen)
     feats, labs, weights, spans = _stack_by_client(features, labels.astype(np.float64), part.client_indices)
     population = LogisticPopulation(feats, labs, weights, cfg.weight_decay, cfg.batch_size, spans)
     smooth = max(0.25 * float(np.linalg.eigvalsh(feats[a:b].T @ feats[a:b])[-1]) / (b - a)
@@ -523,17 +523,17 @@ def _logistic_problem(features: np.ndarray, labels: np.ndarray, cfg: ProblemConf
     return FederatedProblem(len(spans), features.shape[1], population, smoothness_L=smooth, partition=part)
 
 
-def logreg_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
+def logreg_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
     """Synthetic two-blob logistic regression."""
-    features, labels = _two_blob_dataset(cfg, rng.generator)
-    return _logistic_problem(features, labels, cfg, rng)
+    features, labels = _two_blob_dataset(cfg, gen)
+    return _logistic_problem(features, labels, cfg, gen)
 
 
-def mlp_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
+def mlp_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
     """Two-layer tanh regression onto {0,1} blob labels, widths (dim, mlp_hidden, 1); no known constants."""
     widths = (cfg.dim, cfg.mlp_hidden, 1)
-    features, labels = _two_blob_dataset(cfg, rng.generator)
-    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, rng)
+    features, labels = _two_blob_dataset(cfg, gen)
+    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, gen)
     targets = labels.astype(np.float64)[:, None]
     feats, targs, weights, spans = _stack_by_client(features, targets, part.client_indices)
     population = MlpPopulation(feats, targs, weights, widths, cfg.batch_size, spans)
@@ -601,12 +601,12 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def csv_problem(cfg: ProblemConfig, rng: RngStream) -> FederatedProblem:
+def csv_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
     """Logistic regression over the two-class CSV dataset at ``csv_path``."""
     labels, features = ingest_csv(cfg.csv_path, cfg.label_column)
     if len(np.unique(labels)) != 2:
         raise CsvFormatError("logistic objective needs exactly 2 label classes")
-    return _logistic_problem(features, labels, cfg, rng)
+    return _logistic_problem(features, labels, cfg, gen)
 
 
 def estimate_dissimilarity(problem: FederatedProblem, probe_points: Sequence[ParamVector]):

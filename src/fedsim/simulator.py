@@ -50,10 +50,10 @@ from .objectives import (
     mlp_problem,
     quadratic_problem,
 )
-from .vectors import PURPOSE_DATA, PURPOSE_SAMPLING, RngStream, derive_rng, l2_norm_sq
+from .vectors import PURPOSE_DATA, PURPOSE_SAMPLING, derive_rng, l2_norm_sq
 
 _SAMPLED = ("n_clients", "concentration", "batch_size")  # the partition and the minibatch size
-BUILDERS = {  # problem kind -> (builder(cfg, data stream), the ProblemConfig fields besides kind it reads)
+BUILDERS = {  # problem kind -> (builder(cfg, data generator), the ProblemConfig fields besides kind it reads)
     "quadratic": (quadratic_problem, ("n_clients", "dim", "heterogeneity", "sigma_l")),
     "logreg": (logreg_problem, _SAMPLED + ("dim", "samples_per_client", "weight_decay")),
     "mlp": (mlp_problem, _SAMPLED + ("dim", "samples_per_client", "mlp_hidden")),
@@ -239,17 +239,19 @@ class RunRecord:
     wall_ms_total: float = 0.0
 
 
-def sample_clients(n_clients: int, s_participate: int, rng: RngStream) -> list:
-    """Uniform sample of S distinct client ids, returned sorted.
+def sample_clients(n_clients: int, s_participate: int, seed: int, round_index: int) -> list:
+    """Uniform sample of S distinct client ids for one round, returned sorted.
 
-    Partial Fisher-Yates over the id range, so every client is selected with
-    probability S/N and pairs with probability S(S-1)/(N(N-1)).  The S swap
-    offsets, uniform on [0, N - i), are drawn in one call; they equal S
-    scalar ``integers(N - i)`` draws.
+    The draws come from the (round_index, 0, PURPOSE_SAMPLING) stream under
+    the master ``seed``.  Partial Fisher-Yates over the id range, so every
+    client is selected with probability S/N and pairs with probability
+    S(S-1)/(N(N-1)).  The S swap offsets, uniform on [0, N - i), are drawn in
+    one call; they equal S scalar ``integers(N - i)`` draws.
     """
     if not (1 <= s_participate <= n_clients):
         raise ConfigError(f"cannot sample {s_participate} of {n_clients} clients")
-    offsets = rng.generator.integers(n_clients - np.arange(s_participate))
+    gen = derive_rng(seed, round_index, 0, PURPOSE_SAMPLING).generator
+    offsets = gen.integers(n_clients - np.arange(s_participate))
     ids = list(range(n_clients))
     for i, offset in enumerate(offsets.tolist()):
         j = i + offset
@@ -264,7 +266,7 @@ def build_problem(cfg: ProblemConfig, master_seed: int) -> FederatedProblem:
     for example) is a ``ConfigError``.
     """
     try:
-        return BUILDERS[cfg.kind][0](cfg, derive_rng(master_seed, 0, 0, PURPOSE_DATA))
+        return BUILDERS[cfg.kind][0](cfg, derive_rng(master_seed, 0, 0, PURPOSE_DATA).generator)
     except ValueError as exc:
         raise ConfigError(f"cannot build the {cfg.kind} problem: {exc}") from None
 
@@ -300,15 +302,13 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
     round_fn = ROUND_FUNCTIONS[config.algorithm]
     state = init_round_state(np.zeros(problem.dim), hyper.J)
     verifier = VerifierState(u=state.x.copy()) if config.verify else None
-    root = RngStream(config.master_seed)
 
     for t in range(config.rounds):
         round_started = time.perf_counter()
-        sampled = sample_clients(problem.num_clients, hyper.s_participate,
-                                 derive_rng(config.master_seed, t, 0, PURPOSE_SAMPLING))
+        sampled = sample_clients(problem.num_clients, hyper.s_participate, config.master_seed, t)
         prev = state
         try:
-            state, art = round_fn(prev, problem, hyper, sampled, root,
+            state, art = round_fn(prev, problem, hyper, sampled, config.master_seed,
                                   collect_grads=config.verify, params=config.params)
         except DivergenceError as exc:
             record.status = (f"diverged at round {t + 1} "

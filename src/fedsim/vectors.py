@@ -6,12 +6,14 @@ and keep every reduction order fixed, so that runs are bit-reproducible.
 
 Every random draw comes from a stream keyed by the master seed and a
 ``(round, client, purpose)`` path.  ``derive_rng`` builds one such stream,
-an :class:`RngStream` (data synthesis, client sampling, gradcheck probes).
-``round_generators`` serves the per-client streams of one round: it computes
-all the clients' Philox keys in one vectorized pass of ``SeedSequence``'s
-entropy mixing and draws them on one reused ``Philox``, reset per client, so
-its draws equal ``derive_rng``'s without building a ``SeedSequence`` and a
-``Philox`` per client.
+an :class:`RngStream`; its callers are ``simulator.build_problem`` (data
+synthesis), ``simulator.sample_clients`` (client selection) and
+``cli.cmd_gradcheck`` (probe points), and each draws from its
+``generator``.  ``round_generators`` serves the per-client streams of one
+round: it computes all the clients' Philox keys in one vectorized pass of
+``SeedSequence``'s entropy mixing and draws them on one reused ``Philox``,
+reset per client, so its draws equal ``derive_rng``'s without building a
+``SeedSequence`` and a ``Philox`` per client.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def mean_vectors(vs: Sequence[ParamVector]) -> ParamVector:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic random stream keyed by a master seed and a derivation path.
+    """Deterministic random stream keyed by a master seed and a ``(round, client, purpose)`` path.
 
     Two streams with the same ``(master_seed, path)`` produce identical draws;
     different paths give statistically independent streams.  The generator is
@@ -107,7 +109,7 @@ class RngStream:
     """
 
     master_seed: int
-    path: tuple[int, ...] = ()
+    path: tuple[int, ...]
     _gen: list = field(default_factory=list, repr=False, compare=False)
 
     @property

@@ -30,7 +30,6 @@ from fedsim.simulator import (
     run_training,
     sample_clients,
 )
-from fedsim.vectors import PURPOSE_SAMPLING, RngStream, derive_rng
 
 
 def verdict(num, name, ok):
@@ -42,13 +41,11 @@ def lockstep_trajectories(problem, hyper_a, round_a, hyper_b, round_b, rounds, s
     """Run two round rules on the same problem/seeds; return max coordinate gap."""
     state_a = init_round_state(np.zeros(problem.dim), hyper_a.J)
     state_b = init_round_state(np.zeros(problem.dim), hyper_b.J)
-    root = RngStream(seed)
     worst = 0.0
     for t in range(rounds):
-        sampled = sample_clients(problem.num_clients, hyper_a.s_participate,
-                                 derive_rng(seed, t, 0, PURPOSE_SAMPLING))
-        state_a, _ = round_a(state_a, problem, hyper_a, sampled, root, params=params)
-        state_b, _ = round_b(state_b, problem, hyper_b, sampled, root, params=params)
+        sampled = sample_clients(problem.num_clients, hyper_a.s_participate, seed, t)
+        state_a, _ = round_a(state_a, problem, hyper_a, sampled, seed, params=params)
+        state_b, _ = round_b(state_b, problem, hyper_b, sampled, seed, params=params)
         worst = max(worst, float(np.abs(state_a.x - state_b.x).max()))
     return worst
 

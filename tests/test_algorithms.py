@@ -28,7 +28,7 @@ from fedsim.algorithms import (
 )
 from fedsim.objectives import EpochSampler, quadratic_problem_from
 from fedsim.simulator import BUILDERS, ConfigError, ProblemConfig, build_problem, sample_clients
-from fedsim.vectors import PURPOSE_BATCH, PURPOSE_SAMPLING, RngStream, derive_rng
+from fedsim.vectors import PURPOSE_BATCH, derive_rng
 
 
 def symmetric_pair(sigma=0.0):
@@ -85,7 +85,7 @@ class TestMimLocalUpdate:
     def test_plain_sgd_step(self):
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=1)
         x_final, _ = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0],
-                                      RoundState(np.array([1.0]), (np.zeros(1),)), hyper, RngStream(0))
+                                      RoundState(np.array([1.0]), (np.zeros(1),)), hyper, 0)
         assert x_final[0] == pytest.approx([0.9])
 
     def test_single_step_hand_example(self):
@@ -100,23 +100,23 @@ class TestMimLocalUpdate:
 
         hyper = MimHyper(alpha=(0.5,), beta=(0.5,), eta_l=0.1, k_local=1)
         x_final, _ = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0],
-                                      RoundState(np.array([1.0]), (np.array([0.2]),)), hyper, RngStream(0))
+                                      RoundState(np.array([1.0]), (np.array([0.2]),)), hyper, 0)
         assert x_final[0] == pytest.approx([float(expected)], abs=1e-15)
 
     def test_zero_history_matches_zero_momentum_trajectory(self):
         state = RoundState(np.array([1.0, -2.0]), (np.zeros(2), np.zeros(2)))
         with_momentum = MimHyper(alpha=(0.4, 0.2), beta=(0.5, 0.1), eta_l=0.05, k_local=3)
         problem = one_client(np.eye(2), np.zeros(2))
-        x_m, _ = mim_local_update(problem, [0], state, with_momentum, RngStream(0))
+        x_m, _ = mim_local_update(problem, [0], state, with_momentum, 0)
         # same A so the gradient scaling matches; history is all zero
         zero = MimHyper(alpha=(0.4, 0.2), beta=(0.0, 0.0), eta_l=0.05, k_local=3)
-        x_z, _ = mim_local_update(problem, [0], state, zero, RngStream(0))
+        x_z, _ = mim_local_update(problem, [0], state, zero, 0)
         assert np.array_equal(x_m, x_z)
 
     def test_grad_sum_collection(self):
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=4)
         _, grad_sum = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0],
-                                       RoundState(np.array([1.0]), (np.zeros(1),)), hyper, RngStream(0),
+                                       RoundState(np.array([1.0]), (np.zeros(1),)), hyper, 0,
                                        collect_grad_sum=True)
         assert grad_sum[0] == pytest.approx([1.0 + 0.9 + 0.81 + 0.729])
 
@@ -124,7 +124,7 @@ class TestMimLocalUpdate:
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=1e8, k_local=60)
         problem = one_client(np.eye(1), np.zeros(1), copies=4)
         with pytest.raises(DivergenceError) as err:
-            mim_local_update(problem, [3], RoundState(np.array([1.0]), (np.zeros(1),)), hyper, RngStream(0))
+            mim_local_update(problem, [3], RoundState(np.array([1.0]), (np.zeros(1),)), hyper, 0)
         assert err.value.client_id == 3
         assert err.value.iteration > 0
 
@@ -213,7 +213,7 @@ class TestBatchedKernel:
         round_index = 4
 
         finals, grad_sums = mim_local_update(
-            problem, ids, RoundState(x_start, tuple(deltas), round_index), hyper, RngStream(case["seed"]),
+            problem, ids, RoundState(x_start, tuple(deltas), round_index), hyper, case["seed"],
             collect_grad_sum=True, correction=correction)
         ref_finals, ref_grad_sums = reference_local_updates(
             problem, ids, x_start, deltas, hyper, case["seed"], round_index, current_eta(hyper, round_index),
@@ -231,13 +231,12 @@ class TestBatchedKernel:
         hyper = MimHyper(alpha=case["alpha"], beta=case["beta"], eta_l=0.05, k_local=case["k_local"],
                          s_participate=case["s_participate"])
         gen = np.random.default_rng(case["seed"])
-        root = RngStream(case["seed"])
         states = [init_round_state(np.zeros(problem.dim), hyper.J)] * 2
         for t in range(2):
-            sampled = sample_clients(problem.num_clients, hyper.s_participate,
-                                     derive_rng(case["seed"], t, 0, PURPOSE_SAMPLING))
+            sampled = sample_clients(problem.num_clients, hyper.s_participate, case["seed"], t)
             orders = (sampled, [int(i) for i in gen.permutation(sampled)])
-            results = [ROUND_FUNCTIONS[algorithm](state, problem, hyper, order, root, collect_grads=True)
+            results = [ROUND_FUNCTIONS[algorithm](state, problem, hyper, order, case["seed"],
+                                                  collect_grads=True)
                        for state, order in zip(states, orders)]
             (a, art_a), (b, art_b) = results
             assert a.x.tobytes() == b.x.tobytes()
@@ -252,14 +251,12 @@ class TestBatchedKernel:
 
 def run_rounds(round_fn, problem, hyper, rounds, seed, params=AlgoParams(), sampled_orders=None):
     state = init_round_state(np.zeros(problem.dim), hyper.J)
-    root = RngStream(seed)
     history = [state]
     for t in range(rounds):
-        sampled = sample_clients(problem.num_clients, hyper.s_participate,
-                                 derive_rng(seed, t, 0, PURPOSE_SAMPLING))
+        sampled = sample_clients(problem.num_clients, hyper.s_participate, seed, t)
         if sampled_orders is not None:
             sampled = sampled_orders(sampled)
-        state, _ = round_fn(state, problem, hyper, sampled, root, params=params)
+        state, _ = round_fn(state, problem, hyper, sampled, seed, params=params)
         history.append(state)
     return history
 
@@ -270,7 +267,7 @@ class TestMimRound:
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.05, k_local=1,
                          s_participate=3, lr_decay=1.0)
         state = init_round_state(np.zeros(4), 1)
-        state, _ = mim_round(state, problem, hyper, [0, 1, 2], RngStream(5))
+        state, _ = mim_round(state, problem, hyper, [0, 1, 2], 5)
         from fedsim.objectives import global_gradient
         expected = -0.05 * global_gradient(problem, np.zeros(4))
         assert np.allclose(state.x, expected, atol=1e-15)
@@ -303,7 +300,7 @@ class TestMimRound:
         hyper = MimHyper(s_participate=2, k_local=1)
         state = init_round_state(np.zeros(1), hyper.J)
         with pytest.raises(ValueError, match="sampled clients"):
-            mim_round(state, problem, hyper, [0], RngStream(0))
+            mim_round(state, problem, hyper, [0], 0)
 
     @pytest.mark.parametrize("sampled", [[1, 1], [0, 2], [-1, 0]])
     def test_repeated_or_unknown_ids_rejected(self, sampled):
@@ -311,7 +308,7 @@ class TestMimRound:
         hyper = MimHyper(s_participate=2, k_local=1)
         state = init_round_state(np.zeros(1), hyper.J)
         with pytest.raises(ValueError, match="distinct and in"):
-            mim_round(state, problem, hyper, sampled, RngStream(0))
+            mim_round(state, problem, hyper, sampled, 0)
 
     def test_zero_history_alpha_scaling_identity(self):
         # round 1 with sigma=0 and K=1: the step scales exactly with A
@@ -319,8 +316,8 @@ class TestMimRound:
         x0 = np.zeros(3)
         base = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=1, s_participate=4)
         half = MimHyper(alpha=(0.5,), beta=(0.0,), eta_l=0.1, k_local=1, s_participate=4)
-        sa, _ = mim_round(init_round_state(x0, 1), problem, base, [0, 1, 2, 3], RngStream(0))
-        sb, _ = mim_round(init_round_state(x0, 1), problem, half, [0, 1, 2, 3], RngStream(0))
+        sa, _ = mim_round(init_round_state(x0, 1), problem, base, [0, 1, 2, 3], 0)
+        sb, _ = mim_round(init_round_state(x0, 1), problem, half, [0, 1, 2, 3], 0)
         assert np.abs((sb.x - x0) - 0.5 * (sa.x - x0)).max() <= 1e-12
 
 
@@ -366,9 +363,9 @@ class TestFedCm:
         problem = build_problem(ProblemConfig(n_clients=3, dim=3, heterogeneity=1.0, sigma_l=0.0), 8)
         hyper = MimHyper(s_participate=3, k_local=1, eta_l=0.1)
         s_cm, _ = fedcm_round(init_round_state(np.zeros(3), hyper.J), problem, hyper,
-                              [0, 1, 2], RngStream(0), params=AlgoParams(fedcm_alpha=0.3))
+                              [0, 1, 2], 0, params=AlgoParams(fedcm_alpha=0.3))
         s_avg, _ = fedavg_round(init_round_state(np.zeros(3), hyper.J), problem, hyper,
-                                [0, 1, 2], RngStream(0))
+                                [0, 1, 2], 0)
         assert np.abs(s_cm.x - 0.7 * s_avg.x).max() <= 1e-15
 
 
@@ -379,14 +376,14 @@ class TestScaffold:
         problem = quadratic_problem_from(hessians, centers, 0.0)
         hyper = MimHyper(s_participate=3, k_local=4, eta_l=0.1)
         state = init_round_state(np.zeros(2), hyper.J)
-        state, _ = scaffold_round(state, problem, hyper, [0, 1, 2], RngStream(0))
+        state, _ = scaffold_round(state, problem, hyper, [0, 1, 2], 0)
         aux = state.algo_aux
         for c_i in aux.c_clients:
             assert np.allclose(c_i, aux.c, atol=1e-15)
         # correction vanishes: next round equals fedavg round from same state
-        s2, _ = scaffold_round(state, problem, hyper, [0, 1, 2], RngStream(0))
+        s2, _ = scaffold_round(state, problem, hyper, [0, 1, 2], 0)
         f2, _ = fedavg_round(dataclasses.replace(state, algo_aux=None), problem, hyper,
-                             [0, 1, 2], RngStream(0))
+                             [0, 1, 2], 0)
         assert np.allclose(s2.x, f2.x, atol=1e-12)
 
     def test_single_client_reduces_to_fedavg(self):
@@ -411,7 +408,7 @@ class TestFedAdam:
         problem = quadratic_problem_from([np.eye(2)] * 2, [np.zeros(2)] * 2, 0.0)
         hyper = MimHyper(s_participate=2, k_local=3, eta_l=0.1)
         state = init_round_state(np.zeros(2), hyper.J)
-        state, _ = fedadam_round(state, problem, hyper, [0, 1], RngStream(0))
+        state, _ = fedadam_round(state, problem, hyper, [0, 1], 0)
         assert np.array_equal(state.x, np.zeros(2))
 
     def test_constant_pseudo_gradient_limit(self):
@@ -476,9 +473,8 @@ class TestExactRecurrenceOracle:
         hyper = MimHyper(alpha=(0.5, 0.25), beta=(0.75, 0.125), eta_l=0.1,
                          k_local=2, s_participate=3, lr_decay=1.0)
         state = init_round_state(np.zeros(1), hyper.J)
-        root = RngStream(0)
         for t in range(rounds):
-            state, _ = mim_round(state, problem, hyper, [0, 1, 2], root)
+            state, _ = mim_round(state, problem, hyper, [0, 1, 2], 0)
             assert state.x[0] == pytest.approx(float(oracle[t + 1]), abs=1e-14)
 
     def test_three_step_history_depth(self):
@@ -493,9 +489,8 @@ class TestExactRecurrenceOracle:
         hyper = MimHyper(alpha=(0.4, 0.2, 0.1), beta=(0.5, 0.0, 0.25), eta_l=0.05,
                          k_local=3, s_participate=2, lr_decay=1.0)
         state = init_round_state(np.zeros(1), hyper.J)
-        root = RngStream(0)
         for t in range(rounds):
-            state, _ = mim_round(state, problem, hyper, [0, 1], root)
+            state, _ = mim_round(state, problem, hyper, [0, 1], 0)
             assert state.x[0] == pytest.approx(float(oracle[t + 1]), abs=1e-13)
 
 

@@ -56,6 +56,14 @@ seed = 42
 verify = true
 """
 
+MALFORMED_INI = {  # files configparser or the UTF-8 codec rejects before any key is read
+    "no-section-header": b"kind = quadratic\n",
+    "repeated-key": b"[problem]\nkind = quadratic\nkind = mlp\n[algorithm]\nname = fedmim\n[run]\nrounds = 1\n",
+    "repeated-section": b"[problem]\nkind = quadratic\n[algorithm]\nname = fedmim\n[problem]\ndim = 3\n"
+                        b"[run]\nrounds = 1\n",
+    "non-utf8-byte": b"[problem]\nkind = quadratic\n# caf\xe9\n[algorithm]\nname = fedmim\n[run]\nrounds = 1\n",
+}
+
 
 # (section, key) -> (raw INI value, the value it sets); every value differs from the
 # default, and the field it lands in is found by comparing whole configs
@@ -424,6 +432,42 @@ class TestCmdRun:
     def test_workers_key_is_gone(self, minimal_config, capsys):
         assert main(["run", "-c", minimal_config, "-o", "workers=2"]) == 1
         assert "unknown override key 'workers'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", MALFORMED_INI.values(), ids=list(MALFORMED_INI))
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, content):
+        # each of these escaped parse_config as a configparser or codec traceback
+        path = tmp_path / "bad.ini"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse config file {path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestUsageErrors:
+    """argparse exits 2 on a usage error, the code the command line gives a divergence; these exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["run"],
+        ["run", "-c", "any.ini", "--seed", "abc"],
+        ["sweep", "-c", "any.ini", "--axis", "k_local"],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fedsim") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fedsim")
 
 
 class TestCmdVerify:

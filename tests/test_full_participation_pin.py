@@ -18,7 +18,6 @@ import pytest
 from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, init_round_state
 from fedsim.cli import VERIFY_TOLERANCE
 from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training, sample_clients
-from fedsim.vectors import PURPOSE_SAMPLING, RngStream, derive_rng
 
 PROBLEM = ProblemConfig(kind="quadratic", n_clients=5, dim=6, heterogeneity=1.0, sigma_l=0.1)
 CONFIG = RunConfig(problem=PROBLEM, algorithm="fedmim",
@@ -63,13 +62,12 @@ def _replay(config: RunConfig, collect_grads: bool = False):
     problem = build_problem(config.problem, config.master_seed)
     assert config.hyper.s_participate == problem.num_clients
     state = init_round_state(np.zeros(problem.dim), config.hyper.J)
-    root = RngStream(config.master_seed)
     grad_sums = []
     for t in range(config.rounds):
-        sampled = sample_clients(problem.num_clients, config.hyper.s_participate,
-                                 derive_rng(config.master_seed, t, 0, PURPOSE_SAMPLING))
+        sampled = sample_clients(problem.num_clients, config.hyper.s_participate, config.master_seed, t)
         state, art = ROUND_FUNCTIONS[config.algorithm](
-            state, problem, config.hyper, sampled, root, collect_grads=collect_grads, params=config.params)
+            state, problem, config.hyper, sampled, config.master_seed, collect_grads=collect_grads,
+            params=config.params)
         grad_sums.append(art.grad_sum)
     return state, grad_sums
 

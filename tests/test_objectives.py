@@ -242,21 +242,21 @@ class TestDrawRound:
 class TestDirichletPartition:
     def test_iid_equal_split(self):
         labels = np.tile([0, 1], 50)
-        part = dirichlet_partition(labels, 4, None, data_rng(0))
+        part = dirichlet_partition(labels, 4, None, data_rng(0).generator)
         assert [len(p) for p in part.client_indices] == [25, 25, 25, 25]
 
     @given(st.integers(min_value=0, max_value=50), st.integers(min_value=2, max_value=6))
     @settings(max_examples=30, deadline=None)
     def test_partition_property(self, seed, n_clients):
         labels = np.tile([0, 1, 2], 40)
-        part = dirichlet_partition(labels, n_clients, 0.5, data_rng(seed))
+        part = dirichlet_partition(labels, n_clients, 0.5, data_rng(seed).generator)
         merged = np.concatenate(part.client_indices)
         assert len(merged) == len(labels)
         assert np.array_equal(np.sort(merged), np.arange(len(labels)))
 
     def test_near_uniform_concentration(self):
         labels = np.tile([0, 1], 5000)
-        part = dirichlet_partition(labels, 5, 1e6, data_rng(0))
+        part = dirichlet_partition(labels, 5, 1e6, data_rng(0).generator)
         for idx in part.client_indices:
             assert abs(labels[idx].mean() - 0.5) <= 0.05
 
@@ -265,7 +265,7 @@ class TestDirichletPartition:
         hits = 0
         labels = np.repeat([0, 1], 250)
         for seed in range(10):
-            part = dirichlet_partition(labels, 5, 0.1, data_rng(seed))
+            part = dirichlet_partition(labels, 5, 0.1, data_rng(seed).generator)
             hits += any(max(labels[i].mean(), 1 - labels[i].mean()) >= 0.9
                         for i in part.client_indices)
         assert hits >= 8
@@ -274,12 +274,12 @@ class TestDirichletPartition:
         # 2 classes over 10 clients at concentration 0.1 rarely covers everyone
         labels = np.repeat([0, 1], 250)
         with pytest.raises(PartitionError):
-            dirichlet_partition(labels, 10, 0.1, data_rng(0))
+            dirichlet_partition(labels, 10, 0.1, data_rng(0).generator)
 
     def test_determinism(self):
         labels = np.tile([0, 1], 30)
-        a = dirichlet_partition(labels, 3, 0.3, data_rng(11))
-        b = dirichlet_partition(labels, 3, 0.3, data_rng(11))
+        a = dirichlet_partition(labels, 3, 0.3, data_rng(11).generator)
+        b = dirichlet_partition(labels, 3, 0.3, data_rng(11).generator)
         for pa, pb in zip(a.client_indices, b.client_indices):
             assert np.array_equal(pa, pb)
 

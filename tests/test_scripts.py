@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts in scripts/, with tiny settings."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -94,3 +95,20 @@ def test_participation_study_rejects_bad_threshold(monkeypatch, threshold):
     # nan, -1 and 0 used to censor every seed, inf to report round 1, all with exit 0
     with pytest.raises(SystemExit, match="^error: threshold must be finite and > 0"):
         run_script(monkeypatch, "participation_study.py", *SMALL, "-o", "rounds=3", "--threshold", threshold)
+
+
+def test_compare_algorithms_malformed_config_exits_1(tmp_path, monkeypatch):
+    # a config without a section header escaped parse_config as a configparser traceback
+    path = tmp_path / "bad.ini"
+    path.write_text("kind = quadratic\n")
+    with pytest.raises(SystemExit, match=f"^error: cannot parse config file {re.escape(str(path))}: "):
+        run_script(monkeypatch, "compare_algorithms.py", "-c", str(path))
+
+
+@pytest.mark.parametrize("name", ["compare_algorithms.py", "participation_study.py"])
+def test_script_usage_error_exits_1(monkeypatch, capsys, name):
+    # argparse exited 2, which compare_algorithms.py also gives a divergence
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, name, "--seeds", "a")
+    assert exit_info.value.code == 1
+    assert f"{name}: error: argument --seeds" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper
+from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, init_round_state
 from fedsim.cli import metrics_csv_bytes
 from fedsim.objectives import quadratic_problem_from
 from fedsim.simulator import (
@@ -53,37 +53,72 @@ class TestSampleClients:
         s_participate = data.draw(st.one_of(st.just(n_clients), st.integers(1, n_clients)))
         expected = fisher_yates_reference(n_clients, s_participate,
                                           derive_rng(seed, round_index, 0, PURPOSE_SAMPLING).generator)
-        assert sample_clients(n_clients, s_participate,
-                              derive_rng(seed, round_index, 0, PURPOSE_SAMPLING)) == expected
+        assert sample_clients(n_clients, s_participate, seed, round_index) == expected
 
     def test_full_set(self):
-        assert sample_clients(5, 5, derive_rng(0, 0, 0, PURPOSE_SAMPLING)) == [0, 1, 2, 3, 4]
+        assert sample_clients(5, 5, 0, 0) == [0, 1, 2, 3, 4]
 
     def test_deterministic(self):
-        a = sample_clients(10, 3, derive_rng(1, 7, 0, PURPOSE_SAMPLING))
-        b = sample_clients(10, 3, derive_rng(1, 7, 0, PURPOSE_SAMPLING))
+        a = sample_clients(10, 3, 1, 7)
+        b = sample_clients(10, 3, 1, 7)
         assert a == b and len(set(a)) == 3
 
     def test_single_draw_frequency(self):
-        picks = [sample_clients(2, 1, derive_rng(0, t, 0, PURPOSE_SAMPLING))[0]
-                 for t in range(10000)]
+        picks = [sample_clients(2, 1, 0, t)[0] for t in range(10000)]
         freq = np.mean(np.array(picks) == 0)
         assert 0.48 <= freq <= 0.52
 
     def test_over_sampling_rejected(self):
         with pytest.raises(ConfigError):
-            sample_clients(3, 4, derive_rng(0, 0, 0, PURPOSE_SAMPLING))
+            sample_clients(3, 4, 0, 0)
 
     def test_participation_accounting(self):
         # selection counts within 5 sigma of T*S/N over T = 1000 rounds
         n, s, t_rounds = 10, 3, 1000
         counts = np.zeros(n)
         for t in range(t_rounds):
-            for cid in sample_clients(n, s, derive_rng(5, t, 0, PURPOSE_SAMPLING)):
+            for cid in sample_clients(n, s, 5, t):
                 counts[cid] += 1
         expected = t_rounds * s / n
         sigma = np.sqrt(t_rounds * (s / n) * (1 - s / n))
         assert np.all(np.abs(counts - expected) <= 5 * sigma)
+
+
+
+@st.composite
+def replay_cases(draw):
+    kind = draw(st.sampled_from(["quadratic", "logreg", "mlp"]))
+    n_clients = draw(st.integers(1, 6))
+    j_depth = draw(st.integers(1, 3))
+    weights = st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.6]), min_size=j_depth, max_size=j_depth)
+    fields = dict(dim=3, sigma_l=0.3, samples_per_client=8, mlp_hidden=3, batch_size=draw(st.integers(0, 8)))
+    read = BUILDERS[kind][1]
+    return RunConfig(
+        problem=ProblemConfig(kind=kind, n_clients=n_clients,
+                              **{key: value for key, value in fields.items() if key in read}),
+        algorithm=draw(st.sampled_from(sorted(ROUND_FUNCTIONS))),
+        hyper=MimHyper(alpha=tuple(draw(weights.filter(lambda a: sum(a) < 1))), beta=tuple(draw(weights)),
+                       eta_l=0.05, k_local=draw(st.integers(1, 4)), s_participate=draw(st.integers(1, n_clients))),
+        rounds=draw(st.integers(1, 3)),
+        master_seed=draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96))),
+    )
+
+
+class TestRoundApiReplay:
+    @given(config=replay_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_simulator_equals_hand_replay(self, config):
+        """run_training's final x, byte for byte, from the public sampler and round rules alone."""
+        problem = build_problem(config.problem, config.master_seed)
+        record = run_training(config, problem)
+        assert record.status == "completed"
+        hyper = config.hyper
+        state = init_round_state(np.zeros(problem.dim), hyper.J)
+        for t in range(config.rounds):
+            sampled = sample_clients(problem.num_clients, hyper.s_participate, config.master_seed, t)
+            state, _ = ROUND_FUNCTIONS[config.algorithm](state, problem, hyper, sampled, config.master_seed,
+                                                         params=config.params)
+        assert state.x.tobytes() == record.final_x.tobytes()
 
 
 class TestRunTraining:
@@ -239,13 +274,12 @@ class TestRunTraining:
 
     def test_round_transition_leaves_inputs_untouched(self):
         from fedsim.algorithms import init_round_state, mim_round
-        from fedsim.vectors import RngStream
         problem = build_problem(quad_config().problem, 13)
         hyper = quad_config().hyper
         state = init_round_state(np.zeros(problem.dim), hyper.J)
         x_before = state.x.copy()
         history_before = [d.copy() for d in state.delta_history]
-        mim_round(state, problem, hyper, [0, 1, 2], RngStream(13))
+        mim_round(state, problem, hyper, [0, 1, 2], 13)
         assert np.array_equal(state.x, x_before)
         for d, before in zip(state.delta_history, history_before):
             assert np.array_equal(d, before)
@@ -339,7 +373,7 @@ class TestProblemKeys:
         cfg = ProblemConfig(kind=kind, **{key: value for key, value in base.items() if key in read})
 
         def fingerprint(problem_cfg):
-            return pickle.dumps(builder(problem_cfg, derive_rng(9, 0, 0, PURPOSE_DATA)))
+            return pickle.dumps(builder(problem_cfg, derive_rng(9, 0, 0, PURPOSE_DATA).generator))
 
         # the builder finds every key it reads in ``read``, and nothing else
         only_read = SimpleNamespace(kind=kind, **{key: getattr(cfg, key) for key in read})

@@ -17,7 +17,6 @@ import pytest
 
 from fedsim.algorithms import ROUND_FUNCTIONS, AlgoParams, MimHyper, init_round_state
 from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training, sample_clients
-from fedsim.vectors import PURPOSE_SAMPLING, RngStream, derive_rng
 
 PINS = {
     "logreg": (
@@ -70,12 +69,10 @@ def _replay(config: RunConfig):
     """The simulator's round loop, written out so the final ring buffer is visible."""
     problem = build_problem(config.problem, config.master_seed)
     state = init_round_state(np.zeros(problem.dim), config.hyper.J)
-    root = RngStream(config.master_seed)
     for t in range(config.rounds):
-        sampled = sample_clients(problem.num_clients, config.hyper.s_participate,
-                                 derive_rng(config.master_seed, t, 0, PURPOSE_SAMPLING))
+        sampled = sample_clients(problem.num_clients, config.hyper.s_participate, config.master_seed, t)
         state, _ = ROUND_FUNCTIONS[config.algorithm](
-            state, problem, config.hyper, sampled, root, params=config.params)
+            state, problem, config.hyper, sampled, config.master_seed, params=config.params)
     return state
 
 

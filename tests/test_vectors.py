@@ -7,7 +7,6 @@ from fedsim.vectors import (
     PURPOSE_BATCH,
     PURPOSE_DATA,
     PURPOSE_SAMPLING,
-    RngStream,
     derive_rng,
     l2_norm_sq,
     max_abs,
@@ -84,9 +83,6 @@ class TestRngDerivation:
     def test_path_fields_recorded(self):
         stream = derive_rng(7, 3, 2, 1)
         assert stream.master_seed == 7 and stream.path == (3, 2, 1)
-
-    def test_root_stream(self):
-        assert RngStream(5).path == ()
 
     def test_streams_look_uniform(self):
         # loose collision/uniformity sanity check over many derived streams
