@@ -5,8 +5,8 @@ Settings come from -c (configs/compare_algorithms.ini by default) and -o
 overrides.  Each seed is one ``algorithm`` sweep, so its problem is built
 once; every run's rows go to run.out_dir/compare.csv, grouped by algorithm.
 The median consistency is over the runs that recorded a metric row (nan when
-none did).  Exits 1 on a usage or config error and 2 when any run diverged,
-as ``fedsim sweep`` does.
+none did).  Exits 1 on a usage or config error, else as ``fedsim sweep`` does
+(``fedsim.cli.exit_code``: 2 on a divergence, 3 on a failed verify run).
 
 Example:
     python scripts/compare_algorithms.py --seeds 0,1,2 -o kind=logreg -o concentration=0.1
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedsim.cli import METRIC_COLUMNS, UsageParser, metric_row_fields, parse_config
+from fedsim.cli import METRIC_COLUMNS, UsageParser, exit_code, metric_row_fields, parse_config
 from fedsim.simulator import ConfigError, run_sweep, with_settings
 
 ALGORITHMS = ("fedavg", "fedcm", "scaffold", "fedadam", "fedmim")
@@ -48,21 +48,20 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(("algorithm", "seed") + METRIC_COLUMNS)]
     print(f"{'algorithm':>10}  {'median final loss':>18}  {'median consistency':>19}")
-    diverged = []
+    runs, labels = [], []
     for algorithm, records in zip(ALGORITHMS, zip(*sweeps)):  # seed-major sweeps, algorithm-major rows
         for seed, record in zip(args.seeds, records):
             lines.extend(",".join([algorithm, str(seed)] + metric_row_fields(row)) for row in record.rows)
-            if record.diverged_round is not None:
-                diverged.append(f"{algorithm} seed {seed}: {record.status}")
+            runs.append(record)
+            labels.append(f"{algorithm} seed {seed}")
         loss = np.median([r.final_loss for r in records])
         finals = [r.rows[-1].consistency for r in records if r.rows]  # a run can diverge before its first row
         cons = np.median(finals) if finals else math.nan
         print(f"{algorithm:>10}  {loss:18.6g}  {cons:19.6g}")
     (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"\nper-round table -> {out / 'compare.csv'}")
-    if diverged:
-        print("\n".join(diverged), file=sys.stderr)
-        sys.exit(2)
+    if code := exit_code(runs, labels):
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ Sweeps the number of participating clients S on a noisy quadratic and reports
 the median number of rounds (over seeds) until ||grad f(x_t)||^2 drops below
 the threshold, the empirical speedup trend.  Settings come from -c
 (configs/participation_study.ini by default) and -o overrides; each seed is
-one ``s_participate`` sweep, so its problem is built once.
+one ``s_participate`` sweep, so its problem is built once.  Exits 1 on a
+usage or config error, else as ``fedsim sweep`` does after the table
+(``fedsim.cli.exit_code``: 2 on a divergence, 3 on a failed verify run).
 
 Example:
     python scripts/participation_study.py --participate 2,5,10,20 --seeds 0,1,2,3,4
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedsim.cli import UsageParser, parse_config
+from fedsim.cli import UsageParser, exit_code, parse_config
 from fedsim.simulator import ConfigError, run_sweep, with_settings
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "participation_study.ini"
@@ -56,9 +58,14 @@ def main():
         sys.exit(f"error: {exc}")
 
     print(f"{'S':>4}  {'median rounds':>13}  per-seed")
+    runs, labels = [], []
     for s, records in zip(args.participate, zip(*sweeps)):
         per_seed = [rounds_to_threshold(record, args.threshold) for record in records]
         print(f"{s:>4}  {np.median(per_seed):>13.0f}  {per_seed}")
+        runs.extend(records)
+        labels.extend(f"S {s} seed {seed}" for seed in args.seeds)
+    if code := exit_code(runs, labels):
+        sys.exit(code)
 
 
 if __name__ == "__main__":

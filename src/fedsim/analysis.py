@@ -38,15 +38,6 @@ class MetricRow:
     eta_l: float
 
 
-@dataclass
-class VerifierState:
-    """Tracks the shifted iterate across rounds plus the worst residuals seen."""
-
-    u: ParamVector
-    max_residual_delta: float = 0.0
-    max_residual_u: float = 0.0
-
-
 def local_consistency(local_finals: Sequence[ParamVector], global_next: ParamVector) -> float:
     """Mean squared distance of the clients' end-of-round models from their aggregate.
 

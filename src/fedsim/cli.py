@@ -2,8 +2,9 @@
 
 Config files are INI-style with three sections ([problem], [algorithm],
 [run]); any key can be overridden on the command line with repeated
-``-o key=value`` flags.  Exit codes are scriptable: 0 success, 1 usage,
-config or I/O error, 2 divergence, 3 verification failure.
+``-o key=value`` flags; ``verify`` is ``run`` with ``run.verify=true``
+added last.  Exit codes are scriptable: 0 success, 1 usage, config or I/O
+error, 2 divergence, 3 verification failure (see ``exit_code``).
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ from .vectors import PURPOSE_DATA, derive_rng
 METRIC_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRow))
 
 VERIFY_TOLERANCE = 1e-9
-GRADCHECK_SETTINGS = {  # kind -> (fd step, max relative error)
-    "quadratic": (1e-6, 1e-6),
+# kind -> (fd step, max relative error).  A central difference is exact on a quadratic at any
+# step; h = 1 keeps its round-off, eps * |f| / h, off coordinates whose gradient is near 0.
+GRADCHECK_SETTINGS = {
+    "quadratic": (1.0, 1e-6),
     "logreg": (1e-6, 1e-5),
     "csv": (1e-6, 1e-5),
     "mlp": (1e-5, 1e-4),
@@ -173,29 +176,32 @@ def _emit_run(record: RunRecord, out_dir: str) -> Path:
     return out
 
 
+def exit_code(records: Sequence[RunRecord], labels: Sequence[str] = ()) -> int:
+    """2 if any run diverged, else 3 if a run with ``verify`` on has a residual above
+    ``VERIFY_TOLERANCE``, else 0.  Prints each diverged run's status to stderr and each
+    verify run's two residual maxima, after its label when ``labels`` has one per record."""
+    prefixes = [f"{label}: " for label in labels] or [""] * len(records)
+    diverged = failed = False
+    for prefix, record in zip(prefixes, records):
+        if record.diverged_round is not None:
+            print(prefix + record.status, file=sys.stderr)
+            diverged = True
+        elif record.config.verify:
+            print(f"{prefix}max residual_delta {record.max_residual_delta:.3e}, "
+                  f"max residual_u {record.max_residual_u:.3e}")
+            failed |= not max(record.max_residual_delta, record.max_residual_u) <= VERIFY_TOLERANCE
+    if failed:
+        print(f"verification residual exceeded tolerance {VERIFY_TOLERANCE:g}", file=sys.stderr)
+    return 2 if diverged else 3 if failed else 0
+
+
 def cmd_run(config: RunConfig) -> int:
     record = run_training(config)
     out = _emit_run(record, config.out_dir)
     print(f"{record.status}: {len(record.rows)} metric rows -> {out / 'metrics.csv'}")
     if record.final_loss is not None:
         print(f"final loss {record.final_loss:.6g}")
-    return 2 if record.diverged_round is not None else 0
-
-
-def cmd_verify(config: RunConfig) -> int:
-    record = run_training(dataclasses.replace(config, verify=True))
-    out = _emit_run(record, config.out_dir)
-    if record.diverged_round is not None:
-        print(record.status, file=sys.stderr)
-        return 2
-    print(f"max residual_delta {record.max_residual_delta:.3e}")
-    print(f"max residual_u     {record.max_residual_u:.3e}")
-    print(f"wrote {out / 'metrics.csv'}")
-    if record.max_residual_delta <= VERIFY_TOLERANCE and record.max_residual_u <= VERIFY_TOLERANCE:
-        print(f"verification passed (tolerance {VERIFY_TOLERANCE:g})")
-        return 0
-    print(f"verification residual exceeded tolerance {VERIFY_TOLERANCE:g}", file=sys.stderr)
-    return 3
+    return exit_code([record])
 
 
 def cmd_sweep(config: RunConfig, axis: str, raw_values: Sequence[str]) -> int:
@@ -221,7 +227,7 @@ def cmd_sweep(config: RunConfig, axis: str, raw_values: Sequence[str]) -> int:
     }
     (out / "sweep.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(records)} runs -> {out / 'sweep.csv'}")
-    return 2 if any(r.diverged_round is not None for r in records) else 0
+    return exit_code(records, [f"{axis}={value}" for value in values])
 
 
 def cmd_gradcheck(config: RunConfig) -> int:
@@ -259,7 +265,7 @@ def build_arg_parser() -> UsageParser:
     for name, helptext in (
         ("run", "train once and write metrics.csv + run.json"),
         ("sweep", "run one axis sweep and write a combined sweep.csv"),
-        ("verify", "run with identity checks on and gate on the residuals"),
+        ("verify", "run with run.verify=true: exit 3 if an identity residual exceeds the tolerance"),
         ("gradcheck", "finite-difference check of every client's training gradient"),
     ):
         p = sub.add_parser(name, help=helptext)
@@ -282,21 +288,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overrides.append(f"run.seed={args.seed}")
     if args.out is not None:
         overrides.append(f"run.out_dir={args.out}")
+    if args.subcommand == "verify":
+        overrides.append("run.verify=true")
     try:
         config = parse_config(args.config, overrides)
-        if args.subcommand == "run":
+        if args.subcommand in ("run", "verify"):
             return cmd_run(config)
-        if args.subcommand == "verify":
-            return cmd_verify(config)
         if args.subcommand == "sweep":
             return cmd_sweep(config, args.axis, args.values)
         if args.subcommand == "gradcheck":
             return cmd_gradcheck(config)
         raise ConfigError(f"unknown subcommand {args.subcommand}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

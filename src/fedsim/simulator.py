@@ -36,7 +36,6 @@ from .algorithms import (
 )
 from .analysis import (
     MetricRow,
-    VerifierState,
     compute_u,
     local_consistency,
     verify_delta_recursion,
@@ -301,7 +300,8 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
     hyper = config.hyper
     round_fn = ROUND_FUNCTIONS[config.algorithm]
     state = init_round_state(np.zeros(problem.dim), hyper.J)
-    verifier = VerifierState(u=state.x.copy()) if config.verify else None
+    u = state.x.copy()  # the shifted iterate, tracked when verify is on
+    max_residual_delta = max_residual_u = 0.0
 
     for t in range(config.rounds):
         round_started = time.perf_counter()
@@ -324,23 +324,22 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
             state = replace(state, delta_history=history)
 
         res_delta = res_u = None
-        u_next = None
-        if verifier is not None:
+        if config.verify:
             res_delta = verify_delta_recursion(
                 state.delta_history[0], art.grad_sum, prev.delta_history,
                 hyper.alpha, art.eta_l, hyper.s_participate, hyper.k_local)
             u_next = compute_u(state.x, state.delta_history, hyper.alpha, hyper.k_local)
-            res_u = verify_u_update(verifier.u, u_next, art.grad_sum, art.eta_l, hyper.s_participate)
-            verifier.u = u_next
-            verifier.max_residual_delta = max(verifier.max_residual_delta, res_delta)
-            verifier.max_residual_u = max(verifier.max_residual_u, res_u)
+            res_u = verify_u_update(u, u_next, art.grad_sum, art.eta_l, hyper.s_participate)
+            u = u_next
+            max_residual_delta = max(max_residual_delta, res_delta)
+            max_residual_u = max(max_residual_u, res_u)
 
         record.round_wall_ms.append((time.perf_counter() - round_started) * 1000.0)
 
         if (t + 1) % config.metric_every == 0:
             points = [state.x]
             if config.algorithm == "fedmim":
-                points.append(u_next if u_next is not None else compute_u(
+                points.append(u if config.verify else compute_u(
                     state.x, state.delta_history, hyper.alpha, hyper.k_local))
             losses, grads = problem.population.evaluate(np.stack(points))
             record.rows.append(MetricRow(
@@ -357,9 +356,9 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
 
     record.final_x = state.x
     record.final_loss = global_loss(problem, state.x)
-    if verifier is not None:
-        record.max_residual_delta = verifier.max_residual_delta
-        record.max_residual_u = verifier.max_residual_u
+    if config.verify:
+        record.max_residual_delta = max_residual_delta
+        record.max_residual_u = max_residual_u
 
 
 AXIS_KEYS = {  # sweep axis -> the SETTINGS keys one of its values sets

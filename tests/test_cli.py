@@ -497,6 +497,44 @@ class TestCmdVerify:
                      "-o", "name=fedavg"]) == 1
 
 
+class TestExitPath:
+    """``run``, ``sweep`` and ``verify`` share one run path and one exit rule, ``cli.exit_code``."""
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "eta_l", "--values", "0.01,0.02"]],
+                             ids=["run", "sweep"])
+    def test_residual_failure_exits_3(self, verify_config, tmp_path, capsys, command):
+        # both exited 0, with the residuals of the corrupted increments only in run.json
+        assert main([*command, "-c", verify_config, "--out", str(tmp_path / "o"),
+                     "-o", "corrupt_delta=1e-6"]) == 3
+        captured = capsys.readouterr()
+        assert "max residual_delta 1.000e-06" in captured.out
+        assert "residual exceeded" in captured.err
+
+    def test_divergence_outranks_residual_failure(self, verify_config, tmp_path, capsys):
+        assert main(["sweep", "-c", verify_config, "--out", str(tmp_path / "o"), "-o", "corrupt_delta=1e-6",
+                     "--axis", "eta_l", "--values", "0.02,100"]) == 2
+        err = capsys.readouterr().err
+        assert "eta_l=100: diverged at round" in err
+        assert "residual exceeded" in err
+
+    @pytest.mark.parametrize("config", ["minimal_config", "verify_config"])
+    def test_verify_is_run_with_the_check_on(self, request, tmp_path, config):
+        path, out = request.getfixturevalue(config), tmp_path / "out"  # one out_dir, which run.json echoes
+        outputs = []
+        for argv in (["verify"], ["run", "-o", "verify=true"]):
+            assert main([*argv, "-c", path, "--out", str(out)]) == 0
+            payload = json.loads((out / "run.json").read_text())
+            assert payload.pop("wall_ms_total") >= 0
+            outputs.append(((out / "metrics.csv").read_bytes(), payload))
+        assert outputs[0] == outputs[1]
+        assert "verification" in outputs[0][1]
+
+    def test_verify_overrides_a_config_that_turns_the_check_off(self, verify_config, tmp_path, capsys):
+        assert main(["verify", "-c", verify_config, "--out", str(tmp_path / "o"),
+                     "-o", "verify=false", "-o", "corrupt_delta=1e-6"]) == 3
+        assert "residual exceeded" in capsys.readouterr().err
+
+
 class TestCmdSweep:
     def test_sweep_outputs(self, minimal_config, tmp_path):
         out = tmp_path / "out"
@@ -569,6 +607,14 @@ class TestCmdGradcheck:
         problem = simulator.build_problem(config.problem, config.master_seed)
         assert problem.num_clients == config.problem.n_clients
         assert main(["gradcheck", "-c", str(path)]) == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quadratic_at_dimension_100(self, tmp_path, seed):
+        # the perfbench quad-baselines problem; its correct gradient failed at an fd step of 1e-6,
+        # where the difference's round-off, eps * |f| / h, swamped near-zero coordinates
+        cfg = write_ini(tmp_path / "quad.ini", {"problem": {"n_clients": "50", "dim": "100",
+                                                            "heterogeneity": "1.0", "sigma_l": "0.1"}})
+        assert main(["gradcheck", "-c", cfg, "--seed", str(seed)]) == 0
 
     @pytest.mark.parametrize("name, owner, attr", [
         pytest.param("quadratic_verify.ini", objectives, "_hessian_products", id="quadratic_verify.ini"),

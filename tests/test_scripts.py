@@ -84,6 +84,18 @@ def test_participation_study_row_matches_cli_run(tmp_path, monkeypatch, capsys):
     assert table[1].split() == ["2", str(expected), f"[{expected}]"]
 
 
+def test_participation_study_divergence_exits_2(monkeypatch, capsys):
+    # exited 0 and counted both diverged runs as censored (101)
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, "participation_study.py", "--participate", "2,5", "--seeds", "0",
+                   "-o", "eta_l=50", "-o", "rounds=100")
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert [row.split()[0] for row in captured.out.strip().splitlines()[1:]] == ["2", "5"]
+    assert captured.err.splitlines() == ["S 2 seed 0: diverged at round 76 (client 1, local step 4)",
+                                         "S 5 seed 0: diverged at round 77 (client 1, local step 2)"]
+
+
 @pytest.mark.parametrize("name", ["compare_algorithms.py", "participation_study.py"])
 def test_script_config_error_exits_1(monkeypatch, name):
     with pytest.raises(SystemExit, match="^error: rounds must be >= 1$"):  # sys.exit(str) exits 1
