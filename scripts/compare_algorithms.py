@@ -5,8 +5,9 @@ Settings come from -c (configs/compare_algorithms.ini by default) and -o
 overrides.  Each seed is one ``algorithm`` sweep, so its problem is built
 once; every run's rows go to run.out_dir/compare.csv, grouped by algorithm.
 The median consistency is over the runs that recorded a metric row (nan when
-none did).  Exits 1 on a usage or config error, else as ``fedsim sweep`` does
-(``fedsim.cli.exit_code``: 2 on a divergence, 3 on a failed verify run).
+none did).  Exits 1 on a usage, config or I/O error, else as ``fedsim
+sweep`` does (``fedsim.cli.exit_code``: 2 on a divergence, 3 on a failed
+verify run).
 
 Example:
     python scripts/compare_algorithms.py --seeds 0,1,2 -o kind=logreg -o concentration=0.1
@@ -39,13 +40,13 @@ def main():
     args = parse_args()
     try:
         config = parse_config(args.config, args.override)
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)  # before any training, so a bad directory fails first
         sweeps = [run_sweep(with_settings(config, {"seed": seed}), "algorithm", ALGORITHMS)
                   for seed in args.seeds]
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         sys.exit(f"error: {exc}")
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(("algorithm", "seed") + METRIC_COLUMNS)]
     print(f"{'algorithm':>10}  {'median final loss':>18}  {'median consistency':>19}")
     runs, labels = [], []

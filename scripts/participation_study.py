@@ -6,7 +6,7 @@ the median number of rounds (over seeds) until ||grad f(x_t)||^2 drops below
 the threshold, the empirical speedup trend.  Settings come from -c
 (configs/participation_study.ini by default) and -o overrides; each seed is
 one ``s_participate`` sweep, so its problem is built once.  Exits 1 on a
-usage or config error, else as ``fedsim sweep`` does after the table
+usage, config or I/O error, else as ``fedsim sweep`` does after the table
 (``fedsim.cli.exit_code``: 2 on a divergence, 3 on a failed verify run).
 
 Example:
@@ -54,7 +54,7 @@ def main():
         config = parse_config(args.config, args.override)
         sweeps = [run_sweep(with_settings(config, {"seed": seed}), "s_participate", args.participate)
                   for seed in args.seeds]
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         sys.exit(f"error: {exc}")
 
     print(f"{'S':>4}  {'median rounds':>13}  per-seed")

@@ -91,17 +91,9 @@ class MimHyper:
         return len(self.alpha)
 
     @property
-    def sum_alpha(self) -> float:
-        return sum(self.alpha)
-
-    @property
     def A(self) -> float:
         """Gradient-step scale 1 - sum(alpha), in (0, 1]."""
-        return 1.0 - self.sum_alpha
-
-    @property
-    def rho(self) -> float:
-        return sum(self.beta)
+        return 1.0 - sum(self.alpha)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,10 @@ gradients at a (P, d) stack of points in one pass over fixed-size row blocks
 call); ``global_loss`` and ``global_gradient`` are its single-point wrappers.
 ``draw_round(seed, round_index, ids, k_local)`` draws each sampled client's
 gradient noise or K minibatches (as stack rows) for the round up front, from
-its own (round, client, PURPOSE_BATCH) stream.  The round's streams come from
-``vectors.round_generators``: their keys are computed in one pass and drawn
-on one reset Philox, with the same draws as ``derive_rng``.
+its own (round, client, PURPOSE_BATCH) stream in one call (a
+``standard_normal`` fill or ``EpochSampler.batches(K)``).  The round's
+streams come from ``vectors.round_generators``: their keys are computed in
+one pass and drawn on one reset Philox, with the same draws as ``derive_rng``.
 ``client_gradients`` returns the (S, d) gradients of the sampled clients at
 one local step.
 ``client_evaluate(cid, x)`` is one client's full-batch loss and gradient: the
@@ -93,7 +94,7 @@ def unpack_mlp(x: np.ndarray, widths: tuple[int, int, int]):
 
 
 class EpochSampler:
-    """Minibatch index stream: each epoch is a fresh shuffle of all samples.
+    """Minibatch indices: each epoch is a fresh shuffle of all samples.
 
     Batches may straddle epoch boundaries so every sample is touched exactly
     once per epoch.  ``batch_size <= 0`` or >= n yields the full index range
@@ -104,16 +105,14 @@ class EpochSampler:
         self.n = n
         self.batch_size = batch_size if 0 < batch_size < n else n
         self.gen = gen
-        self._queue = np.empty(0, dtype=np.intp)
 
-    def next_batch(self) -> np.ndarray:
+    def batches(self, k: int) -> np.ndarray:
+        """The next ``k`` batches as the rows of a (k, batch_size) array, each row sorted."""
         if self.batch_size >= self.n:
-            return np.arange(self.n)
-        while self._queue.size < self.batch_size:
-            self._queue = np.concatenate([self._queue, self.gen.permutation(self.n)])
-        batch = self._queue[: self.batch_size]
-        self._queue = self._queue[self.batch_size:]
-        return np.sort(batch)
+            return np.arange(self.n)[None].repeat(k, axis=0)
+        epochs = -(-k * self.batch_size // self.n)
+        order = np.concatenate([self.gen.permutation(self.n) for _ in range(epochs)])
+        return np.sort(order[:k * self.batch_size].reshape(k, self.batch_size), axis=1)
 
 
 @dataclass(frozen=True)
@@ -205,13 +204,11 @@ class _SampledPopulation:
     batch: int  # minibatch size, ProblemConfig.batch_size; 0 or >= n_i is client i's full batch
 
     def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
-        """Each sampled client's K minibatches as stack rows, drawn up front from its own stream."""
-        draws = []
-        for cid, gen in zip(ids, round_generators(seed, round_index, ids, PURPOSE_BATCH)):
-            start, stop = self.spans[cid]
-            sampler = EpochSampler(stop - start, self.batch, gen)
-            draws.append([start + sampler.next_batch() for _ in range(k_local)])
-        return draws
+        """Each sampled client's K minibatches: a (K, B_i) array of stack rows, drawn on its own stream."""
+        spans = [self.spans[cid] for cid in ids]
+        gens = round_generators(seed, round_index, ids, PURPOSE_BATCH)
+        return [start + EpochSampler(stop - start, self.batch, gen).batches(k_local)
+                for (start, stop), gen in zip(spans, gens)]
 
     def client_gradients(self, x: np.ndarray, draws, step: int) -> np.ndarray:
         """Row s: the minibatch gradient of client s at row s of ``x``."""

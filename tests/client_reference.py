@@ -7,12 +7,40 @@ bit (same operations in the same order), the full-batch metrics to a
 tolerance.  Nothing here imports population code; ``clients_of`` builds the
 references on views of a problem's stacked data.
 
+``QueueSampler`` draws one minibatch per call from a queue of shuffled
+indices, the form that ``EpochSampler.batches`` replaces with one call for
+all K batches; the tests hold the batches to it.
+
 The three functions at the end are the server's reductions as one Python
 loop over the client rows, the form that the loop-free reductions replace;
 the tests hold those to these bytes.
 """
 
 import numpy as np
+
+
+class QueueSampler:
+    """Minibatch index stream: each epoch is a fresh shuffle of all samples.
+
+    Batches may straddle epoch boundaries so every sample is touched exactly
+    once per epoch.  ``batch_size <= 0`` or >= n yields the full index range
+    in natural order (full batch, no generator draws).
+    """
+
+    def __init__(self, n, batch_size, gen):
+        self.n = n
+        self.batch_size = batch_size if 0 < batch_size < n else n
+        self.gen = gen
+        self._queue = np.empty(0, dtype=np.intp)
+
+    def next_batch(self):
+        if self.batch_size >= self.n:
+            return np.arange(self.n)
+        while self._queue.size < self.batch_size:
+            self._queue = np.concatenate([self._queue, self.gen.permutation(self.n)])
+        batch = self._queue[: self.batch_size]
+        self._queue = self._queue[self.batch_size:]
+        return np.sort(batch)
 
 
 class QuadraticClient:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from client_reference import clients_of
+from client_reference import QueueSampler, clients_of
 from fedsim.algorithms import (
     ROUND_FUNCTIONS,
     AdamAux,
@@ -26,7 +26,7 @@ from fedsim.algorithms import (
     scaffold_round,
     validate_eta_l,
 )
-from fedsim.objectives import EpochSampler, quadratic_problem_from
+from fedsim.objectives import quadratic_problem_from
 from fedsim.simulator import BUILDERS, ConfigError, ProblemConfig, build_problem, sample_clients
 from fedsim.vectors import PURPOSE_BATCH, derive_rng
 
@@ -52,7 +52,6 @@ class TestMimHyper:
     def test_derived_quantities(self):
         hyper = MimHyper(alpha=(0.6, 0.3), beta=(0.9, 0.1))
         assert hyper.A == pytest.approx(0.1)
-        assert hyper.rho == pytest.approx(1.0)
 
     def test_decay_schedule_is_exact_power(self):
         hyper = MimHyper(eta_l=0.1, lr_decay=0.998)
@@ -149,7 +148,7 @@ def reference_local_updates(problem, ids, x_start, deltas, hyper, seed, round_in
     for row, cid in enumerate(ids):
         client = clients[cid]
         gen = derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator
-        sampler = EpochSampler(client.sample_count, batch_size, gen) if client.sample_count else None
+        sampler = QueueSampler(client.sample_count, batch_size, gen) if client.sample_count else None
         x = x_start.copy()
         grad_sum = np.zeros_like(x)
         for _ in range(hyper.k_local):

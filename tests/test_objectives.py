@@ -6,10 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from client_reference import LogisticClient, MlpClient, clients_of
+from client_reference import LogisticClient, MlpClient, QueueSampler, clients_of
 from fedsim import objectives
 from fedsim.objectives import (
     CsvFormatError,
@@ -110,7 +110,7 @@ class TestLogisticClient:
         client = LogisticClient(gen.standard_normal((9, 4)), gen.integers(0, 2, 9), 1e-3)
         w = gen.standard_normal(4)
         for batch_size in (0, 9, 12):  # a batch of every sample comes in index order
-            batch = EpochSampler(9, batch_size, data_rng(1).generator).next_batch()
+            batch = EpochSampler(9, batch_size, data_rng(1).generator).batches(1)[0]
             assert np.array_equal(client.batch_gradient(w, batch), client.full_gradient(w))
 
     def test_disjoint_cover_unbiasedness(self):
@@ -172,13 +172,28 @@ class TestMlpClient:
 class TestEpochSampler:
     def test_epoch_is_a_partition(self):
         gen = derive_rng(0, 0, 0, 1).generator
-        sampler = EpochSampler(20, 5, gen)
-        seen = np.concatenate([sampler.next_batch() for _ in range(4)])
-        assert np.array_equal(np.sort(seen), np.arange(20))
+        seen = EpochSampler(20, 5, gen).batches(4)
+        assert np.array_equal(np.sort(seen, axis=None), np.arange(20))
 
     def test_full_batch_uses_natural_order(self):
         sampler = EpochSampler(6, 0, derive_rng(0, 0, 0, 1).generator)
-        assert np.array_equal(sampler.next_batch(), np.arange(6))
+        assert np.array_equal(sampler.batches(1)[0], np.arange(6))
+
+    @given(n=st.integers(1, 60), batch_size=st.integers(-1, 70), k=st.integers(1, 12),
+           seed=st.integers(0, 2**64 - 1))
+    @example(n=7, batch_size=3, k=5, seed=0)  # 3 does not divide 7: batches cross epoch boundaries
+    @example(n=7, batch_size=0, k=3, seed=0)  # full batch
+    @example(n=7, batch_size=7, k=3, seed=0)
+    @example(n=7, batch_size=9, k=3, seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_batches_equal_queue_draws(self, n, batch_size, k, seed):
+        gen, queue_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        batches = EpochSampler(n, batch_size, gen).batches(k)
+        queue = QueueSampler(n, batch_size, queue_gen)
+        expected = np.stack([queue.next_batch() for _ in range(k)])
+        assert batches.dtype == expected.dtype
+        assert np.array_equal(batches, expected)  # values and shape
+        assert gen.bit_generator.state == queue_gen.bit_generator.state  # the same permutations drawn
 
 
 def assert_batches_match_streams(population, seed, round_index, ids, k_local):
@@ -187,7 +202,7 @@ def assert_batches_match_streams(population, seed, round_index, ids, k_local):
     for cid, batches in zip(ids, draws, strict=True):
         start, stop = population.spans[cid]
         if 0 < population.batch < stop - start:
-            sampler = EpochSampler(stop - start, population.batch,
+            sampler = QueueSampler(stop - start, population.batch,
                                    derive_rng(seed, round_index, cid, PURPOSE_BATCH).generator)
             expected = [start + sampler.next_batch() for _ in range(k_local)]
         else:  # a client with no more than a batch of samples takes its full batch

@@ -124,3 +124,26 @@ def test_script_usage_error_exits_1(monkeypatch, capsys, name):
         run_script(monkeypatch, name, "--seeds", "a")
     assert exit_info.value.code == 1
     assert f"{name}: error: argument --seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, args", [("compare_algorithms.py", ()),
+                                        ("participation_study.py", ("--participate", "2"))])
+def test_script_missing_csv_exits_1(tmp_path, monkeypatch, name, args):
+    # the FileNotFoundError escaped as a traceback
+    missing = tmp_path / "missing.csv"
+    config = tmp_path / "csv.ini"
+    config.write_text(f"[problem]\nkind = csv\ncsv_path = {missing}\nlabel_column = y\n"
+                      f"[algorithm]\nname = fedmim\n[run]\nrounds = 3\nout_dir = {tmp_path / 'out'}\n")
+    with pytest.raises(SystemExit, match=f"^error: .*No such file or directory: '{re.escape(str(missing))}'$"):
+        run_script(monkeypatch, name, "-c", str(config), *args)
+
+
+def test_compare_algorithms_bad_out_dir_exits_1_before_training(tmp_path, monkeypatch):
+    # the NotADirectoryError escaped as a traceback, after every run had trained
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with mock.patch.object(simulator, "run_training") as train, \
+            pytest.raises(SystemExit, match="^error: .*Not a directory"):
+        run_script(monkeypatch, "compare_algorithms.py", *SMALL, "-o", "s_participate=2",
+                   "-o", f"out_dir={blocker / 'sub'}")
+    train.assert_not_called()
