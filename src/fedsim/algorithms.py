@@ -41,12 +41,13 @@ from .vectors import ParamVector, mean_vectors, weighted_sum
 
 
 class DivergenceError(RuntimeError):
-    """A local update produced non-finite parameters."""
+    """A local update, or the server step (client and step ``None``), produced non-finite parameters."""
 
-    def __init__(self, client_id: int, iteration: int):
+    def __init__(self, client_id: Optional[int], iteration: Optional[int]):
         self.client_id = client_id
         self.iteration = iteration
-        super().__init__(f"non-finite parameters on client {client_id} at local step {iteration}")
+        self.place = "server step" if client_id is None else f"client {client_id}, local step {iteration}"
+        super().__init__(f"non-finite parameters ({self.place})")
 
 
 @dataclass(frozen=True)
@@ -152,10 +153,8 @@ class RoundState:
 class RoundArtifacts:
     """Per-round observability payload (never feeds back into the trajectory)."""
 
-    sampled: tuple  # sorted client ids
-    local_finals: np.ndarray  # (S, d), row s is client sampled[s]
+    local_finals: np.ndarray  # (S, d), row s is the s-th smallest sampled client id
     grad_sum: Optional[ParamVector]
-    eta_l: float
 
 
 def init_round_state(x0: ParamVector, history_len: int) -> RoundState:
@@ -236,19 +235,15 @@ def _total_grad_sum(grad_sums: Optional[np.ndarray]) -> Optional[ParamVector]:
     return np.add.accumulate(grad_sums, axis=0)[-1]
 
 
-def _advance(state: RoundState, hyper: MimHyper, x_next: ParamVector, ids, finals, grad_sums,
+def _advance(state: RoundState, hyper: MimHyper, x_next: ParamVector, finals, grad_sums,
              algo_aux=None) -> tuple:
+    if not np.isfinite(x_next).all():
+        raise DivergenceError(None, None)
     delta_next = compute_delta(x_next, state.x, hyper.k_local)
     history = (delta_next,) + state.delta_history[: hyper.J - 1]
     new_state = RoundState(x_next, history, state.round + 1,
                            algo_aux if algo_aux is not None else state.algo_aux)
-    artifacts = RoundArtifacts(
-        sampled=tuple(ids),
-        local_finals=finals,
-        grad_sum=_total_grad_sum(grad_sums),
-        eta_l=current_eta(hyper, state.round),
-    )
-    return new_state, artifacts
+    return new_state, RoundArtifacts(finals, _total_grad_sum(grad_sums))
 
 
 def _check_round_args(state: RoundState, problem: FederatedProblem, hyper: MimHyper, sampled) -> list:
@@ -274,7 +269,7 @@ def mim_round(state: RoundState, problem: FederatedProblem, hyper: MimHyper, sam
     """One inertial-momentum round: local updates on the sampled clients, mean aggregation."""
     ids = _check_round_args(state, problem, hyper, sampled)
     finals, grad_sums = mim_local_update(problem, ids, state, hyper, seed, collect_grad_sum=collect_grads)
-    return _advance(state, hyper, mean_vectors(finals), ids, finals, grad_sums)
+    return _advance(state, hyper, mean_vectors(finals), finals, grad_sums)
 
 
 def fedavg_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
@@ -318,7 +313,7 @@ def scaffold_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
     c_next = aux.c + (hyper.s_participate / problem.num_clients) * mean_vectors(c_new - c_old)
     clients_next = aux.c_clients.copy()
     clients_next[ids] = c_new
-    return _advance(state, hyper, mean_vectors(finals), ids, finals, grad_sums,
+    return _advance(state, hyper, mean_vectors(finals), finals, grad_sums,
                     algo_aux=ScaffoldAux(c_next, clients_next))
 
 
@@ -345,7 +340,7 @@ def fedadam_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
     finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), seed,
                                          collect_grad_sum=collect_grads)
     aux_next, update = adam_server_step(aux, state.x - mean_vectors(finals), params)
-    return _advance(state, hyper, state.x - update, ids, finals, grad_sums, algo_aux=aux_next)
+    return _advance(state, hyper, state.x - update, finals, grad_sums, algo_aux=aux_next)
 
 
 ROUND_FUNCTIONS = {

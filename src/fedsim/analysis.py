@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .vectors import ParamVector, max_abs, row_dots, stack_rows, weighted_sum
+from .vectors import ParamVector, max_abs, row_dots, weighted_sum
 
 
 @dataclass
@@ -41,16 +41,16 @@ class MetricRow:
 def local_consistency(local_finals: Sequence[ParamVector], global_next: ParamVector) -> float:
     """Mean squared distance of the clients' end-of-round models from their aggregate.
 
-    ``local_finals`` is the (S, d) array of the clients' models (or a list
-    of S vectors).  Each row's squared distance is one BLAS dot, as
-    ``r @ r`` computes it, and the S of them are added in row order by
-    ``np.add.accumulate``: the same float as the sequential Python loop,
-    with no loop.  The stack must have the model's shape per row; an
-    (S, 1) stack is rejected, not broadcast against a (d,) model.
+    ``local_finals`` is the (S, d) array-like of the clients' models.  Each
+    row's squared distance is one BLAS dot, as ``r @ r`` computes it, and
+    the S of them are added in row order by ``np.add.accumulate``: the same
+    float as the sequential Python loop, with no loop.  The stack must have
+    the model's shape per row; an (S, 1) stack is rejected, not broadcast
+    against a (d,) model.
     """
     if len(local_finals) == 0:
         raise ValueError("no local models")
-    finals = stack_rows(local_finals)
+    finals = np.asarray(local_finals)
     if finals.shape[1:] != global_next.shape:
         raise ValueError(f"dimension mismatch: {finals.shape[1:]} vs {global_next.shape}")
     r = finals - global_next

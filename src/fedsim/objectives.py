@@ -22,7 +22,7 @@ population class of that kind holds the stack and is the only copy of its
 arithmetic.  ``evaluate(points)`` computes the full-batch losses and
 gradients at a (P, d) stack of points in one pass over fixed-size row blocks
 (the simulator evaluates x and the shifted iterate u of a metric row in one
-call); ``global_loss`` and ``global_gradient`` are its single-point wrappers.
+call); ``global_loss`` is its single-point wrapper.
 ``draw_round(seed, round_index, ids, k_local)`` draws each sampled client's
 gradient noise or K minibatches (as stack rows) for the round up front, from
 its own (round, client, PURPOSE_BATCH) stream in one call (a
@@ -376,11 +376,6 @@ class FederatedProblem:
 def global_loss(problem: FederatedProblem, x: ParamVector) -> float:
     """f(x) = (1/N) sum_i f_i(x), full batch: the population oracle at the single point x."""
     return float(problem.population.evaluate(x[None])[0][0])
-
-
-def global_gradient(problem: FederatedProblem, x: ParamVector) -> ParamVector:
-    """(1/N) sum_i grad f_i(x), full batch: the population oracle at the single point x."""
-    return problem.population.evaluate(x[None])[1][0]
 
 
 def _stack_by_client(features: np.ndarray, values: np.ndarray, client_indices: Sequence[np.ndarray]):

@@ -31,6 +31,7 @@ from .algorithms import (
     DivergenceError,
     EtaBoundReport,
     MimHyper,
+    current_eta,
     init_round_state,
     validate_eta_l,
 )
@@ -230,7 +231,7 @@ class RunRecord:
     round_wall_ms: list = field(default_factory=list)  # excluded from determinism guarantees
     status: str = "completed"
     diverged_round: Optional[int] = None
-    diverged_client: Optional[int] = None  # lowest client id that went non-finite
+    diverged_client: Optional[int] = None  # lowest client id that went non-finite (None: the server step)
     diverged_step: Optional[int] = None  # that client's first non-finite local step
     eta_bound: Optional[EtaBoundReport] = None
     max_residual_delta: Optional[float] = None
@@ -288,7 +289,7 @@ def run_training(config: RunConfig, problem: Optional[FederatedProblem] = None) 
     record = RunRecord(config=config, eta_bound=_eta_bound_report(config, problem))
     started = time.perf_counter()
     try:
-        # overflow is detected explicitly after every local step; keep numpy quiet
+        # overflow is detected explicitly after every local step and server step; keep numpy quiet
         with np.errstate(over="ignore", invalid="ignore"):
             _train_loop(config, problem, record)
     finally:
@@ -307,18 +308,16 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
         round_started = time.perf_counter()
         sampled = sample_clients(problem.num_clients, hyper.s_participate, config.master_seed, t)
         prev = state
+        eta = current_eta(hyper, t)
         try:
             state, art = round_fn(prev, problem, hyper, sampled, config.master_seed,
                                   collect_grads=config.verify, params=config.params)
         except DivergenceError as exc:
-            record.status = (f"diverged at round {t + 1} "
-                             f"(client {exc.client_id}, local step {exc.iteration})")
+            record.status = f"diverged at round {t + 1} ({exc.place})"
             record.diverged_round = t + 1
             record.diverged_client = exc.client_id
             record.diverged_step = exc.iteration
-            record.final_x = prev.x
-            record.final_loss = global_loss(problem, prev.x)
-            return
+            break  # state is still the last finite one
         if config.corrupt_delta != 0.0:
             history = (state.delta_history[0] + config.corrupt_delta,) + state.delta_history[1:]
             state = replace(state, delta_history=history)
@@ -327,9 +326,9 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
         if config.verify:
             res_delta = verify_delta_recursion(
                 state.delta_history[0], art.grad_sum, prev.delta_history,
-                hyper.alpha, art.eta_l, hyper.s_participate, hyper.k_local)
+                hyper.alpha, eta, hyper.s_participate, hyper.k_local)
             u_next = compute_u(state.x, state.delta_history, hyper.alpha, hyper.k_local)
-            res_u = verify_u_update(u, u_next, art.grad_sum, art.eta_l, hyper.s_participate)
+            res_u = verify_u_update(u, u_next, art.grad_sum, eta, hyper.s_participate)
             u = u_next
             max_residual_delta = max(max_residual_delta, res_delta)
             max_residual_u = max(max_residual_u, res_u)
@@ -351,12 +350,12 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
                 delta_norm_sq=l2_norm_sq(state.delta_history[0]),
                 residual_delta=res_delta,
                 residual_u=res_u,
-                eta_l=art.eta_l,
+                eta_l=eta,
             ))
 
     record.final_x = state.x
     record.final_loss = global_loss(problem, state.x)
-    if config.verify:
+    if config.verify and record.diverged_round is None:
         record.max_residual_delta = max_residual_delta
         record.max_residual_u = max_residual_u
 

@@ -57,19 +57,8 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
-def stack_rows(vs: Sequence[ParamVector]) -> np.ndarray:
-    """``vs`` as one (S, ...) array: an array as it is, a non-empty list of equally shaped vectors stacked."""
-    if isinstance(vs, np.ndarray):
-        return vs
-    first = np.shape(vs[0])
-    for v in vs[1:]:
-        if np.shape(v) != first:
-            raise ValueError(f"dimension mismatch: {np.shape(v)} vs {first}")
-    return np.stack(vs)
-
-
 def mean_vectors(vs: Sequence[ParamVector]) -> ParamVector:
-    """Arithmetic mean of the rows of an (S, d) array (or a list of S vectors), summed in row order.
+    """Arithmetic mean of the rows of an (S, d) array-like, summed in row order.
 
     Callers that need a canonical result (server aggregation) must pass the
     rows already sorted by client id; the summation order is then fixed and
@@ -88,7 +77,7 @@ def mean_vectors(vs: Sequence[ParamVector]) -> ParamVector:
     """
     if len(vs) == 0:
         raise ValueError("mean of empty vector list")
-    vs = stack_rows(vs)
+    vs = np.asarray(vs)
     if len(vs) == 1:
         return (vs[0] + 0.0) / 1
     acc = np.add.accumulate(vs, axis=0)

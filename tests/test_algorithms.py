@@ -243,7 +243,7 @@ class TestBatchedKernel:
             for name in ("c", "c_clients", "m", "v"):
                 if hasattr(a.algo_aux, name):
                     assert getattr(a.algo_aux, name).tobytes() == getattr(b.algo_aux, name).tobytes()
-            assert art_a.sampled == art_b.sampled == tuple(sorted(sampled))
+            assert art_a.local_finals.tobytes() == art_b.local_finals.tobytes()
             assert art_a.grad_sum.tobytes() == art_b.grad_sum.tobytes()
             states = [a, b]
 
@@ -267,9 +267,19 @@ class TestMimRound:
                          s_participate=3, lr_decay=1.0)
         state = init_round_state(np.zeros(4), 1)
         state, _ = mim_round(state, problem, hyper, [0, 1, 2], 5)
-        from fedsim.objectives import global_gradient
-        expected = -0.05 * global_gradient(problem, np.zeros(4))
+        expected = -0.05 * problem.population.evaluate(np.zeros((1, 4)))[1][0]
         assert np.allclose(state.x, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("algorithm", sorted(ROUND_FUNCTIONS))
+    def test_non_finite_server_step_raises(self, algorithm):
+        # one step takes each client to its finite centre 1e308; the sum inside their mean overflows
+        hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=1.0, k_local=1, s_participate=2)
+        with np.errstate(over="ignore", invalid="ignore"):  # building the problem overflows too
+            problem = quadratic_problem_from([np.eye(1)] * 2, [np.array([1e308])] * 2, 0.0)
+            with pytest.raises(DivergenceError) as err:
+                ROUND_FUNCTIONS[algorithm](init_round_state(np.zeros(1), 1), problem, hyper, [0, 1], 0)
+        assert (err.value.client_id, err.value.iteration) == (None, None)
+        assert str(err.value) == "non-finite parameters (server step)"
 
     def test_symmetric_fixed_point(self):
         problem = symmetric_pair()

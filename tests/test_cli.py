@@ -347,6 +347,18 @@ class TestCmdRun:
         assert payload["diverged_client"] in range(4)
         assert payload["diverged_step"] in range(10)
 
+    @pytest.mark.parametrize("rounds", [33, 40])
+    def test_server_step_divergence_exit_code(self, tmp_path, capsys, rounds):
+        # round 33's aggregate overflows, also when round 33 is the last
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(CONFIG_DIR / "participation_study.ini"), "--out", str(out),
+                     "-o", f"rounds={rounds}", "-o", "s_participate=2", "-o", "eta_l=50", "-o", "seed=2",
+                     "-o", "name=fedavg"]) == 2
+        assert "diverged at round 33 (server step)" in capsys.readouterr().err
+        payload = json.loads((out / "run.json").read_text())
+        fields = ("status", "diverged_round", "diverged_client", "diverged_step")
+        assert {key: payload[key] for key in fields} == dict(zip(fields, ("diverged", 33, None, None)))
+
     def test_config_error_exit_code(self, minimal_config, capsys):
         assert main(["run", "-c", minimal_config, "-o", "alpha=0.9,0.2"]) == 1
         assert "alpha weights must sum below 1" in capsys.readouterr().err

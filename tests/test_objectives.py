@@ -17,13 +17,17 @@ from fedsim.objectives import (
     PartitionError,
     dirichlet_partition,
     estimate_dissimilarity,
-    global_gradient,
     global_loss,
     ingest_csv,
     quadratic_problem_from,
 )
 from fedsim.simulator import BUILDERS, ConfigError, ProblemConfig, build_problem
 from fedsim.vectors import PURPOSE_BATCH, derive_rng, l2_norm_sq
+
+
+def population_gradient(prob, x):
+    """(1/N) sum_i grad f_i(x): the population oracle at the single point x."""
+    return prob.population.evaluate(x[None])[1][0]
 
 
 def data_rng(seed):
@@ -34,7 +38,7 @@ class TestQuadraticProblem:
     def test_single_client_at_own_optimum(self):
         prob = quadratic_problem_from([np.eye(3)], [np.zeros(3)])
         assert np.array_equal(prob.known_optimum, np.zeros(3))
-        assert l2_norm_sq(global_gradient(prob, np.zeros(3))) == 0.0
+        assert l2_norm_sq(population_gradient(prob, np.zeros(3))) == 0.0
 
     def test_symmetric_pair(self):
         prob = quadratic_problem_from([np.eye(1), np.eye(1)],
@@ -42,11 +46,11 @@ class TestQuadraticProblem:
         assert np.allclose(prob.known_optimum, [0.0])
         # f(0) = mean of 0.5*(0 -+ 1)^2 = 0.5
         assert global_loss(prob, np.zeros(1)) == pytest.approx(0.5)
-        assert global_gradient(prob, np.zeros(1)) == pytest.approx(0.0)
+        assert population_gradient(prob, np.zeros(1)) == pytest.approx(0.0)
 
     def test_generated_optimum_against_dense_solve(self):
         prob = build_problem(ProblemConfig(n_clients=5, dim=4, heterogeneity=2.0, sigma_l=0.0), 42)
-        assert l2_norm_sq(global_gradient(prob, prob.known_optimum)) <= 1e-18
+        assert l2_norm_sq(population_gradient(prob, prob.known_optimum)) <= 1e-18
         # independent oracle: explicit inverse instead of the solver
         pop = prob.population
         h_sum = np.sum(list(pop.hessians), axis=0)
@@ -77,7 +81,7 @@ class TestQuadraticProblem:
         for _ in range(1000):
             x = 3.0 * gen.standard_normal(5)
             gap = global_loss(prob, x) - f_star
-            assert 0.5 * l2_norm_sq(global_gradient(prob, x)) >= prob.pl_mu * gap * (1 - 1e-12)
+            assert 0.5 * l2_norm_sq(population_gradient(prob, x)) >= prob.pl_mu * gap * (1 - 1e-12)
 
     def test_noise_model(self):
         x = np.ones((1, 4))
@@ -354,7 +358,7 @@ class TestPopulationOracle:
         with mock.patch.object(objectives, "BLOCK_ROWS", block_rows):
             losses, grads = prob.population.evaluate(points)
             again = prob.population.evaluate(points)
-            single = (points[0], global_loss(prob, points[0]), global_gradient(prob, points[0]))
+            single = (points[0], global_loss(prob, points[0]), population_gradient(prob, points[0]))
         assert losses.shape == (n_points,) and grads.shape == points.shape
         assert losses.tobytes() == again[0].tobytes() and grads.tobytes() == again[1].tobytes()
         for x, loss, grad in [single, *zip(points, losses, grads)]:

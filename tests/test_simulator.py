@@ -1,5 +1,6 @@
 import pickle
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, init_round_state
-from fedsim.cli import metrics_csv_bytes
+from fedsim.cli import metrics_csv_bytes, parse_config
 from fedsim.objectives import quadratic_problem_from
 from fedsim.simulator import (
     BUILDERS,
@@ -23,6 +24,8 @@ from fedsim.simulator import (
 )
 from fedsim.vectors import PURPOSE_DATA, PURPOSE_SAMPLING, derive_rng
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def quad_config(**kw):
     defaults = dict(
@@ -34,6 +37,14 @@ def quad_config(**kw):
     )
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def participation_config(rounds, algorithm, s_participate, eta_l, seed):
+    """The participation-study quadratic (20 clients, K = 5) at a short length."""
+    overrides = {"rounds": rounds, "name": algorithm, "s_participate": s_participate, "eta_l": eta_l,
+                 "seed": seed}
+    return parse_config(str(ROOT / "configs" / "participation_study.ini"),
+                        [f"{key}={value}" for key, value in overrides.items()])
 
 
 def fisher_yates_reference(n_clients, s_participate, gen):
@@ -178,6 +189,25 @@ class TestRunTraining:
         record = run_training(cfg, problem)
         assert (record.diverged_round, record.diverged_client, record.diverged_step) == (1, 0, 10)
         assert record.status == "diverged at round 1 (client 0, local step 10)"
+
+    def test_server_step_divergence(self):
+        # every local model of round 33 is finite, but the sum inside their mean overflows
+        record = run_training(participation_config(40, "fedavg", 2, 50, 2))
+        assert record.status == "diverged at round 33 (server step)"
+        assert (record.diverged_round, record.diverged_client, record.diverged_step) == (33, None, None)
+        assert [row.round for row in record.rows] == list(range(1, 33))
+        assert np.isfinite(record.final_x).all()
+
+    @given(algorithm=st.sampled_from(sorted(ROUND_FUNCTIONS)), s_participate=st.integers(1, 20),
+           eta_l=st.floats(5.0, 200.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_divergence_report_is_consistent(self, algorithm, s_participate, eta_l, seed):
+        record = run_training(participation_config(60, algorithm, s_participate, eta_l, seed))
+        assert np.isfinite(record.final_x).all()
+        if record.diverged_round is None:
+            return
+        assert all(row.round < record.diverged_round for row in record.rows)
+        assert record.diverged_step is None or 0 <= record.diverged_step < record.config.hyper.k_local
 
     def test_corrupt_delta_breaks_residual(self):
         record = run_training(quad_config(verify=True, corrupt_delta=1e-6))
