@@ -25,7 +25,6 @@ from .analysis import (
     MetricRow,
     compute_u,
     finite_difference_check,
-    fit_geometric_rate,
     local_consistency,
     verify_delta_recursion,
     verify_u_update,
@@ -33,7 +32,6 @@ from .analysis import (
 from .objectives import (
     FederatedProblem,
     dirichlet_partition,
-    estimate_dissimilarity,
     ingest_csv,
     logreg_problem,
     mlp_problem,

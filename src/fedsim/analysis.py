@@ -93,25 +93,6 @@ def verify_delta_recursion(delta_next: ParamVector, grad_sum: ParamVector,
     return max_abs(delta_next - predicted)
 
 
-def fit_geometric_rate(series: Sequence[tuple]) -> float:
-    """Per-round contraction factor from a log-linear least-squares fit.
-
-    ``series`` is (round, value) pairs with positive values; the caller is
-    expected to clip at some floor (e.g. 1e-16) and drop floored points.  The
-    first 10% of the points are excluded as transient before the increment
-    buffer fills.
-    """
-    if len(series) < 10:
-        raise ValueError("need at least 10 points to fit a rate")
-    rounds = np.array([t for t, _ in series], dtype=np.float64)
-    values = np.array([v for _, v in series], dtype=np.float64)
-    if np.any(values <= 0):
-        raise ValueError("rate fit requires positive values")
-    skip = len(series) // 10
-    slope = np.polyfit(rounds[skip:], np.log(values[skip:]), 1)[0]
-    return float(np.exp(slope))
-
-
 def finite_difference_check(obj, x: ParamVector, h: float) -> float:
     """Max relative error of ``obj.full_gradient`` against central differences of ``obj.loss``."""
     if h <= 0:

@@ -114,26 +114,6 @@ def write_metrics_csv(rows: Sequence[MetricRow], path: Path) -> None:
     path.write_bytes(metrics_csv_bytes(rows))
 
 
-def read_metrics_csv(path: Path) -> list:
-    """Parse an emitted metrics file back into MetricRow values (lossless)."""
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    if lines[0] != ",".join(METRIC_COLUMNS):
-        raise ConfigError(f"unexpected metrics header in {path}")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        kwargs = {}
-        for col, cell in zip(METRIC_COLUMNS, cells):
-            if cell == "":
-                kwargs[col] = None
-            elif col == "round":
-                kwargs[col] = int(cell)
-            else:
-                kwargs[col] = float(cell)
-        rows.append(MetricRow(**kwargs))
-    return rows
-
-
 def _json_float(value):
     if value is None or not math.isfinite(value):
         return None

@@ -194,7 +194,10 @@ class QuadraticPopulation:
         r = points[:, None, :] - self.centers
         hr = _hessian_products(self.hessians, r)
         n = len(self.centers)
-        return 0.5 * np.sum(r * hr, axis=(1, 2)) / n, hr.sum(axis=1) / n
+        losses = 0.5 * np.sum(r * hr, axis=(1, 2)) / n
+        # the form is positive definite: terms that overflow to +inf and -inf at a finite point sum to +inf
+        losses[np.isnan(losses) & np.isfinite(points).all(axis=1)] = np.inf
+        return losses, hr.sum(axis=1) / n
 
 
 class _SampledPopulation:
@@ -599,43 +602,3 @@ def csv_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProble
     if len(np.unique(labels)) != 2:
         raise CsvFormatError("logistic objective needs exactly 2 label classes")
     return _logistic_problem(features, labels, cfg, gen)
-
-
-def estimate_dissimilarity(problem: FederatedProblem, probe_points: Sequence[ParamVector]):
-    """Fit the smallest (G, B) with mean_i ||grad_i||^2 <= G^2 + B^2 ||grad f||^2.
-
-    Fits the upper envelope of the probe scatter: among all lines
-    G^2 + B^2 * a lying on or above every probe (nonnegative coefficients),
-    the one with least total slack.  That optimum touches two points of the
-    upper convex hull, so it is found exactly by pair enumeration.
-    Diagnostic only: finite probes cannot certify the bound globally.
-    """
-    if len(probe_points) < 2:
-        raise ValueError("need at least 2 probe points")
-    a = np.empty(len(probe_points))
-    y = np.empty(len(probe_points))
-    for p, x in enumerate(probe_points):
-        grads = [problem.population.client_evaluate(cid, x)[1] for cid in range(problem.num_clients)]
-        mean_grad = np.mean(grads, axis=0)
-        a[p] = float(mean_grad @ mean_grad)
-        y[p] = float(np.mean([g @ g for g in grads]))
-
-    def slack(g_sq: float, b_sq: float) -> float:
-        return float(np.sum(g_sq + b_sq * a - y))
-
-    # flat envelope through the highest point is always feasible
-    best = (float(np.max(y)), 0.0)
-    best_slack = slack(*best)
-    for p in range(len(a)):
-        for q in range(p + 1, len(a)):
-            da = a[p] - a[q]
-            if abs(da) < 1e-30:
-                continue
-            b_sq = (y[p] - y[q]) / da
-            if b_sq <= 0:
-                continue
-            g_sq = max(0.0, float(np.max(y - b_sq * a)))
-            cand = slack(g_sq, b_sq)
-            if cand < best_slack - 1e-15 * (1.0 + abs(best_slack)):
-                best, best_slack = (g_sq, b_sq), cand
-    return float(np.sqrt(best[0])), float(np.sqrt(best[1]))

@@ -20,7 +20,7 @@ from fedsim.algorithms import (
     mim_round,
     validate_eta_l,
 )
-from fedsim.analysis import finite_difference_check, fit_geometric_rate
+from fedsim.analysis import finite_difference_check
 from fedsim.cli import main
 from fedsim.objectives import ClientObjective, global_loss
 from fedsim.simulator import (
@@ -110,6 +110,25 @@ def test_criterion_04_gradient_oracles():
         x = 0.2 * gen.standard_normal(mlp.dim)
         ok &= finite_difference_check(ClientObjective(mlp.population, cid), x, 1e-5) <= 1e-4
     verdict(4, "gradient oracles unbiased and finite-difference sound", ok)
+
+
+def fit_geometric_rate(series) -> float:
+    """Per-round contraction factor from a log-linear least-squares fit.
+
+    ``series`` is (round, value) pairs with positive values; the caller is
+    expected to clip at some floor (e.g. 1e-16) and drop floored points.  The
+    first 10% of the points are excluded as transient before the increment
+    buffer fills.
+    """
+    if len(series) < 10:
+        raise ValueError("need at least 10 points to fit a rate")
+    rounds = np.array([t for t, _ in series], dtype=np.float64)
+    values = np.array([v for _, v in series], dtype=np.float64)
+    if np.any(values <= 0):
+        raise ValueError("rate fit requires positive values")
+    skip = len(series) // 10
+    slope = np.polyfit(rounds[skip:], np.log(values[skip:]), 1)[0]
+    return float(np.exp(slope))
 
 
 def test_criterion_05_pl_convergence():

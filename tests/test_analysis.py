@@ -9,11 +9,11 @@ from client_reference import LogisticClient, MlpClient, QuadraticClient
 from fedsim.analysis import (
     compute_u,
     finite_difference_check,
-    fit_geometric_rate,
     local_consistency,
     verify_delta_recursion,
     verify_u_update,
 )
+from test_acceptance import fit_geometric_rate
 
 small_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -138,6 +138,7 @@ class TestIdentityResiduals:
 
 
 class TestGeometricRateFit:
+    # the fit is a helper of acceptance criterion 05 and lives next to it
     def test_exact_geometric_series(self):
         series = [(t, 2.0**-t) for t in range(40)]
         assert fit_geometric_rate(series) == pytest.approx(0.5, abs=1e-9)

@@ -16,7 +16,6 @@ from fedsim.objectives import (
     EpochSampler,
     PartitionError,
     dirichlet_partition,
-    estimate_dissimilarity,
     global_loss,
     ingest_csv,
     quadratic_problem_from,
@@ -439,36 +438,3 @@ class TestCsvIngestion:
         got_labels, got_feats = ingest_csv(str(path), "label")
         assert np.array_equal(got_labels, labels)
         assert np.abs(got_feats - feats).max() <= 1e-12
-
-
-class TestDissimilarityEstimate:
-    def test_single_client(self):
-        prob = quadratic_problem_from([np.eye(3)], [np.ones(3)])
-        g_hat, b_hat = estimate_dissimilarity(prob, [np.zeros(3), 2 * np.ones(3), -np.ones(3)])
-        assert g_hat == pytest.approx(0.0, abs=1e-9)
-        assert b_hat == pytest.approx(1.0, rel=1e-9)
-
-    def test_symmetric_pair_forces_intercept(self):
-        prob = quadratic_problem_from([np.eye(1), np.eye(1)],
-                                      [np.array([-1.0]), np.array([1.0])])
-        g_hat, _ = estimate_dissimilarity(prob, [np.zeros(1), np.zeros(1)])
-        assert g_hat >= 1.0 - 1e-12
-
-    def test_fitted_bound_holds_at_held_out_points(self):
-        prob = build_problem(ProblemConfig(n_clients=6, dim=5, heterogeneity=1.5, sigma_l=0.0), 42)
-        gen = derive_rng(42, 1, 0, 2).generator
-        x_star = prob.known_optimum
-        probes = [x_star + r * gen.standard_normal(5)
-                  for r in (0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0)]
-        g_hat, b_hat = estimate_dissimilarity(prob, probes)
-        for _ in range(100):
-            x = x_star + gen.uniform(0.0, 2.0) * gen.standard_normal(5)
-            grads = [c.full_gradient(x) for c in clients_of(prob)]
-            mean_sq = float(np.mean([g @ g for g in grads]))
-            global_sq = l2_norm_sq(np.mean(grads, axis=0))
-            assert mean_sq <= g_hat**2 + b_hat**2 * global_sq + 1e-9
-
-    def test_requires_two_probes(self):
-        prob = quadratic_problem_from([np.eye(2)], [np.zeros(2)])
-        with pytest.raises(ValueError):
-            estimate_dissimilarity(prob, [np.zeros(2)])

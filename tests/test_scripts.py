@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts in scripts/, with tiny settings."""
 
+import csv
 import re
 import runpy
 import sys
@@ -9,7 +10,7 @@ from unittest import mock
 import pytest
 
 from fedsim import simulator
-from fedsim.cli import METRIC_COLUMNS, main, read_metrics_csv
+from fedsim.cli import METRIC_COLUMNS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SMALL = ["-o", "n_clients=4", "-o", "dim=3", "-o", "k_local=2"]
@@ -74,9 +75,10 @@ def test_participation_study_row_matches_cli_run(tmp_path, monkeypatch, capsys):
     run_dir = tmp_path / "run"
     assert main(["run", "-c", str(ROOT / "configs" / "participation_study.ini"), *overrides,
                  "-o", "s_participate=2", "--seed", "1", "--out", str(run_dir)]) == 0
-    rows = read_metrics_csv(run_dir / "metrics.csv")
-    threshold = rows[len(rows) // 2].grad_norm_sq
-    expected = next(row.round for row in rows if row.grad_norm_sq <= threshold)
+    with open(run_dir / "metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = [(int(row["round"]), float(row["grad_norm_sq"])) for row in csv.DictReader(fh)]
+    threshold = rows[len(rows) // 2][1]
+    expected = next(t for t, grad_norm_sq in rows if grad_norm_sq <= threshold)
     capsys.readouterr()
     run_script(monkeypatch, "participation_study.py", *overrides, "--participate", "2", "--seeds", "1",
                "--threshold", repr(threshold))

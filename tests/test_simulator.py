@@ -1,3 +1,4 @@
+import math
 import pickle
 from dataclasses import replace
 from pathlib import Path
@@ -197,6 +198,8 @@ class TestRunTraining:
         assert (record.diverged_round, record.diverged_client, record.diverged_step) == (33, None, None)
         assert [row.round for row in record.rows] == list(range(1, 33))
         assert np.isfinite(record.final_x).all()
+        # the quadratic's terms overflow to +inf and -inf; the loss of a positive-definite form is +inf
+        assert [row.loss for row in record.rows[16:32]] == [math.inf] * 16
 
     @given(algorithm=st.sampled_from(sorted(ROUND_FUNCTIONS)), s_participate=st.integers(1, 20),
            eta_l=st.floats(5.0, 200.0), seed=st.integers(0, 2**16))
@@ -204,6 +207,7 @@ class TestRunTraining:
     def test_divergence_report_is_consistent(self, algorithm, s_participate, eta_l, seed):
         record = run_training(participation_config(60, algorithm, s_participate, eta_l, seed))
         assert np.isfinite(record.final_x).all()
+        assert not math.isnan(record.final_loss)
         if record.diverged_round is None:
             return
         assert all(row.round < record.diverged_round for row in record.rows)
