@@ -17,9 +17,9 @@ past increments:
 Every rule runs its local steps through one batched kernel,
 :func:`mim_local_update`: the S sampled clients share the broadcast model
 and both shifts, so they are held as one (S, d) array and each local step
-is one call of the problem's population oracle on the whole array.  The
-kernel reads the start, the history and eta_l off the :class:`RoundState`,
-and the population draws the round's minibatches or gradient noise.  The
+is one call of the problem's oracle on the whole array.  The kernel
+reads the start, the history and eta_l off the :class:`RoundState`, and
+the problem draws the round's minibatches or gradient noise.  The
 rules differ only in the kernel's parameters and the server step:
 
 * the averaging baseline sets every weight to zero (plain local SGD);
@@ -189,7 +189,7 @@ def mim_local_update(
 
     Row s of the (S, d) iterate is client ``ids[s]``; ``ids`` are sorted and
     distinct; every row starts at ``state.x``, with eta_l
-    ``current_eta(hyper, state.round)``.  The population draws the round's
+    ``current_eta(hyper, state.round)``.  The problem draws the round's
     randomness up front, under the master ``seed``.  The increment
     history is fixed for the whole round, so both momentum shifts are
     computed once.  ``correction`` is a constant (S, d) offset added to the
@@ -204,15 +204,14 @@ def mim_local_update(
     step = hyper.A * current_eta(hyper, state.round)
     shift_alpha = weighted_sum(hyper.alpha, state.delta_history)
     shift_beta = weighted_sum(hyper.beta, state.delta_history)
-    population = problem.population
-    draws = population.draw_round(seed, state.round, ids, hyper.k_local)
+    draws = problem.draw_round(seed, state.round, ids, hyper.k_local)
     x = np.repeat(state.x[None, :], len(ids), axis=0)
     grad_sum = np.zeros_like(x) if collect_grad_sum else None
     first_bad = np.full(len(ids), -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught explicitly
         for k in range(hyper.k_local):
             y2 = x if shift_beta is None else x - shift_beta
-            g = population.client_gradients(y2, draws, k)
+            g = problem.client_gradients(y2, draws, k)
             if grad_sum is not None:
                 grad_sum += g
             if correction is not None:

@@ -40,14 +40,6 @@ from .vectors import PURPOSE_DATA, derive_rng
 METRIC_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRow))
 
 VERIFY_TOLERANCE = 1e-9
-# kind -> (fd step, max relative error).  A central difference is exact on a quadratic at any
-# step; h = 1 keeps its round-off, eps * |f| / h, off coordinates whose gradient is near 0.
-GRADCHECK_SETTINGS = {
-    "quadratic": (1.0, 1e-6),
-    "logreg": (1e-6, 1e-5),
-    "csv": (1e-6, 1e-5),
-    "mlp": (1e-5, 1e-4),
-}
 
 _SECTIONS = {setting.section for setting in SETTINGS.values()}
 
@@ -148,14 +140,6 @@ def write_run_json(record: RunRecord, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _emit_run(record: RunRecord, out_dir: str) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(record.rows, out / "metrics.csv")
-    write_run_json(record, out / "run.json")
-    return out
-
-
 def exit_code(records: Sequence[RunRecord], labels: Sequence[str] = ()) -> int:
     """2 if any run diverged, else 3 if a run with ``verify`` on has a residual above
     ``VERIFY_TOLERANCE``, else 0.  Prints each diverged run's status to stderr and each
@@ -176,8 +160,13 @@ def exit_code(records: Sequence[RunRecord], labels: Sequence[str] = ()) -> int:
 
 
 def cmd_run(config: RunConfig) -> int:
-    record = run_training(config)
-    out = _emit_run(record, config.out_dir)
+    """Build the problem, make ``out_dir``, then train: a bad config or directory fails before training."""
+    problem = build_problem(config.problem, config.master_seed)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    record = run_training(config, problem)
+    write_metrics_csv(record.rows, out / "metrics.csv")
+    write_run_json(record, out / "run.json")
     print(f"{record.status}: {len(record.rows)} metric rows -> {out / 'metrics.csv'}")
     if record.final_loss is not None:
         print(f"final loss {record.final_loss:.6g}")
@@ -212,12 +201,12 @@ def cmd_sweep(config: RunConfig, axis: str, raw_values: Sequence[str]) -> int:
 
 def cmd_gradcheck(config: RunConfig) -> int:
     problem = build_problem(config.problem, config.master_seed)
-    h, tolerance = GRADCHECK_SETTINGS[config.problem.kind]
+    h, tolerance = problem.fd_step, problem.fd_tolerance
     gen = derive_rng(config.master_seed, 1, 0, PURPOSE_DATA).generator
     worst = 0.0
     for cid in range(problem.num_clients):
         x = 0.1 * gen.standard_normal(problem.dim)
-        err = finite_difference_check(ClientObjective(problem.population, cid), x, h)
+        err = finite_difference_check(ClientObjective(problem, cid), x, h)
         worst = max(worst, err)
         print(f"client {cid}: max relative gradient error {err:.3e}")
     print(f"worst {worst:.3e} (tolerance {tolerance:g}, h {h:g})")

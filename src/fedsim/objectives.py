@@ -1,4 +1,4 @@
-"""Federated problem construction: one population oracle per problem kind.
+"""Federated problem construction: one problem object per problem kind.
 
 Three synthetic problem families with progressively weaker structure:
 
@@ -14,12 +14,12 @@ stream.  Training randomness is drawn per round from the master seed (see
 ``draw_round`` below); objectives are immutable after construction and never
 store generator state.
 
-Each problem builder lays its data out once, stacked in client-id order:
-the (N, d, d) Hessians and (N, d) centres of a quadratic, or every client's
-feature rows and labels/targets for the sample-based kinds, with a per-sample
-weight 1/(N n_i) and each client's ``(start, stop)`` row range.  The
-population class of that kind holds the stack and is the only copy of its
-arithmetic.  ``evaluate(points)`` computes the full-batch losses and
+A problem is one object of its kind's population class, a subclass of
+:class:`FederatedProblem`: it holds the data stacked in client-id order and
+is the only copy of its arithmetic.  A quadratic stacks (N, d, d) Hessians and
+(N, d) centres; the sample-based kinds stack a partition's feature rows and
+``values`` (labels or targets), with a per-sample weight 1/(N n_i) and each
+client's ``(start, stop)`` row range.  ``evaluate(points)`` computes the full-batch losses and
 gradients at a (P, d) stack of points in one pass over fixed-size row blocks
 (the simulator evaluates x and the shifted iterate u of a metric row in one
 call); ``global_loss`` is its single-point wrapper.
@@ -136,7 +136,27 @@ def _hessian_products(hessians: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.matmul(hessians, r[..., None])[..., 0]
 
 
-class QuadraticPopulation:
+class FederatedProblem:
+    """N clients' objectives, plus whatever closed-form constants the builder knows.
+
+    Row p of ``evaluate(points)`` holds the full-batch loss and gradient at
+    ``points[p]``, the mean of the clients' ``client_evaluate`` up to
+    summation order.  ``draw_round`` / ``client_gradients`` give the
+    training gradients of a round's sampled clients.  ``fedsim gradcheck``
+    uses step ``fd_step`` and fails above ``fd_tolerance``.
+    """
+
+    num_clients: int
+    dim: int
+    fd_step: float
+    fd_tolerance: float
+    known_optimum: Optional[ParamVector] = None
+    smoothness_L: Optional[float] = None
+    pl_mu: Optional[float] = None
+    partition: Optional[PartitionResult] = None
+
+
+class QuadraticPopulation(FederatedProblem):
     """f(x) = (1/N) sum_i 0.5 (x - b_i)^T H_i (x - b_i) over the stacked clients.
 
     The metric temporaries are (P, N, d) for P points, so the (N, d, d)
@@ -146,10 +166,16 @@ class QuadraticPopulation:
     makes stochastic and full gradients identical.
     """
 
+    # A central difference is exact on a quadratic at any step; h = 1 keeps its round-off,
+    # eps * |f| / h, off coordinates whose gradient is near 0.
+    fd_step = 1.0
+    fd_tolerance = 1e-6
+
     def __init__(self, hessians: np.ndarray, centers: np.ndarray, noise_sigma: float = 0.0):
         self.hessians = hessians
         self.centers = centers
         self.noise_sigma = float(noise_sigma)
+        self.num_clients, self.dim = centers.shape
 
     def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
         """The sampled clients' Hessians, centres and K scaled noise vectors.
@@ -200,11 +226,23 @@ class QuadraticPopulation:
         return losses, hr.sum(axis=1) / n
 
 
-class _SampledPopulation:
+class _SampledPopulation(FederatedProblem):
     """Training draws and per-client oracles of the sample-based kinds, on rows of the stack."""
 
-    spans: Sequence[tuple]  # client i's (start, stop) row range in the stack
-    batch: int  # minibatch size, ProblemConfig.batch_size; 0 or >= n_i is client i's full batch
+    fd_step = 1e-3  # the fourth-order difference's truncation, O(h^4), and round-off, O(eps / h), meet near here
+
+    def __init__(self, features: np.ndarray, values: np.ndarray, partition: PartitionResult, batch: int):
+        """Stack ``partition``'s samples in client-id order, with weights 1/(N n_i) and row ``spans``."""
+        sizes = np.array([len(idx) for idx in partition.client_indices])
+        bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+        self.weights = np.repeat(1.0 / (len(sizes) * sizes), sizes)
+        order = np.concatenate(partition.client_indices)
+        self.features = features[order]
+        self.values = values[order]
+        self.spans = list(zip(bounds[:-1], bounds[1:]))  # client i's (start, stop) rows, Python ints
+        self.batch = batch  # ProblemConfig.batch_size; 0 or >= n_i is client i's full batch
+        self.partition = partition
+        self.num_clients = len(sizes)
 
     def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
         """Each sampled client's K minibatches: a (K, B_i) array of stack rows, drawn on its own stream."""
@@ -224,28 +262,30 @@ class _SampledPopulation:
 
 
 class LogisticPopulation(_SampledPopulation):
-    """f(x) = sum_s w_s [log(1 + e^{z_s}) - y_s z_s] + 0.5 lam ||x||^2, w_s = 1/(N n_i)."""
+    """f(x) = sum_s w_s [log(1 + e^{z_s}) - y_s z_s] + 0.5 lam ||x||^2, w_s = 1/(N n_i), labels y the ``values``."""
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, weights: np.ndarray, weight_decay: float,
-                 batch: int, spans: Sequence[tuple]):
-        self.features = features
-        self.labels = labels
-        self.weights = weights
+    fd_tolerance = 1e-5
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray, partition: PartitionResult, batch: int,
+                 weight_decay: float):
+        """The smoothness constant is the analytic bound max_i [ lambda_max(X_i^T X_i) / (4 n_i) + weight_decay ]."""
+        super().__init__(features, labels.astype(np.float64), partition, batch)
         self.weight_decay = float(weight_decay)
-        self.batch = batch
-        self.spans = spans
+        self.dim = features.shape[1]
+        self.smoothness_L = max(0.25 * float(np.linalg.eigvalsh(self.features[a:b].T @ self.features[a:b])[-1])
+                                / (b - a) + self.weight_decay for a, b in self.spans)
 
     def _rows_loss(self, x: ParamVector, rows: np.ndarray) -> float:
         """mean over ``rows`` of log(1 + e^z) - y z, z = X_rows x, plus 0.5 lam ||x||^2."""
         z = self.features[rows] @ x
-        data = float(np.mean(np.logaddexp(0.0, z) - self.labels[rows] * z))
+        data = float(np.mean(np.logaddexp(0.0, z) - self.values[rows] * z))
         return data + 0.5 * self.weight_decay * float(x @ x)
 
     def _rows_gradient(self, x: ParamVector, rows: np.ndarray) -> ParamVector:
         """Gradient of the loss over the stack ``rows`` at ``x``."""
         xb = self.features[rows]
         z = xb @ x
-        r = _sigmoid(z) - self.labels[rows]
+        r = _sigmoid(z) - self.values[rows]
         return xb.T @ r / len(rows) + self.weight_decay * x
 
     def evaluate(self, points: np.ndarray):
@@ -260,7 +300,7 @@ class LogisticPopulation(_SampledPopulation):
         grads = np.zeros_like(points)
         for rows in _row_blocks(len(self.weights)):
             xb = self.features[rows]
-            labels = self.labels[rows]
+            labels = self.values[rows]
             z = np.matmul(points[:, None, :], xb.T)[:, 0]
             losses += row_dots(np.logaddexp(0.0, z) - labels * z, self.weights[rows])
             residuals = self.weights[rows] * (_sigmoid(z) - labels)
@@ -273,18 +313,18 @@ class MlpPopulation(_SampledPopulation):
     """f(x) = sum_s w_s 0.5 (net(x_s) - t_s)^2, w_s = 1/(N n_i), with hand-coded backprop.
 
     The network is two-layer tanh, parameters packed flat as [W1 (h,d),
-    b1 (h), W2 (o,h), b2 (o)] (see ``unpack_mlp``).  ``evaluate`` handles
-    scalar output only (widths (d, h, 1)), as ``mlp_problem`` builds it.
+    b1 (h), W2 (o,h), b2 (o)] (see ``unpack_mlp``), targets t the ``values``.
+    ``evaluate`` handles scalar output only (widths (d, h, 1)), as ``mlp_problem`` builds it.
     """
 
-    def __init__(self, features: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                 widths: tuple[int, int, int], batch: int, spans: Sequence[tuple]):
-        self.features = features
-        self.targets = targets
-        self.weights = weights
-        self.widths = widths
-        self.batch = batch
-        self.spans = spans
+    fd_tolerance = 1e-4
+
+    def __init__(self, features: np.ndarray, targets: np.ndarray, partition: PartitionResult, batch: int,
+                 hidden: int):
+        super().__init__(features, targets, partition, batch)
+        self.widths = (features.shape[1], hidden, targets.shape[1])
+        d, h, o = self.widths
+        self.dim = h * d + h + o * h + o  # W1 (h, d), b1 (h), W2 (o, h), b2 (o)
 
     def _forward(self, x: ParamVector, rows: np.ndarray):
         w1, b1, w2, b2 = unpack_mlp(x, self.widths)
@@ -296,13 +336,13 @@ class MlpPopulation(_SampledPopulation):
     def _rows_loss(self, x: ParamVector, rows: np.ndarray) -> float:
         """0.5 mean over ``rows`` of the squared residual."""
         _, _, out, _ = self._forward(x, rows)
-        r = out - self.targets[rows]
+        r = out - self.values[rows]
         return 0.5 * float(np.mean(np.sum(r * r, axis=1)))
 
     def _rows_gradient(self, x: ParamVector, rows: np.ndarray) -> ParamVector:
         """Gradient of the loss over the stack ``rows`` at ``x``, by backprop."""
         xb, a1, out, w2 = self._forward(x, rows)
-        r = (out - self.targets[rows]) / len(rows)
+        r = (out - self.values[rows]) / len(rows)
         g_w2 = r.T @ a1
         g_b2 = r.sum(axis=0)
         dz1 = (r @ w2) * (1.0 - a1 * a1)
@@ -322,7 +362,7 @@ class MlpPopulation(_SampledPopulation):
         w1 = w1.reshape(n_points * hidden, d_in)
         b1 = b1.reshape(n_points * hidden, 1)
         w2_col = w2.reshape(n_points, hidden, 1)
-        targets = self.targets[:, 0]
+        targets = self.values[:, 0]
         losses = np.zeros(n_points)
         grads = np.zeros_like(points)
         g_w1, g_b1, g_w2, g_b2 = unpack_mlp(grads, self.widths)
@@ -343,55 +383,21 @@ class MlpPopulation(_SampledPopulation):
 
 @dataclass(frozen=True)
 class ClientObjective:
-    """Client ``cid``'s full-batch loss and gradient, read off its population's ``client_evaluate``."""
+    """Client ``cid``'s full-batch loss and gradient, read off its problem's ``client_evaluate``."""
 
-    population: QuadraticPopulation | LogisticPopulation | MlpPopulation
+    problem: FederatedProblem
     cid: int
 
     def loss(self, x: ParamVector) -> float:
-        return self.population.client_evaluate(self.cid, x)[0]
+        return self.problem.client_evaluate(self.cid, x)[0]
 
     def full_gradient(self, x: ParamVector) -> ParamVector:
-        return self.population.client_evaluate(self.cid, x)[1]
-
-
-@dataclass
-class FederatedProblem:
-    """N clients' objectives, held by one population oracle, plus whatever closed-form constants are known.
-
-    ``population`` holds the clients' data stacked in client-id order and
-    is the only copy of the objective's arithmetic.  Row p of
-    ``evaluate(points)`` holds the full-batch loss and gradient at
-    ``points[p]``, the mean of the clients' ``client_evaluate`` up to
-    summation order.  ``draw_round`` / ``client_gradients`` give the
-    training gradients of a round's sampled clients.
-    """
-
-    num_clients: int
-    dim: int
-    population: QuadraticPopulation | LogisticPopulation | MlpPopulation
-    known_optimum: Optional[ParamVector] = None
-    smoothness_L: Optional[float] = None
-    pl_mu: Optional[float] = None
-    partition: Optional[PartitionResult] = None
+        return self.problem.client_evaluate(self.cid, x)[1]
 
 
 def global_loss(problem: FederatedProblem, x: ParamVector) -> float:
-    """f(x) = (1/N) sum_i f_i(x), full batch: the population oracle at the single point x."""
-    return float(problem.population.evaluate(x[None])[0][0])
-
-
-def _stack_by_client(features: np.ndarray, values: np.ndarray, client_indices: Sequence[np.ndarray]):
-    """Samples regrouped in client-id order.
-
-    Returns the stacked features and values, the per-sample weights
-    1/(N n_i), and each client's ``(start, stop)`` row range as Python ints.
-    """
-    sizes = np.array([len(idx) for idx in client_indices])
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    weights = np.repeat(1.0 / (len(sizes) * sizes), sizes)
-    order = np.concatenate(client_indices)
-    return features[order], values[order], weights, list(zip(bounds[:-1], bounds[1:]))
+    """f(x) = (1/N) sum_i f_i(x), full batch: the problem's ``evaluate`` at the single point x."""
+    return float(problem.evaluate(x[None])[0][0])
 
 
 def _largest_remainder_counts(quotas: np.ndarray, total: int) -> np.ndarray:
@@ -466,14 +472,13 @@ def quadratic_problem_from(
     definite = eigs[:, 0] > 0
     if not definite.all():
         raise ValueError(f"the Hessian of client {int(np.argmin(definite))} is not positive definite")
-    dim = centers.shape[1]
     h_sum = hessians.sum(axis=0)
     rhs = _hessian_products(hessians, centers).sum(axis=0)
-    x_star = np.linalg.solve(h_sum, rhs)
-    smooth = float(eigs[:, -1].max())
-    mu = float(np.linalg.eigvalsh(h_sum / len(centers))[0])
-    return FederatedProblem(len(centers), dim, QuadraticPopulation(hessians, centers, sigma_l),
-                            known_optimum=x_star, smoothness_L=smooth, pl_mu=mu)
+    problem = QuadraticPopulation(hessians, centers, sigma_l)
+    problem.known_optimum = np.linalg.solve(h_sum, rhs)
+    problem.smoothness_L = float(eigs[:, -1].max())
+    problem.pl_mu = float(np.linalg.eigvalsh(h_sum / len(centers))[0])
+    return problem
 
 
 def quadratic_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
@@ -503,37 +508,18 @@ def _two_blob_dataset(cfg: ProblemConfig, gen: np.random.Generator):
     return features, labels
 
 
-def _logistic_problem(features: np.ndarray, labels: np.ndarray, cfg: ProblemConfig,
-                      gen: np.random.Generator) -> FederatedProblem:
-    """Logistic regression on ``features``/``labels``, split across the clients as ``cfg`` says.
-
-    The smoothness constant is the analytic bound
-    max_i [ lambda_max(X_i^T X_i) / (4 n_i) + weight_decay ].
-    """
-    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, gen)
-    feats, labs, weights, spans = _stack_by_client(features, labels.astype(np.float64), part.client_indices)
-    population = LogisticPopulation(feats, labs, weights, cfg.weight_decay, cfg.batch_size, spans)
-    smooth = max(0.25 * float(np.linalg.eigvalsh(feats[a:b].T @ feats[a:b])[-1]) / (b - a)
-                 + population.weight_decay for a, b in spans)
-    return FederatedProblem(len(spans), features.shape[1], population, smoothness_L=smooth, partition=part)
-
-
 def logreg_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
     """Synthetic two-blob logistic regression."""
     features, labels = _two_blob_dataset(cfg, gen)
-    return _logistic_problem(features, labels, cfg, gen)
+    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, gen)
+    return LogisticPopulation(features, labels, part, cfg.batch_size, cfg.weight_decay)
 
 
 def mlp_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
     """Two-layer tanh regression onto {0,1} blob labels, widths (dim, mlp_hidden, 1); no known constants."""
-    widths = (cfg.dim, cfg.mlp_hidden, 1)
     features, labels = _two_blob_dataset(cfg, gen)
     part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, gen)
-    targets = labels.astype(np.float64)[:, None]
-    feats, targs, weights, spans = _stack_by_client(features, targets, part.client_indices)
-    population = MlpPopulation(feats, targs, weights, widths, cfg.batch_size, spans)
-    dim = cfg.mlp_hidden * (cfg.dim + 2) + 1  # W1 (h, d), b1 (h), W2 (1, h), b2 (1)
-    return FederatedProblem(len(spans), dim, population, partition=part)
+    return MlpPopulation(features, labels.astype(np.float64)[:, None], part, cfg.batch_size, cfg.mlp_hidden)
 
 
 def ingest_csv(path: str, label_column: str):
@@ -601,4 +587,5 @@ def csv_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProble
     labels, features = ingest_csv(cfg.csv_path, cfg.label_column)
     if len(np.unique(labels)) != 2:
         raise CsvFormatError("logistic objective needs exactly 2 label classes")
-    return _logistic_problem(features, labels, cfg, gen)
+    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, gen)
+    return LogisticPopulation(features, labels, part, cfg.batch_size, cfg.weight_decay)

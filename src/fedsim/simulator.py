@@ -6,7 +6,7 @@ rule's batched kernel, and every reduction runs in ascending client-id
 order, so the recorded trajectory is byte-identical across reruns.
 Full-batch measurement oracles (loss, gradient norms, consistency) run
 outside the training path and never perturb the trajectory.  Each metric row
-makes one call of the problem's population oracle, ``evaluate``, on x (and,
+makes one call of the problem's oracle, ``evaluate``, on x (and,
 for ``fedmim``, on the shifted iterate u too): one blocked pass over the
 stacked data of all clients gives f(x), grad f(x) and grad f(u) together.
 
@@ -340,7 +340,7 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
             if config.algorithm == "fedmim":
                 points.append(u if config.verify else compute_u(
                     state.x, state.delta_history, hyper.alpha, hyper.k_local))
-            losses, grads = problem.population.evaluate(np.stack(points))
+            losses, grads = problem.evaluate(np.stack(points))
             record.rows.append(MetricRow(
                 round=t + 1,
                 loss=float(losses[0]),

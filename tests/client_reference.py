@@ -11,10 +11,16 @@ references on views of a problem's stacked data.
 indices, the form that ``EpochSampler.batches`` replaces with one call for
 all K batches; the tests hold the batches to it.
 
+``_stack_by_client`` is the stacking the sample-based population
+constructors do, as a function of its own; the tests hold their stacks,
+weights and spans to it.
+
 The three functions at the end are the server's reductions as one Python
 loop over the client rows, the form that the loop-free reductions replace;
 the tests hold those to these bytes.
 """
+
+from typing import Sequence
 
 import numpy as np
 
@@ -151,13 +157,26 @@ class MlpClient:
 
 
 def clients_of(problem):
-    """One reference client per client of ``problem``, in id order, on views of its population's stacks."""
-    pop = problem.population
-    if hasattr(pop, "hessians"):
-        return [QuadraticClient(h, b, pop.noise_sigma) for h, b in zip(pop.hessians, pop.centers)]
-    if hasattr(pop, "widths"):
-        return [MlpClient(pop.features[a:b], pop.targets[a:b], pop.widths) for a, b in pop.spans]
-    return [LogisticClient(pop.features[a:b], pop.labels[a:b], pop.weight_decay) for a, b in pop.spans]
+    """One reference client per client of ``problem``, in id order, on views of its stacks."""
+    if hasattr(problem, "hessians"):
+        return [QuadraticClient(h, b, problem.noise_sigma) for h, b in zip(problem.hessians, problem.centers)]
+    if hasattr(problem, "widths"):
+        return [MlpClient(problem.features[a:b], problem.values[a:b], problem.widths) for a, b in problem.spans]
+    return [LogisticClient(problem.features[a:b], problem.values[a:b], problem.weight_decay)
+            for a, b in problem.spans]
+
+
+def _stack_by_client(features: np.ndarray, values: np.ndarray, client_indices: Sequence[np.ndarray]):
+    """Samples regrouped in client-id order.
+
+    Returns the stacked features and values, the per-sample weights
+    1/(N n_i), and each client's ``(start, stop)`` row range as Python ints.
+    """
+    sizes = np.array([len(idx) for idx in client_indices])
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    weights = np.repeat(1.0 / (len(sizes) * sizes), sizes)
+    order = np.concatenate(client_indices)
+    return features[order], values[order], weights, list(zip(bounds[:-1], bounds[1:]))
 
 
 def mean_vectors_loop(vs):

@@ -93,7 +93,7 @@ def test_criterion_04_gradient_oracles():
     logreg = build_problem(ProblemConfig(kind="logreg", n_clients=4, dim=5,
                                          samples_per_client=40), 11)
     gen = np.random.default_rng(0)
-    population = logreg.population
+    population = logreg
     for cid, client in enumerate(clients_of(logreg)):
         w = 0.5 * gen.standard_normal(5)
         start, stop = population.spans[cid]
@@ -108,7 +108,7 @@ def test_criterion_04_gradient_oracles():
                                       samples_per_client=20), 12)
     for cid in range(mlp.num_clients):
         x = 0.2 * gen.standard_normal(mlp.dim)
-        ok &= finite_difference_check(ClientObjective(mlp.population, cid), x, 1e-5) <= 1e-4
+        ok &= finite_difference_check(ClientObjective(mlp, cid), x, 1e-5) <= 1e-4
     verdict(4, "gradient oracles unbiased and finite-difference sound", ok)
 
 

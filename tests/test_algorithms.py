@@ -267,7 +267,7 @@ class TestMimRound:
                          s_participate=3, lr_decay=1.0)
         state = init_round_state(np.zeros(4), 1)
         state, _ = mim_round(state, problem, hyper, [0, 1, 2], 5)
-        expected = -0.05 * problem.population.evaluate(np.zeros((1, 4)))[1][0]
+        expected = -0.05 * problem.evaluate(np.zeros((1, 4)))[1][0]
         assert np.allclose(state.x, expected, atol=1e-15)
 
     @pytest.mark.parametrize("algorithm", sorted(ROUND_FUNCTIONS))

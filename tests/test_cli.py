@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fedsim import objectives, simulator
+from fedsim import cli, objectives, simulator
 from fedsim.algorithms import AlgoParams, MimHyper
 from fedsim.cli import (
     METRIC_COLUMNS,
@@ -22,6 +22,7 @@ from fedsim.cli import (
 from fedsim.simulator import SETTINGS, SWEEP_AXES, ConfigError, ProblemConfig, RunConfig, apply_axis
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+WORKLOAD_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.ini"))
 
 MINIMAL = """\
@@ -292,6 +293,14 @@ class TestCmdRun:
         payload = json.loads((out / "run.json").read_text())
         assert payload["status"] == "completed"
         assert set(payload) >= {"config", "status", "eta_l_bound", "final_loss", "wall_ms_total"}
+
+    def test_out_dir_that_cannot_be_made_fails_before_training(self, minimal_config, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with mock.patch.object(cli, "run_training") as train:
+            assert main(["run", "-c", minimal_config, "--out", str(blocker / "out")]) == 1
+        train.assert_not_called()
+        assert "error:" in capsys.readouterr().err
 
     def test_bound_report_value(self, minimal_config, tmp_path):
         out = tmp_path / "out"
@@ -622,6 +631,9 @@ class TestCmdGradcheck:
         config = parse_config(str(path))
         problem = simulator.build_problem(config.problem, config.master_seed)
         assert problem.num_clients == config.problem.n_clients
+        p = config.problem
+        # an mlp has W1 (h, d), b1 (h), W2 (1, h) and b2 (1)
+        assert problem.dim == (p.mlp_hidden * (p.dim + 2) + 1 if p.kind == "mlp" else p.dim)
         assert main(["gradcheck", "-c", str(path)]) == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -631,6 +643,12 @@ class TestCmdGradcheck:
         cfg = write_ini(tmp_path / "quad.ini", {"problem": {"n_clients": "50", "dim": "100",
                                                             "heterogeneity": "1.0", "sigma_l": "0.1"}})
         assert main(["gradcheck", "-c", cfg, "--seed", str(seed)]) == 0
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_logreg_train_workload(self, seed):
+        # the correct gradient failed a second-order difference at step 1e-6 (3.6e-5 at seed 3 and
+        # 3.8e-4 at seed 11, tolerance 1e-5): its error, relative to near-zero coordinates
+        assert main(["gradcheck", "-c", str(WORKLOAD_DIR / "logreg-train.ini"), "--seed", str(seed)]) == 0
 
     @pytest.mark.parametrize("name, owner, attr", [
         pytest.param("quadratic_verify.ini", objectives, "_hessian_products", id="quadratic_verify.ini"),

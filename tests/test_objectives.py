@@ -9,12 +9,15 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from client_reference import LogisticClient, MlpClient, QueueSampler, clients_of
+from client_reference import LogisticClient, MlpClient, QueueSampler, _stack_by_client, clients_of
 from fedsim import objectives
 from fedsim.objectives import (
     CsvFormatError,
     EpochSampler,
+    LogisticPopulation,
+    MlpPopulation,
     PartitionError,
+    PartitionResult,
     dirichlet_partition,
     global_loss,
     ingest_csv,
@@ -26,7 +29,7 @@ from fedsim.vectors import PURPOSE_BATCH, derive_rng, l2_norm_sq
 
 def population_gradient(prob, x):
     """(1/N) sum_i grad f_i(x): the population oracle at the single point x."""
-    return prob.population.evaluate(x[None])[1][0]
+    return prob.evaluate(x[None])[1][0]
 
 
 def data_rng(seed):
@@ -51,7 +54,7 @@ class TestQuadraticProblem:
         prob = build_problem(ProblemConfig(n_clients=5, dim=4, heterogeneity=2.0, sigma_l=0.0), 42)
         assert l2_norm_sq(population_gradient(prob, prob.known_optimum)) <= 1e-18
         # independent oracle: explicit inverse instead of the solver
-        pop = prob.population
+        pop = prob
         h_sum = np.sum(list(pop.hessians), axis=0)
         rhs = np.sum([h @ b for h, b in zip(pop.hessians, pop.centers)], axis=0)
         oracle = np.linalg.inv(h_sum) @ rhs
@@ -69,7 +72,7 @@ class TestQuadraticProblem:
         for _ in range(1000):
             x, y = gen.standard_normal(5), gen.standard_normal(5)
             for cid in range(prob.num_clients):
-                gx, gy = (prob.population.client_evaluate(cid, p)[1] for p in (x, y))
+                gx, gy = (prob.client_evaluate(cid, p)[1] for p in (x, y))
                 lhs = np.linalg.norm(gx - gy)
                 assert lhs <= prob.smoothness_L * np.linalg.norm(x - y) * (1 + 1e-12)
 
@@ -84,9 +87,9 @@ class TestQuadraticProblem:
 
     def test_noise_model(self):
         x = np.ones((1, 4))
-        exact = quadratic_problem_from([np.eye(4)], [np.zeros(4)], 0.0).population
+        exact = quadratic_problem_from([np.eye(4)], [np.zeros(4)], 0.0)
         assert np.array_equal(exact.client_gradients(x, exact.draw_round(0, 0, [0], 1), 0), x)
-        noisy = quadratic_problem_from([np.eye(4)], [np.zeros(4)], 0.3).population
+        noisy = quadratic_problem_from([np.eye(4)], [np.zeros(4)], 0.3)
         k_local = 20000
         round_draws = noisy.draw_round(5, 0, [0], k_local)
         draws = np.array([noisy.client_gradients(x, round_draws, k)[0] - x[0] for k in range(k_local)])
@@ -221,7 +224,7 @@ class TestDrawRound:
            round_index=st.integers(0, 500))
     @settings(max_examples=60, deadline=None)
     def test_quadratic_noise(self, n_clients, dim, sigma_l, k_local, data, seed, round_index):
-        population = build_problem(ProblemConfig(n_clients=n_clients, dim=dim, sigma_l=sigma_l), seed).population
+        population = build_problem(ProblemConfig(n_clients=n_clients, dim=dim, sigma_l=sigma_l), seed)
         ids = sorted(data.draw(st.sets(st.integers(0, n_clients - 1), min_size=1)))
         hessians, centers, noise = population.draw_round(seed, round_index, ids, k_local)
         assert np.array_equal(hessians, population.hessians[ids])
@@ -242,7 +245,7 @@ class TestDrawRound:
         cfg = ProblemConfig(kind=kind, n_clients=n_clients, dim=2, samples_per_client=6, concentration=0.5,
                             batch_size=batch)
         try:
-            population = build_problem(cfg, seed).population
+            population = build_problem(cfg, seed)
         except ConfigError:  # a Dirichlet draw that left a client empty
             reject()
         ids = sorted(data.draw(st.sets(st.integers(0, n_clients - 1), min_size=1)))
@@ -251,7 +254,7 @@ class TestDrawRound:
     def test_small_and_large_clients_in_one_round(self):
         cfg = ProblemConfig(kind="logreg", n_clients=6, dim=2, samples_per_client=8, concentration=0.5,
                             batch_size=6)
-        population = build_problem(cfg, 4).population
+        population = build_problem(cfg, 4)
         sizes = [stop - start for start, stop in population.spans]
         assert min(sizes) < 6 < max(sizes)
         assert_batches_match_streams(population, 4, 3, list(range(6)), 5)
@@ -314,6 +317,31 @@ class TestProblemGenerators:
         assert prob.dim == 5 * 4 + 5 + 5 + 1
         assert prob.smoothness_L is None
 
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8), dim=st.integers(1, 4),
+           seed=st.integers(0, 10_000))
+    @example(sizes=[1], dim=1, seed=0)
+    @example(sizes=[1, 6, 1, 1], dim=3, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_constructors_stack_as_reference(self, sizes, dim, seed):
+        # any partition, one-sample clients included, its index sets in shuffled order
+        gen = np.random.default_rng(seed)
+        n = sum(sizes)
+        features = gen.standard_normal((n, dim))
+        labels = gen.integers(0, 2, n)
+        part = PartitionResult(np.split(gen.permutation(n), np.cumsum(sizes)[:-1]))
+        targets = labels.astype(np.float64)[:, None]
+        for prob, values in [(LogisticPopulation(features, labels, part, 0, 0.01), labels.astype(np.float64)),
+                             (MlpPopulation(features, targets, part, 0, 3), targets)]:
+            ref_features, ref_values, ref_weights, ref_spans = _stack_by_client(features, values,
+                                                                                part.client_indices)
+            for got, want in [(prob.features, ref_features), (prob.values, ref_values),
+                              (prob.weights, ref_weights), (prob.spans, ref_spans)]:
+                assert np.array_equal(got, want)
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert all(type(bound) is int for span in prob.spans for bound in span)
+            assert prob.num_clients == len(sizes) and prob.partition is part
+        assert prob.widths == (dim, 3, 1) and prob.dim == 3 * (dim + 2) + 1
+
 
 def _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir):
     path = Path(csv_dir) / "data.csv"
@@ -355,8 +383,8 @@ class TestPopulationOracle:
         clients = clients_of(prob)
         points = 0.5 * np.random.default_rng(seed).standard_normal((n_points, prob.dim))
         with mock.patch.object(objectives, "BLOCK_ROWS", block_rows):
-            losses, grads = prob.population.evaluate(points)
-            again = prob.population.evaluate(points)
+            losses, grads = prob.evaluate(points)
+            again = prob.evaluate(points)
             single = (points[0], global_loss(prob, points[0]), population_gradient(prob, points[0]))
         assert losses.shape == (n_points,) and grads.shape == points.shape
         assert losses.tobytes() == again[0].tobytes() and grads.tobytes() == again[1].tobytes()
@@ -371,7 +399,7 @@ class TestPopulationOracle:
             np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12 * grad_scale)
             # the per-client oracle, client by client
             for cid, (client_loss, client_grad) in enumerate(zip(client_losses, client_grads)):
-                got_loss, got_grad = prob.population.client_evaluate(cid, x)
+                got_loss, got_grad = prob.client_evaluate(cid, x)
                 assert abs(got_loss - client_loss) <= 1e-12 * abs(client_loss)
                 np.testing.assert_allclose(got_grad, client_grad, rtol=1e-12,
                                            atol=1e-12 * float(np.abs(client_grad).max()))

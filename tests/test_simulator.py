@@ -429,6 +429,6 @@ class TestBuildProblem:
         cfg = ProblemConfig(kind="logreg", n_clients=4, dim=3, samples_per_client=20)
         a = build_problem(cfg, 3)
         b = build_problem(cfg, 3)
-        assert a.population.spans == b.population.spans
-        for stack in ("features", "labels", "weights"):
-            assert np.array_equal(getattr(a.population, stack), getattr(b.population, stack))
+        assert a.spans == b.spans
+        for stack in ("features", "values", "weights"):
+            assert np.array_equal(getattr(a, stack), getattr(b, stack))
