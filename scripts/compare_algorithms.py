@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from fedsim.cli import METRIC_COLUMNS, UsageParser, exit_code, metric_row_fields, parse_config
-from fedsim.simulator import ConfigError, run_sweep, with_settings
+from fedsim.simulator import ConfigError, run_sweep, sweep_configs, with_settings
 
 ALGORITHMS = ("fedavg", "fedcm", "scaffold", "fedadam", "fedmim")
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "compare_algorithms.ini"
@@ -42,7 +42,7 @@ def main():
         config = parse_config(args.config, args.override)
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)  # before any training, so a bad directory fails first
-        sweeps = [run_sweep(with_settings(config, {"seed": seed}), "algorithm", ALGORITHMS)
+        sweeps = [run_sweep(sweep_configs(with_settings(config, {"seed": seed}), "algorithm", ALGORITHMS))
                   for seed in args.seeds]
     except (ConfigError, OSError) as exc:
         sys.exit(f"error: {exc}")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from fedsim.cli import UsageParser, exit_code, parse_config
-from fedsim.simulator import ConfigError, run_sweep, with_settings
+from fedsim.simulator import ConfigError, run_sweep, sweep_configs, with_settings
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "participation_study.ini"
 
@@ -52,7 +52,8 @@ def main():
         if not (math.isfinite(args.threshold) and args.threshold > 0):
             raise ConfigError(f"threshold must be finite and > 0, got {args.threshold}")
         config = parse_config(args.config, args.override)
-        sweeps = [run_sweep(with_settings(config, {"seed": seed}), "s_participate", args.participate)
+        sweeps = [run_sweep(sweep_configs(with_settings(config, {"seed": seed}), "s_participate",
+                                          args.participate))
                   for seed in args.seeds]
     except (ConfigError, OSError) as exc:
         sys.exit(f"error: {exc}")

@@ -46,6 +46,7 @@ from .simulator import (
     run_sweep,
     run_training,
     sample_clients,
+    sweep_configs,
 )
 from .vectors import ParamVector, RngStream, derive_rng, l2_norm_sq, mean_vectors
 

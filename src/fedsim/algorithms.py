@@ -154,7 +154,12 @@ class RoundArtifacts:
     """Per-round observability payload (never feeds back into the trajectory)."""
 
     local_finals: np.ndarray  # (S, d), row s is the s-th smallest sampled client id
-    grad_sum: Optional[ParamVector]
+    grad_sums: np.ndarray  # (S, d), row s: the sum of the K gradients client s consumed
+
+    @property
+    def grad_sum(self) -> ParamVector:
+        """The sampled clients' gradient sums added in client-id order, computed when read."""
+        return _total_grad_sum(self.grad_sums)
 
 
 def init_round_state(x0: ParamVector, history_len: int) -> RoundState:
@@ -182,7 +187,6 @@ def mim_local_update(
     hyper: MimHyper,
     seed: int,
     *,
-    collect_grad_sum: bool = False,
     correction: Optional[np.ndarray] = None,
 ) -> tuple:
     """K inertial-momentum SGD steps from the broadcast model, on all sampled clients at once.
@@ -195,25 +199,24 @@ def mim_local_update(
     computed once.  ``correction`` is a constant (S, d) offset added to the
     gradient before each step (the control-variate baseline).
 
-    Returns the (S, d) final iterates and, with ``collect_grad_sum``, the
-    (S, d) per-client sums of the exact stochastic gradients consumed, for
-    the identity checks (``None`` otherwise).  A row that turns non-finite
-    raises :class:`DivergenceError` after the last step, for the lowest such
-    client id and its first non-finite step.
+    Returns the (S, d) final iterates and, on every call, the (S, d)
+    per-client sums of the exact stochastic gradients consumed, which only
+    the identity checks read.  A row that turns non-finite raises
+    :class:`DivergenceError` after the last step, for the lowest such client
+    id and its first non-finite step.
     """
     step = hyper.A * current_eta(hyper, state.round)
     shift_alpha = weighted_sum(hyper.alpha, state.delta_history)
     shift_beta = weighted_sum(hyper.beta, state.delta_history)
     draws = problem.draw_round(seed, state.round, ids, hyper.k_local)
     x = np.repeat(state.x[None, :], len(ids), axis=0)
-    grad_sum = np.zeros_like(x) if collect_grad_sum else None
+    grad_sums = np.zeros_like(x)
     first_bad = np.full(len(ids), -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught explicitly
         for k in range(hyper.k_local):
             y2 = x if shift_beta is None else x - shift_beta
             g = problem.client_gradients(y2, draws, k)
-            if grad_sum is not None:
-                grad_sum += g
+            grad_sums += g
             if correction is not None:
                 g = g + correction
             y1 = x if shift_alpha is None else x - shift_alpha
@@ -224,13 +227,11 @@ def mim_local_update(
     if (first_bad >= 0).any():
         row = int(np.argmax(first_bad >= 0))
         raise DivergenceError(ids[row], int(first_bad[row]))
-    return x, grad_sum
+    return x, grad_sums
 
 
-def _total_grad_sum(grad_sums: Optional[np.ndarray]) -> Optional[ParamVector]:
+def _total_grad_sum(grad_sums: np.ndarray) -> ParamVector:
     """Sum of the per-client rows, added in client-id order (one sequential accumulate)."""
-    if grad_sums is None:
-        return None
     return np.add.accumulate(grad_sums, axis=0)[-1]
 
 
@@ -242,7 +243,7 @@ def _advance(state: RoundState, hyper: MimHyper, x_next: ParamVector, finals, gr
     history = (delta_next,) + state.delta_history[: hyper.J - 1]
     new_state = RoundState(x_next, history, state.round + 1,
                            algo_aux if algo_aux is not None else state.algo_aux)
-    return new_state, RoundArtifacts(finals, _total_grad_sum(grad_sums))
+    return new_state, RoundArtifacts(finals, grad_sums)
 
 
 def _check_round_args(state: RoundState, problem: FederatedProblem, hyper: MimHyper, sampled) -> list:
@@ -264,21 +265,19 @@ def _zero_momentum(hyper: MimHyper) -> MimHyper:
 
 
 def mim_round(state: RoundState, problem: FederatedProblem, hyper: MimHyper, sampled: Sequence[int],
-              seed: int, *, collect_grads: bool = False, params: AlgoParams = AlgoParams()) -> tuple:
+              seed: int, *, params: AlgoParams = AlgoParams()) -> tuple:
     """One inertial-momentum round: local updates on the sampled clients, mean aggregation."""
     ids = _check_round_args(state, problem, hyper, sampled)
-    finals, grad_sums = mim_local_update(problem, ids, state, hyper, seed, collect_grad_sum=collect_grads)
+    finals, grad_sums = mim_local_update(problem, ids, state, hyper, seed)
     return _advance(state, hyper, mean_vectors(finals), finals, grad_sums)
 
 
-def fedavg_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
-                 params: AlgoParams = AlgoParams()):
+def fedavg_round(state, problem, hyper, sampled, seed, *, params: AlgoParams = AlgoParams()):
     """Local SGD plus averaging: the zero-momentum path, hard-coded."""
-    return mim_round(state, problem, _zero_momentum(hyper), sampled, seed, collect_grads=collect_grads)
+    return mim_round(state, problem, _zero_momentum(hyper), sampled, seed)
 
 
-def fedcm_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
-                params: AlgoParams = AlgoParams()):
+def fedcm_round(state, problem, hyper, sampled, seed, *, params: AlgoParams = AlgoParams()):
     """Client-momentum baseline.
 
     Each local step blends the stochastic gradient with the broadcast
@@ -290,11 +289,10 @@ def fedcm_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
     """
     a = params.fedcm_alpha
     single = replace(hyper, alpha=(a,) + (0.0,) * (hyper.J - 1), beta=(0.0,) * hyper.J)
-    return mim_round(state, problem, single, sampled, seed, collect_grads=collect_grads)
+    return mim_round(state, problem, single, sampled, seed)
 
 
-def scaffold_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
-                   params: AlgoParams = AlgoParams()):
+def scaffold_round(state, problem, hyper, sampled, seed, *, params: AlgoParams = AlgoParams()):
     """Control-variate baseline.
 
     Local step x <- x - eta_l (g(x) - c_i + c); after K steps the client
@@ -307,7 +305,7 @@ def scaffold_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
         aux = ScaffoldAux.zeros(problem.num_clients, state.x.shape[0])
     c_old = aux.c_clients[ids]
     finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), seed,
-                                         collect_grad_sum=collect_grads, correction=aux.c - c_old)
+                                         correction=aux.c - c_old)
     c_new = c_old - aux.c + (state.x - finals) / (hyper.k_local * current_eta(hyper, state.round))
     c_next = aux.c + (hyper.s_participate / problem.num_clients) * mean_vectors(c_new - c_old)
     clients_next = aux.c_clients.copy()
@@ -329,15 +327,13 @@ def adam_server_step(aux: AdamAux, pseudo_grad: ParamVector, params: AlgoParams)
     return AdamAux(m, v), update
 
 
-def fedadam_round(state, problem, hyper, sampled, seed, *, collect_grads=False,
-                  params: AlgoParams = AlgoParams()):
+def fedadam_round(state, problem, hyper, sampled, seed, *, params: AlgoParams = AlgoParams()):
     """Adaptive server baseline: plain local SGD, one server Adam step per round."""
     ids = _check_round_args(state, problem, hyper, sampled)
     aux = state.algo_aux
     if aux is None:
         aux = AdamAux.zeros(state.x.shape[0])
-    finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), seed,
-                                         collect_grad_sum=collect_grads)
+    finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), seed)
     aux_next, update = adam_server_step(aux, state.x - mean_vectors(finals), params)
     return _advance(state, hyper, state.x - update, finals, grad_sums, algo_aux=aux_next)
 

@@ -33,6 +33,7 @@ from .simulator import (
     build_problem,
     run_sweep,
     run_training,
+    sweep_configs,
     with_settings,
 )
 from .vectors import PURPOSE_DATA, derive_rng
@@ -180,9 +181,10 @@ def cmd_sweep(config: RunConfig, axis: str, raw_values: Sequence[str]) -> int:
             values.append(occurrence)
         else:
             values.extend(v.strip() for v in occurrence.split(",") if v.strip())
-    records = run_sweep(config, axis, values)
+    configs = sweep_configs(config, axis, values)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    records = run_sweep(configs)
     lines = [",".join(("axis", "value") + METRIC_COLUMNS)]
     for value, record in zip(values, records):
         for row in record.rows:

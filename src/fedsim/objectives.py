@@ -31,10 +31,11 @@ streams come from ``vectors.round_generators``: their keys are computed in
 one pass and drawn on one reset Philox, with the same draws as ``derive_rng``.
 ``client_gradients`` returns the (S, d) gradients of the sampled clients at
 one local step.
-``client_evaluate(cid, x)`` is one client's full-batch loss and gradient: the
-gradient by the training arithmetic, the loss computed on its own, so that
-finite differences of the loss (``fedsim gradcheck``, through the one-client
-view :class:`ClientObjective`) check the gradient that trains.
+``client_loss(cid, x)`` and ``client_gradient(cid, x)`` are one client's
+full-batch loss and gradient, each computed on its own: the gradient by the
+training arithmetic, so that finite differences of the loss (``fedsim
+gradcheck``, through the one-client view :class:`ClientObjective`) check the
+gradient that trains, and no loss probe computes a gradient.
 """
 
 from __future__ import annotations
@@ -140,10 +141,11 @@ class FederatedProblem:
     """N clients' objectives, plus whatever closed-form constants the builder knows.
 
     Row p of ``evaluate(points)`` holds the full-batch loss and gradient at
-    ``points[p]``, the mean of the clients' ``client_evaluate`` up to
-    summation order.  ``draw_round`` / ``client_gradients`` give the
-    training gradients of a round's sampled clients.  ``fedsim gradcheck``
-    uses step ``fd_step`` and fails above ``fd_tolerance``.
+    ``points[p]``, the mean of the clients' ``client_loss`` and
+    ``client_gradient`` up to summation order.  ``draw_round`` /
+    ``client_gradients`` give the training gradients of a round's sampled
+    clients.  ``fedsim gradcheck`` uses step ``fd_step`` and fails above
+    ``fd_tolerance``.
     """
 
     num_clients: int
@@ -209,11 +211,14 @@ class QuadraticPopulation(FederatedProblem):
             g += noise[step]  # in place: a new array from a strided view costs more
         return g
 
-    def client_evaluate(self, cid: int, x: ParamVector) -> tuple:
-        """Client ``cid``'s loss 0.5 r^T H r and its gradient H r, r = x - b, by the training product."""
+    def client_loss(self, cid: int, x: ParamVector) -> float:
+        """Client ``cid``'s loss 0.5 r^T H r, r = x - b."""
         r = x - self.centers[cid]
-        hessian = self.hessians[cid]
-        return 0.5 * float(r @ hessian @ r), _hessian_products(hessian, r)
+        return 0.5 * float(r @ self.hessians[cid] @ r)
+
+    def client_gradient(self, cid: int, x: ParamVector) -> ParamVector:
+        """Client ``cid``'s gradient H r, r = x - b, by the training product."""
+        return _hessian_products(self.hessians[cid], x - self.centers[cid])
 
     def evaluate(self, points: np.ndarray):
         """Losses (P,) and gradients (P, d) at the (P, d) ``points``: one batched product for all P."""
@@ -255,10 +260,13 @@ class _SampledPopulation(FederatedProblem):
         """Row s: the minibatch gradient of client s at row s of ``x``."""
         return np.stack([self._rows_gradient(row, batches[step]) for row, batches in zip(x, draws)])
 
-    def client_evaluate(self, cid: int, x: ParamVector) -> tuple:
-        """Client ``cid``'s full-batch loss and gradient: the minibatch gradient over all its rows."""
-        rows = np.arange(*self.spans[cid])
-        return self._rows_loss(x, rows), self._rows_gradient(x, rows)
+    def client_loss(self, cid: int, x: ParamVector) -> float:
+        """Client ``cid``'s full-batch loss, over all its rows."""
+        return self._rows_loss(x, np.arange(*self.spans[cid]))
+
+    def client_gradient(self, cid: int, x: ParamVector) -> ParamVector:
+        """Client ``cid``'s full-batch gradient: the minibatch gradient over all its rows."""
+        return self._rows_gradient(x, np.arange(*self.spans[cid]))
 
 
 class LogisticPopulation(_SampledPopulation):
@@ -383,16 +391,16 @@ class MlpPopulation(_SampledPopulation):
 
 @dataclass(frozen=True)
 class ClientObjective:
-    """Client ``cid``'s full-batch loss and gradient, read off its problem's ``client_evaluate``."""
+    """Client ``cid``'s full-batch loss and gradient: its problem's ``client_loss`` and ``client_gradient``."""
 
     problem: FederatedProblem
     cid: int
 
     def loss(self, x: ParamVector) -> float:
-        return self.problem.client_evaluate(self.cid, x)[0]
+        return self.problem.client_loss(self.cid, x)
 
     def full_gradient(self, x: ParamVector) -> ParamVector:
-        return self.problem.client_evaluate(self.cid, x)[1]
+        return self.problem.client_gradient(self.cid, x)
 
 
 def global_loss(problem: FederatedProblem, x: ParamVector) -> float:

@@ -301,7 +301,6 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
     hyper = config.hyper
     round_fn = ROUND_FUNCTIONS[config.algorithm]
     state = init_round_state(np.zeros(problem.dim), hyper.J)
-    u = state.x.copy()  # the shifted iterate, tracked when verify is on
     max_residual_delta = max_residual_u = 0.0
 
     for t in range(config.rounds):
@@ -310,8 +309,7 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
         prev = state
         eta = current_eta(hyper, t)
         try:
-            state, art = round_fn(prev, problem, hyper, sampled, config.master_seed,
-                                  collect_grads=config.verify, params=config.params)
+            state, art = round_fn(prev, problem, hyper, sampled, config.master_seed, params=config.params)
         except DivergenceError as exc:
             record.status = f"diverged at round {t + 1} ({exc.place})"
             record.diverged_round = t + 1
@@ -327,9 +325,9 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
             res_delta = verify_delta_recursion(
                 state.delta_history[0], art.grad_sum, prev.delta_history,
                 hyper.alpha, eta, hyper.s_participate, hyper.k_local)
-            u_next = compute_u(state.x, state.delta_history, hyper.alpha, hyper.k_local)
-            res_u = verify_u_update(u, u_next, art.grad_sum, eta, hyper.s_participate)
-            u = u_next
+            res_u = verify_u_update(compute_u(prev.x, prev.delta_history, hyper.alpha, hyper.k_local),
+                                    compute_u(state.x, state.delta_history, hyper.alpha, hyper.k_local),
+                                    art.grad_sum, eta, hyper.s_participate)
             max_residual_delta = max(max_residual_delta, res_delta)
             max_residual_u = max(max_residual_u, res_u)
 
@@ -338,8 +336,7 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
         if (t + 1) % config.metric_every == 0:
             points = [state.x]
             if config.algorithm == "fedmim":
-                points.append(u if config.verify else compute_u(
-                    state.x, state.delta_history, hyper.alpha, hyper.k_local))
+                points.append(compute_u(state.x, state.delta_history, hyper.alpha, hyper.k_local))
             losses, grads = problem.evaluate(np.stack(points))
             record.rows.append(MetricRow(
                 round=t + 1,
@@ -374,34 +371,35 @@ SWEEP_AXES = tuple(AXIS_KEYS)
 def apply_axis(config: RunConfig, axis: str, value) -> RunConfig:
     """``config`` with one sweep value set, as the matching ``-o`` overrides would set it.
 
-    An ``alpha_beta`` value is 'a0,a1|b0,b1' or an ``(alpha, beta)`` pair.
+    An ``alpha_beta`` value is 'a0,a1|b0,b1' or an ``(alpha, beta)`` pair.  A value
+    that cannot be set is a ``ConfigError`` that names the axis and the value.
     """
     if axis not in AXIS_KEYS:
         raise ConfigError(f"unknown sweep axis '{axis}' (choose from {SWEEP_AXES})")
     values = (value,)
-    if axis == "alpha_beta":
-        values = value.split("|") if isinstance(value, str) else value
-        if len(values) != 2:
-            raise ConfigError("alpha_beta values look like 'a0,a1|b0,b1'")
-    return with_settings(config, dict(zip(AXIS_KEYS[axis], values)))
+    try:
+        if axis == "alpha_beta":
+            values = value.split("|") if isinstance(value, str) else value
+            if len(values) != 2:
+                raise ConfigError("alpha_beta values look like 'a0,a1|b0,b1'")
+        return with_settings(config, dict(zip(AXIS_KEYS[axis], values)))
+    except ConfigError as exc:
+        raise ConfigError(f"invalid {axis} value '{value}': {exc}") from None
 
 
-def run_sweep(base: RunConfig, axis: str, values) -> list:
-    """Independent runs along one axis, all sharing the base master seed.
+def sweep_configs(base: RunConfig, axis: str, values) -> list:
+    """The run configs along one axis, one per value: every value is checked before ``run_sweep`` trains."""
+    if not values:
+        raise ConfigError("sweep needs at least one value")
+    return [apply_axis(base, axis, value) for value in values]
+
+
+def run_sweep(configs) -> list:
+    """Independent runs of ``configs`` (as ``sweep_configs`` returns them), in order.
 
     The problem is built once per distinct (problem config, seed) and shared
     by the runs on it; only the ``concentration`` axis changes it.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis '{axis}' (choose from {SWEEP_AXES})")
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    configs = []
-    for value in values:  # every value is checked before the first run starts
-        try:
-            configs.append(apply_axis(base, axis, value))
-        except ValueError as exc:  # a value its parser or a config dataclass rejects
-            raise ConfigError(f"invalid {axis} value '{value}': {exc}") from None
     problems: dict = {}
     records = []
     for cfg in configs:

@@ -115,8 +115,7 @@ class TestMimLocalUpdate:
     def test_grad_sum_collection(self):
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=4)
         _, grad_sum = mim_local_update(one_client(np.eye(1), np.zeros(1)), [0],
-                                       RoundState(np.array([1.0]), (np.zeros(1),)), hyper, 0,
-                                       collect_grad_sum=True)
+                                       RoundState(np.array([1.0]), (np.zeros(1),)), hyper, 0)
         assert grad_sum[0] == pytest.approx([1.0 + 0.9 + 0.81 + 0.729])
 
     def test_divergence_detection(self):
@@ -213,7 +212,7 @@ class TestBatchedKernel:
 
         finals, grad_sums = mim_local_update(
             problem, ids, RoundState(x_start, tuple(deltas), round_index), hyper, case["seed"],
-            collect_grad_sum=True, correction=correction)
+            correction=correction)
         ref_finals, ref_grad_sums = reference_local_updates(
             problem, ids, x_start, deltas, hyper, case["seed"], round_index, current_eta(hyper, round_index),
             case["batch_size"], correction)
@@ -234,8 +233,7 @@ class TestBatchedKernel:
         for t in range(2):
             sampled = sample_clients(problem.num_clients, hyper.s_participate, case["seed"], t)
             orders = (sampled, [int(i) for i in gen.permutation(sampled)])
-            results = [ROUND_FUNCTIONS[algorithm](state, problem, hyper, order, case["seed"],
-                                                  collect_grads=True)
+            results = [ROUND_FUNCTIONS[algorithm](state, problem, hyper, order, case["seed"])
                        for state, order in zip(states, orders)]
             (a, art_a), (b, art_b) = results
             assert a.x.tobytes() == b.x.tobytes()

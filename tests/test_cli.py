@@ -610,6 +610,16 @@ class TestCmdSweep:
         assert "invalid eta_l value 'nan'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_dir_that_cannot_be_made_fails_before_training(self, minimal_config, tmp_path, capsys):
+        # the sweep trained every value, then failed to make the directory
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with mock.patch.object(simulator, "run_training") as train:
+            assert main(["sweep", "-c", minimal_config, "--out", str(blocker / "out"),
+                         "--axis", "eta_l", "--values", "0.01,0.02"]) == 1
+        train.assert_not_called()
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCmdGradcheck:
     def test_logreg_gradcheck(self, tmp_path):
@@ -663,6 +673,21 @@ class TestCmdGradcheck:
         exact = getattr(owner, attr)
         monkeypatch.setattr(owner, attr, lambda *args: 1.001 * exact(*args))
         assert main(["gradcheck", "-c", path]) == 3
+
+    @pytest.mark.parametrize("name", ["logreg_dirichlet.ini", "mlp_small.ini"])
+    def test_loss_probe_computes_no_gradient(self, monkeypatch, name):
+        # each of gradcheck's 4 loss probes per coordinate also computed the client's full gradient
+        config = parse_config(str(CONFIG_DIR / name))
+        problem = simulator.build_problem(config.problem, config.master_seed)
+        client = objectives.ClientObjective(problem, 0)
+        x = np.full(problem.dim, 0.1)
+        loss = client.loss(x)
+
+        def no_gradient(*args):
+            raise AssertionError("a loss probe computed a gradient")
+
+        monkeypatch.setattr(type(problem), "_rows_gradient", no_gradient)
+        assert client.loss(x) == loss
 
 
 class TestCsvProblemEndToEnd:

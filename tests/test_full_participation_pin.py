@@ -57,7 +57,7 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _replay(config: RunConfig, collect_grads: bool = False):
+def _replay(config: RunConfig):
     """The simulator's round loop; returns the final state and each round's gradient sum."""
     problem = build_problem(config.problem, config.master_seed)
     assert config.hyper.s_participate == problem.num_clients
@@ -66,8 +66,7 @@ def _replay(config: RunConfig, collect_grads: bool = False):
     for t in range(config.rounds):
         sampled = sample_clients(problem.num_clients, config.hyper.s_participate, config.master_seed, t)
         state, art = ROUND_FUNCTIONS[config.algorithm](
-            state, problem, config.hyper, sampled, config.master_seed, collect_grads=collect_grads,
-            params=config.params)
+            state, problem, config.hyper, sampled, config.master_seed, params=config.params)
         grad_sums.append(art.grad_sum)
     return state, grad_sums
 
@@ -84,7 +83,7 @@ def test_full_participation_trajectory_is_pinned(algorithm):
 
 def test_full_participation_verify_is_pinned():
     config = replace(CONFIG, verify=True)
-    state, grad_sums = _replay(config, collect_grads=True)
+    state, grad_sums = _replay(config)
     record = run_training(config)
     assert np.array_equal(record.final_x, state.x)
     assert _sha(state.x.tobytes()) == PINS["fedmim"][0]

@@ -72,7 +72,7 @@ class TestQuadraticProblem:
         for _ in range(1000):
             x, y = gen.standard_normal(5), gen.standard_normal(5)
             for cid in range(prob.num_clients):
-                gx, gy = (prob.client_evaluate(cid, p)[1] for p in (x, y))
+                gx, gy = (prob.client_gradient(cid, p) for p in (x, y))
                 lhs = np.linalg.norm(gx - gy)
                 assert lhs <= prob.smoothness_L * np.linalg.norm(x - y) * (1 + 1e-12)
 
@@ -399,7 +399,7 @@ class TestPopulationOracle:
             np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12 * grad_scale)
             # the per-client oracle, client by client
             for cid, (client_loss, client_grad) in enumerate(zip(client_losses, client_grads)):
-                got_loss, got_grad = prob.client_evaluate(cid, x)
+                got_loss, got_grad = prob.client_loss(cid, x), prob.client_gradient(cid, x)
                 assert abs(got_loss - client_loss) <= 1e-12 * abs(client_loss)
                 np.testing.assert_allclose(got_grad, client_grad, rtol=1e-12,
                                            atol=1e-12 * float(np.abs(client_grad).max()))

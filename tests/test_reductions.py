@@ -78,6 +78,3 @@ class TestTotalGradSum:
     @settings(max_examples=200, deadline=None)
     def test_equals_the_loop_bytes(self, grad_sums):
         assert _total_grad_sum(grad_sums).tobytes() == total_grad_sum_loop(grad_sums).tobytes()
-
-    def test_none_without_collected_gradients(self):
-        assert _total_grad_sum(None) is None

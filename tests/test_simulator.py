@@ -22,6 +22,7 @@ from fedsim.simulator import (
     run_sweep,
     run_training,
     sample_clients,
+    sweep_configs,
 )
 from fedsim.vectors import PURPOSE_DATA, PURPOSE_SAMPLING, derive_rng
 
@@ -253,6 +254,12 @@ class TestRunTraining:
         assert record.status == "completed"
         assert record.max_residual_delta <= 1e-9
         assert record.max_residual_u <= 1e-9
+        # verification only observes: without it, the same model and every metric but the residuals
+        plain = run_training(replace(cfg, verify=False))
+        assert plain.final_x.tobytes() == record.final_x.tobytes()
+        blank = dict(residual_delta=None, residual_u=None)
+        assert (metrics_csv_bytes([replace(row, **blank) for row in plain.rows])
+                == metrics_csv_bytes([replace(row, **blank) for row in record.rows]))
 
     @given(algorithm=st.sampled_from(sorted(ROUND_FUNCTIONS)),
            kind=st.sampled_from(["quadratic", "logreg", "mlp"]),
@@ -322,18 +329,18 @@ class TestRunTraining:
 class TestRunSweep:
     def test_singleton_matches_run_training(self):
         base = quad_config(rounds=5)
-        sweep = run_sweep(base, "eta_l", [0.05])
+        sweep = run_sweep(sweep_configs(base, "eta_l", [0.05]))
         single = run_training(base)
         assert np.array_equal(sweep[0].final_x, single.final_x)
 
     def test_algorithm_sweep_shares_round_grid(self):
         base = quad_config(rounds=6)
-        records = run_sweep(base, "algorithm", ["fedavg", "fedmim"])
+        records = run_sweep(sweep_configs(base, "algorithm", ["fedavg", "fedmim"]))
         assert [r.round for r in records[0].rows] == [r.round for r in records[1].rows]
 
     def test_axis_values_coerced(self):
         base = quad_config(rounds=2)
-        records = run_sweep(base, "s_participate", ["2", "5"])
+        records = run_sweep(sweep_configs(base, "s_participate", ["2", "5"]))
         assert records[0].config.hyper.s_participate == 2
         assert records[1].config.hyper.s_participate == 5
 
@@ -351,7 +358,7 @@ class TestRunSweep:
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
-            run_sweep(quad_config(), "momentum", [1])
+            sweep_configs(quad_config(), "momentum", [1])
 
 
 class TestRunConfig:
