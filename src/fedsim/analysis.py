@@ -39,14 +39,15 @@ class MetricRow:
 
 
 def local_consistency(local_finals: Sequence[ParamVector], global_next: ParamVector) -> float:
-    """Mean squared distance of the clients' end-of-round models from their aggregate.
+    """Mean squared distance of the clients' end-of-round models from the next global model.
 
-    ``local_finals`` is the (S, d) array-like of the clients' models.  Each
-    row's squared distance is one BLAS dot, as ``r @ r`` computes it, and
-    the S of them are added in row order by ``np.add.accumulate``: the same
-    float as the sequential Python loop, with no loop.  The stack must have
-    the model's shape per row; an (S, 1) stack is rejected, not broadcast
-    against a (d,) model.
+    That model is the clients' mean for every rule but ``fedadam``, whose
+    server step moves it.  ``local_finals`` is the (S, d) array-like of the
+    clients' models.  Each row's squared distance is one BLAS dot, as
+    ``r @ r`` computes it, and the S of them are added in row order by
+    ``np.add.accumulate``: the same float as the sequential Python loop, with
+    no loop.  The stack must have the model's shape per row; an (S, 1) stack
+    is rejected, not broadcast against a (d,) model.
     """
     if len(local_finals) == 0:
         raise ValueError("no local models")
@@ -84,12 +85,8 @@ def verify_delta_recursion(delta_next: ParamVector, grad_sum: ParamVector,
     delta_tilde is the gradient average (eta_l / (S K)) * grad_sum over the
     sampled clients, which is exactly the set the aggregation used.
     """
-    a_scale = 1.0 - sum(alpha)
     delta_tilde = (eta_l / (s_participate * k_local)) * grad_sum
-    predicted = a_scale * delta_tilde
-    for a, d in zip(alpha, deltas):
-        if a != 0.0:
-            predicted = predicted + a * d
+    predicted = weighted_sum((1.0 - sum(alpha),) + tuple(alpha), (delta_tilde,) + tuple(deltas))
     return max_abs(delta_next - predicted)
 
 
@@ -98,12 +95,12 @@ def finite_difference_check(obj, x: ParamVector, h: float) -> float:
     if h <= 0:
         raise ValueError("h must be positive")
     g = obj.full_gradient(x)
-    worst = 0.0
+    errors = np.empty(x.shape[0])
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
         e[i] = h
         # a second-order difference's error, relative to a near-zero gradient coordinate, failed correct
         # logistic gradients at every step tried
         fd = (obj.loss(x - 2 * e) - 8 * obj.loss(x - e) + 8 * obj.loss(x + e) - obj.loss(x + 2 * e)) / (12 * h)
-        worst = max(worst, abs(fd - g[i]) / (abs(g[i]) + 1e-8))
-    return worst
+        errors[i] = abs(fd - g[i]) / (abs(g[i]) + 1e-8)
+    return float(errors.max())  # a NaN coordinate makes the result NaN, which no tolerance passes

@@ -108,6 +108,7 @@ def write_metrics_csv(rows: Sequence[MetricRow], path: Path) -> None:
 
 
 def _json_float(value):
+    """``value``, or None (JSON null) for None, NaN and +-inf, which strict JSON cannot hold."""
     if value is None or not math.isfinite(value):
         return None
     return value
@@ -120,9 +121,10 @@ def write_run_json(record: RunRecord, path: Path) -> None:
     payload = {
         "config": dataclasses.asdict(record.config),
         "status": "diverged" if record.diverged_round is not None else "completed",
-        "eta_l_bound": None if bound is None else {"value": bound.bound, "satisfied": bound.satisfied},
+        "eta_l_bound": None if bound is None else {"value": _json_float(bound.bound),
+                                                   "satisfied": bound.satisfied},
         "final_loss": _json_float(record.final_loss),
-        "wall_ms_total": record.wall_ms_total,
+        "wall_ms_total": _json_float(record.wall_ms_total),
         "manifest": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -135,8 +137,8 @@ def write_run_json(record: RunRecord, path: Path) -> None:
         payload["diverged_step"] = record.diverged_step
     if record.max_residual_delta is not None:
         payload["verification"] = {
-            "max_residual_delta": record.max_residual_delta,
-            "max_residual_u": record.max_residual_u,
+            "max_residual_delta": _json_float(record.max_residual_delta),
+            "max_residual_u": _json_float(record.max_residual_u),
         }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -154,7 +156,8 @@ def exit_code(records: Sequence[RunRecord], labels: Sequence[str] = ()) -> int:
         elif record.config.verify:
             print(f"{prefix}max residual_delta {record.max_residual_delta:.3e}, "
                   f"max residual_u {record.max_residual_u:.3e}")
-            failed |= not max(record.max_residual_delta, record.max_residual_u) <= VERIFY_TOLERANCE
+            failed |= not (record.max_residual_delta <= VERIFY_TOLERANCE
+                           and record.max_residual_u <= VERIFY_TOLERANCE)  # a NaN maximum fails
     if failed:
         print(f"verification residual exceeded tolerance {VERIFY_TOLERANCE:g}", file=sys.stderr)
     return 2 if diverged else 3 if failed else 0
@@ -194,7 +197,7 @@ def cmd_sweep(config: RunConfig, axis: str, raw_values: Sequence[str]) -> int:
         "axis": axis,
         "values": [str(v) for v in values],
         "status": [r.status for r in records],
-        "final_loss": [r.final_loss for r in records],
+        "final_loss": [_json_float(r.final_loss) for r in records],
     }
     (out / "sweep.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{len(records)} runs -> {out / 'sweep.csv'}")
@@ -205,12 +208,12 @@ def cmd_gradcheck(config: RunConfig) -> int:
     problem = build_problem(config.problem, config.master_seed)
     h, tolerance = problem.fd_step, problem.fd_tolerance
     gen = derive_rng(config.master_seed, 1, 0, PURPOSE_DATA).generator
-    worst = 0.0
+    errors = []
     for cid in range(problem.num_clients):
         x = 0.1 * gen.standard_normal(problem.dim)
-        err = finite_difference_check(ClientObjective(problem, cid), x, h)
-        worst = max(worst, err)
-        print(f"client {cid}: max relative gradient error {err:.3e}")
+        errors.append(finite_difference_check(ClientObjective(problem, cid), x, h))
+        print(f"client {cid}: max relative gradient error {errors[-1]:.3e}")
+    worst = float(np.max(errors))  # a NaN error makes it NaN, which fails the tolerance
     print(f"worst {worst:.3e} (tolerance {tolerance:g}, h {h:g})")
     if worst <= tolerance:
         return 0

@@ -19,7 +19,10 @@ A problem is one object of its kind's population class, a subclass of
 is the only copy of its arithmetic.  A quadratic stacks (N, d, d) Hessians and
 (N, d) centres; the sample-based kinds stack a partition's feature rows and
 ``values`` (labels or targets), with a per-sample weight 1/(N n_i) and each
-client's ``(start, stop)`` row range.  ``evaluate(points)`` computes the full-batch losses and
+client's ``(start, stop)`` row range.  Each constructor derives the constants
+its kind knows (a quadratic's ``known_optimum``, ``smoothness_L`` and
+``pl_mu``, a logistic's ``smoothness_L``); the base class defaults only
+``smoothness_L``, to None.  ``evaluate(points)`` computes the full-batch losses and
 gradients at a (P, d) stack of points in one pass over fixed-size row blocks
 (the simulator evaluates x and the shifted iterate u of a metric row in one
 call); ``global_loss`` is its single-point wrapper.
@@ -138,7 +141,7 @@ def _hessian_products(hessians: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 class FederatedProblem:
-    """N clients' objectives, plus whatever closed-form constants the builder knows.
+    """N clients' objectives, plus the closed-form constants its constructor derives.
 
     Row p of ``evaluate(points)`` holds the full-batch loss and gradient at
     ``points[p]``, the mean of the clients' ``client_loss`` and
@@ -152,10 +155,7 @@ class FederatedProblem:
     dim: int
     fd_step: float
     fd_tolerance: float
-    known_optimum: Optional[ParamVector] = None
-    smoothness_L: Optional[float] = None
-    pl_mu: Optional[float] = None
-    partition: Optional[PartitionResult] = None
+    smoothness_L: Optional[float] = None  # the kinds that know it set it; run_training reads it on every kind
 
 
 class QuadraticPopulation(FederatedProblem):
@@ -173,11 +173,21 @@ class QuadraticPopulation(FederatedProblem):
     fd_step = 1.0
     fd_tolerance = 1e-6
 
-    def __init__(self, hessians: np.ndarray, centers: np.ndarray, noise_sigma: float = 0.0):
-        self.hessians = hessians
-        self.centers = centers
+    def __init__(self, hessians: Sequence[np.ndarray], centers: Sequence[np.ndarray], noise_sigma: float = 0.0):
+        """Stack positive-definite (H_i, b_i): x* solves (sum H_i) x = sum H_i b_i, L is the largest client
+        Hessian eigenvalue and the PL constant mu the smallest eigenvalue of the averaged Hessian."""
+        self.hessians = np.asarray(hessians, dtype=np.float64)  # no copy when already stacked
+        self.centers = np.asarray(centers, dtype=np.float64)
         self.noise_sigma = float(noise_sigma)
-        self.num_clients, self.dim = centers.shape
+        self.num_clients, self.dim = self.centers.shape
+        eigs = np.linalg.eigvalsh(self.hessians)  # (N, d), each row ascending
+        definite = eigs[:, 0] > 0
+        if not definite.all():
+            raise ValueError(f"the Hessian of client {int(np.argmin(definite))} is not positive definite")
+        h_sum = self.hessians.sum(axis=0)
+        self.known_optimum = np.linalg.solve(h_sum, _hessian_products(self.hessians, self.centers).sum(axis=0))
+        self.smoothness_L = float(eigs[:, -1].max())
+        self.pl_mu = float(np.linalg.eigvalsh(h_sum / self.num_clients)[0])
 
     def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
         """The sampled clients' Hessians, centres and K scaled noise vectors.
@@ -463,32 +473,6 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, concentration: Opt
     raise PartitionError("a client received no samples after 10 redraws")
 
 
-def quadratic_problem_from(
-    hessians: Sequence[np.ndarray],
-    centers: Sequence[np.ndarray],
-    sigma_l: float = 0.0,
-) -> FederatedProblem:
-    """Assemble a quadratic problem from explicit positive-definite (H_i, b_i), deriving constants.
-
-    known_optimum solves (sum H_i) x = sum H_i b_i; smoothness is the largest
-    client Hessian eigenvalue; the PL constant is the smallest eigenvalue of
-    the averaged Hessian.
-    """
-    hessians = np.asarray(hessians, dtype=np.float64)  # no copy when already stacked
-    centers = np.asarray(centers, dtype=np.float64)
-    eigs = np.linalg.eigvalsh(hessians)  # (N, d), each row ascending
-    definite = eigs[:, 0] > 0
-    if not definite.all():
-        raise ValueError(f"the Hessian of client {int(np.argmin(definite))} is not positive definite")
-    h_sum = hessians.sum(axis=0)
-    rhs = _hessian_products(hessians, centers).sum(axis=0)
-    problem = QuadraticPopulation(hessians, centers, sigma_l)
-    problem.known_optimum = np.linalg.solve(h_sum, rhs)
-    problem.smoothness_L = float(eigs[:, -1].max())
-    problem.pl_mu = float(np.linalg.eigvalsh(h_sum / len(centers))[0])
-    return problem
-
-
 def quadratic_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
     """Random SPD quadratics, eigenvalues in [0.5, 2), centres spread proportionally to ``heterogeneity``."""
     n_clients, dim = cfg.n_clients, cfg.dim
@@ -500,7 +484,7 @@ def quadratic_problem(cfg: ProblemConfig, gen: np.random.Generator) -> Federated
         h = (q * eigs) @ q.T
         hessians[i] = 0.5 * (h + h.T)
         centers[i] = cfg.heterogeneity * gen.standard_normal(dim)
-    return quadratic_problem_from(hessians, centers, cfg.sigma_l)
+    return QuadraticPopulation(hessians, centers, cfg.sigma_l)
 
 
 def _two_blob_dataset(cfg: ProblemConfig, gen: np.random.Generator):

@@ -320,23 +320,26 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
             history = (state.delta_history[0] + config.corrupt_delta,) + state.delta_history[1:]
             state = replace(state, delta_history=history)
 
-        res_delta = res_u = None
+        res_delta = res_u = u_next = None
         if config.verify:
+            grad_sum = art.grad_sum  # the property adds the rows on each read
+            u_next = compute_u(state.x, state.delta_history, hyper.alpha, hyper.k_local)
             res_delta = verify_delta_recursion(
-                state.delta_history[0], art.grad_sum, prev.delta_history,
+                state.delta_history[0], grad_sum, prev.delta_history,
                 hyper.alpha, eta, hyper.s_participate, hyper.k_local)
             res_u = verify_u_update(compute_u(prev.x, prev.delta_history, hyper.alpha, hyper.k_local),
-                                    compute_u(state.x, state.delta_history, hyper.alpha, hyper.k_local),
-                                    art.grad_sum, eta, hyper.s_participate)
-            max_residual_delta = max(max_residual_delta, res_delta)
-            max_residual_u = max(max_residual_u, res_u)
+                                    u_next, grad_sum, eta, hyper.s_participate)
+            max_residual_delta = np.maximum(max_residual_delta, res_delta)  # unlike max, keeps a NaN
+            max_residual_u = np.maximum(max_residual_u, res_u)
 
         record.round_wall_ms.append((time.perf_counter() - round_started) * 1000.0)
 
         if (t + 1) % config.metric_every == 0:
             points = [state.x]
             if config.algorithm == "fedmim":
-                points.append(compute_u(state.x, state.delta_history, hyper.alpha, hyper.k_local))
+                if u_next is None:  # after the round's wall time is taken, as on every non-verify round
+                    u_next = compute_u(state.x, state.delta_history, hyper.alpha, hyper.k_local)
+                points.append(u_next)
             losses, grads = problem.evaluate(np.stack(points))
             record.rows.append(MetricRow(
                 round=t + 1,
@@ -353,8 +356,8 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
     record.final_x = state.x
     record.final_loss = global_loss(problem, state.x)
     if config.verify and record.diverged_round is None:
-        record.max_residual_delta = max_residual_delta
-        record.max_residual_u = max_residual_u
+        record.max_residual_delta = float(max_residual_delta)
+        record.max_residual_u = float(max_residual_u)
 
 
 AXIS_KEYS = {  # sweep axis -> the SETTINGS keys one of its values sets

@@ -17,7 +17,9 @@ weights and spans to it.
 
 The three functions at the end are the server's reductions as one Python
 loop over the client rows, the form that the loop-free reductions replace;
-the tests hold those to these bytes.
+the tests hold those to these bytes.  ``delta_recursion_residual_loop`` is
+the increment-recursion check with its own skip-zero loop over the history,
+the form that ``verify_delta_recursion`` replaces with ``weighted_sum``.
 """
 
 from typing import Sequence
@@ -205,3 +207,14 @@ def total_grad_sum_loop(grad_sums):
     for row in grad_sums[1:]:
         total += row
     return total
+
+
+def delta_recursion_residual_loop(delta_next, grad_sum, deltas, alpha, eta_l, s_participate, k_local):
+    """Max-norm residual of delta_{t+1} = A * delta_tilde + sum_j alpha_j delta_{t-j}, zero alphas skipped."""
+    a_scale = 1.0 - sum(alpha)
+    delta_tilde = (eta_l / (s_participate * k_local)) * grad_sum
+    predicted = a_scale * delta_tilde
+    for a, d in zip(alpha, deltas):
+        if a != 0.0:
+            predicted = predicted + a * d
+    return float(np.max(np.abs(delta_next - predicted)))

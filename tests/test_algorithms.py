@@ -26,14 +26,14 @@ from fedsim.algorithms import (
     scaffold_round,
     validate_eta_l,
 )
-from fedsim.objectives import quadratic_problem_from
+from fedsim.objectives import QuadraticPopulation
 from fedsim.simulator import BUILDERS, ConfigError, ProblemConfig, build_problem, sample_clients
 from fedsim.vectors import PURPOSE_BATCH, derive_rng
 
 
 def symmetric_pair(sigma=0.0):
-    return quadratic_problem_from([np.eye(1), np.eye(1)],
-                                  [np.array([-1.0]), np.array([1.0])], sigma)
+    return QuadraticPopulation([np.eye(1), np.eye(1)],
+                               [np.array([-1.0]), np.array([1.0])], sigma)
 
 
 class TestMimHyper:
@@ -75,7 +75,7 @@ class TestComputeDelta:
 
 
 def one_client(hessian, center, sigma=0.0, copies=1):
-    return quadratic_problem_from([hessian] * copies, [center] * copies, sigma)
+    return QuadraticPopulation([hessian] * copies, [center] * copies, sigma)
 
 
 class TestMimLocalUpdate:
@@ -273,7 +273,7 @@ class TestMimRound:
         # one step takes each client to its finite centre 1e308; the sum inside their mean overflows
         hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=1.0, k_local=1, s_participate=2)
         with np.errstate(over="ignore", invalid="ignore"):  # building the problem overflows too
-            problem = quadratic_problem_from([np.eye(1)] * 2, [np.array([1e308])] * 2, 0.0)
+            problem = QuadraticPopulation([np.eye(1)] * 2, [np.array([1e308])] * 2, 0.0)
             with pytest.raises(DivergenceError) as err:
                 ROUND_FUNCTIONS[algorithm](init_round_state(np.zeros(1), 1), problem, hyper, [0, 1], 0)
         assert (err.value.client_id, err.value.iteration) == (None, None)
@@ -338,7 +338,7 @@ class TestFedAvgDegeneracy:
             assert np.array_equal(sm.x, sa.x)
 
     def test_single_client_full_batch_is_plain_gd(self):
-        problem = quadratic_problem_from([np.eye(2)], [np.ones(2)])
+        problem = QuadraticPopulation([np.eye(2)], [np.ones(2)])
         hyper = MimHyper(s_participate=1, k_local=1, eta_l=0.1, lr_decay=1.0)
         states = run_rounds(fedavg_round, problem, hyper, 20, seed=0)
         x = np.zeros(2)
@@ -380,7 +380,7 @@ class TestScaffold:
     def test_homogeneous_controls_align_after_first_round(self):
         hessians = [np.eye(2)] * 3
         centers = [np.ones(2)] * 3
-        problem = quadratic_problem_from(hessians, centers, 0.0)
+        problem = QuadraticPopulation(hessians, centers, 0.0)
         hyper = MimHyper(s_participate=3, k_local=4, eta_l=0.1)
         state = init_round_state(np.zeros(2), hyper.J)
         state, _ = scaffold_round(state, problem, hyper, [0, 1, 2], 0)
@@ -394,7 +394,7 @@ class TestScaffold:
         assert np.allclose(s2.x, f2.x, atol=1e-12)
 
     def test_single_client_reduces_to_fedavg(self):
-        problem = quadratic_problem_from([np.eye(2)], [np.ones(2)])
+        problem = QuadraticPopulation([np.eye(2)], [np.ones(2)])
         hyper = MimHyper(s_participate=1, k_local=5, eta_l=0.05)
         sc = run_rounds(scaffold_round, problem, hyper, 40, seed=2)
         av = run_rounds(fedavg_round, problem, hyper, 40, seed=2)
@@ -402,8 +402,8 @@ class TestScaffold:
             assert np.allclose(s.x, a.x, atol=1e-14)
 
     def test_heterogeneous_fixed_point_is_global_optimum(self):
-        problem = quadratic_problem_from([1.5 * np.eye(1), 0.5 * np.eye(1)],
-                                         [np.array([-1.0]), np.array([2.0])], 0.0)
+        problem = QuadraticPopulation([1.5 * np.eye(1), 0.5 * np.eye(1)],
+                                      [np.array([-1.0]), np.array([2.0])], 0.0)
         hyper = MimHyper(s_participate=2, k_local=5, eta_l=0.05, lr_decay=1.0)
         final = run_rounds(scaffold_round, problem, hyper, 5000, seed=1)[-1]
         assert np.abs(final.x - problem.known_optimum).max() <= 1e-8
@@ -412,7 +412,7 @@ class TestScaffold:
 class TestFedAdam:
     def test_zero_pseudo_gradient_is_fixed_point(self):
         # all clients already at the shared optimum: nothing moves
-        problem = quadratic_problem_from([np.eye(2)] * 2, [np.zeros(2)] * 2, 0.0)
+        problem = QuadraticPopulation([np.eye(2)] * 2, [np.zeros(2)] * 2, 0.0)
         hyper = MimHyper(s_participate=2, k_local=3, eta_l=0.1)
         state = init_round_state(np.zeros(2), hyper.J)
         state, _ = fedadam_round(state, problem, hyper, [0, 1], 0)
@@ -475,8 +475,8 @@ class TestExactRecurrenceOracle:
         eta, k_local, rounds = Fraction(1, 10), 2, 4
         oracle = self._oracle(centers, alpha, beta, eta, k_local, rounds)
 
-        problem = quadratic_problem_from([np.eye(1)] * 3,
-                                         [np.array([float(b)]) for b in centers], 0.0)
+        problem = QuadraticPopulation([np.eye(1)] * 3,
+                                      [np.array([float(b)]) for b in centers], 0.0)
         hyper = MimHyper(alpha=(0.5, 0.25), beta=(0.75, 0.125), eta_l=0.1,
                          k_local=2, s_participate=3, lr_decay=1.0)
         state = init_round_state(np.zeros(1), hyper.J)
@@ -491,8 +491,8 @@ class TestExactRecurrenceOracle:
         eta, k_local, rounds = Fraction(1, 20), 3, 5
         oracle = self._oracle(centers, alpha, beta, eta, k_local, rounds)
 
-        problem = quadratic_problem_from([np.eye(1)] * 2,
-                                         [np.array([float(b)]) for b in centers], 0.0)
+        problem = QuadraticPopulation([np.eye(1)] * 2,
+                                      [np.array([float(b)]) for b in centers], 0.0)
         hyper = MimHyper(alpha=(0.4, 0.2, 0.1), beta=(0.5, 0.0, 0.25), eta_l=0.05,
                          k_local=3, s_participate=2, lr_decay=1.0)
         state = init_round_state(np.zeros(1), hyper.J)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from client_reference import LogisticClient, MlpClient, QuadraticClient
+from client_reference import LogisticClient, MlpClient, QuadraticClient, delta_recursion_residual_loop
 from fedsim.analysis import (
     compute_u,
     finite_difference_check,
@@ -135,6 +135,24 @@ class TestIdentityResiduals:
         res = verify_delta_recursion(delta_next, grad_sum, [np.zeros(2), np.zeros(2)],
                                      alpha, eta, s, k)
         assert res == 0.0
+
+    @given(alpha=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.33)),
+                          min_size=1, max_size=4).filter(lambda alpha: sum(alpha) < 1.0),
+           zero_rows=st.lists(st.booleans(), min_size=4, max_size=4),
+           dim=st.integers(min_value=1, max_value=6), seed=st.integers(min_value=0, max_value=2**32 - 1),
+           eta_l=st.floats(min_value=1e-4, max_value=10.0), s_participate=st.integers(min_value=1, max_value=50),
+           k_local=st.integers(min_value=1, max_value=20))
+    @settings(max_examples=300)
+    def test_recursion_matches_skip_zero_loop(self, alpha, zero_rows, dim, seed, eta_l, s_participate, k_local):
+        # the same operations in the same order as the hand loop, so the same bytes; exact-zero alphas
+        # and zero history rows (the pre-history slots) are both drawn
+        gen = np.random.default_rng(seed)
+        deltas = tuple(np.zeros(dim) if zero else gen.standard_normal(dim) * 10.0 ** gen.integers(-8, 8)
+                       for zero in zero_rows[:len(alpha)])
+        grad_sum, delta_next = gen.standard_normal(dim), gen.standard_normal(dim) * 1e-3
+        args = (delta_next, grad_sum, deltas, tuple(alpha), eta_l, s_participate, k_local)
+        got, expected = verify_delta_recursion(*args), delta_recursion_residual_loop(*args)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestGeometricRateFit:

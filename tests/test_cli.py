@@ -174,6 +174,13 @@ def leaves(cfg: RunConfig) -> dict:
     return flat
 
 
+def strict_json(path):
+    """The JSON document at ``path``, failing on NaN and Infinity, which strict JSON has no literal for."""
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.fixture
 def minimal_config(tmp_path):
     path = tmp_path / "minimal.ini"
@@ -517,6 +524,17 @@ class TestCmdVerify:
                      "-o", "corrupt_delta=1e-6"]) == 3
         assert "residual exceeded" in capsys.readouterr().err
 
+    def test_nan_residuals_fail(self, tmp_path, capsys):
+        # a noise so large that every residual is NaN: max() dropped each NaN, and the run passed with 0.0
+        out = tmp_path / "out"
+        assert main(["verify", "-c", str(CONFIG_DIR / "quadratic_verify.ini"), "--out", str(out),
+                     "-o", "sigma_l=1e308", "-o", "rounds=5"]) == 3
+        assert "max residual_delta nan, max residual_u nan" in capsys.readouterr().out
+        with open(out / "metrics.csv", newline="") as fh:
+            assert all(row["residual_delta"] == row["residual_u"] == "nan" for row in csv.DictReader(fh))
+        payload = strict_json(out / "run.json")
+        assert payload["verification"] == {"max_residual_delta": None, "max_residual_u": None}
+
     def test_requires_momentum_algorithm(self, verify_config, tmp_path):
         assert main(["verify", "-c", verify_config, "--out", str(tmp_path / "o"),
                      "-o", "name=fedavg"]) == 1
@@ -610,6 +628,15 @@ class TestCmdSweep:
         assert "invalid eta_l value 'nan'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_json_outputs_are_strict(self, tmp_path):
+        # the last aggregate overflows: sweep.json wrote the leg's final loss as Infinity, run.json as null
+        leg = ["-c", str(CONFIG_DIR / "participation_study.ini"), "-o", "rounds=40", "-o", "s_participate=2",
+               "-o", "seed=2", "-o", "name=fedavg"]
+        assert main(["sweep", *leg, "--out", str(tmp_path / "s"), "--axis", "eta_l", "--values", "50"]) == 2
+        assert main(["run", *leg, "--out", str(tmp_path / "r"), "-o", "eta_l=50"]) == 2
+        assert strict_json(tmp_path / "s" / "sweep.json")["final_loss"] == [None]
+        assert strict_json(tmp_path / "r" / "run.json")["final_loss"] is None
+
     def test_out_dir_that_cannot_be_made_fails_before_training(self, minimal_config, tmp_path, capsys):
         # the sweep trained every value, then failed to make the directory
         blocker = tmp_path / "file"
@@ -672,6 +699,14 @@ class TestCmdGradcheck:
         assert main(["gradcheck", "-c", path]) == 0
         exact = getattr(owner, attr)
         monkeypatch.setattr(owner, attr, lambda *args: 1.001 * exact(*args))
+        assert main(["gradcheck", "-c", path]) == 3
+
+        def nan_in_coordinate_0(*args):
+            # max() dropped the NaN error, and the check passed on the other coordinates
+            g = exact(*args)
+            g[..., 0] = np.nan
+            return g
+        monkeypatch.setattr(owner, attr, nan_in_coordinate_0)
         assert main(["gradcheck", "-c", path]) == 3
 
     @pytest.mark.parametrize("name", ["logreg_dirichlet.ini", "mlp_small.ini"])

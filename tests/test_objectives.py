@@ -18,10 +18,10 @@ from fedsim.objectives import (
     MlpPopulation,
     PartitionError,
     PartitionResult,
+    QuadraticPopulation,
     dirichlet_partition,
     global_loss,
     ingest_csv,
-    quadratic_problem_from,
 )
 from fedsim.simulator import BUILDERS, ConfigError, ProblemConfig, build_problem
 from fedsim.vectors import PURPOSE_BATCH, derive_rng, l2_norm_sq
@@ -38,13 +38,13 @@ def data_rng(seed):
 
 class TestQuadraticProblem:
     def test_single_client_at_own_optimum(self):
-        prob = quadratic_problem_from([np.eye(3)], [np.zeros(3)])
+        prob = QuadraticPopulation([np.eye(3)], [np.zeros(3)])
         assert np.array_equal(prob.known_optimum, np.zeros(3))
         assert l2_norm_sq(population_gradient(prob, np.zeros(3))) == 0.0
 
     def test_symmetric_pair(self):
-        prob = quadratic_problem_from([np.eye(1), np.eye(1)],
-                                      [np.array([-1.0]), np.array([1.0])])
+        prob = QuadraticPopulation([np.eye(1), np.eye(1)],
+                                   [np.array([-1.0]), np.array([1.0])])
         assert np.allclose(prob.known_optimum, [0.0])
         # f(0) = mean of 0.5*(0 -+ 1)^2 = 0.5
         assert global_loss(prob, np.zeros(1)) == pytest.approx(0.5)
@@ -64,7 +64,7 @@ class TestQuadraticProblem:
         # the mean Hessian diag(5/3, 1/3) is positive definite, but client 2's gradient is 3-Lipschitz
         hessians = [np.diag([2.0, 2.0]), np.diag([2.0, 2.0]), np.diag([1.0, -3.0])]
         with pytest.raises(ValueError, match="client 2 is not positive definite"):
-            quadratic_problem_from(hessians, [np.zeros(2)] * 3)
+            QuadraticPopulation(hessians, [np.zeros(2)] * 3)
 
     def test_smoothness_witness(self):
         prob = build_problem(ProblemConfig(n_clients=4, dim=5, heterogeneity=1.5, sigma_l=0.0), 3)
@@ -87,9 +87,9 @@ class TestQuadraticProblem:
 
     def test_noise_model(self):
         x = np.ones((1, 4))
-        exact = quadratic_problem_from([np.eye(4)], [np.zeros(4)], 0.0)
+        exact = QuadraticPopulation([np.eye(4)], [np.zeros(4)], 0.0)
         assert np.array_equal(exact.client_gradients(x, exact.draw_round(0, 0, [0], 1), 0), x)
-        noisy = quadratic_problem_from([np.eye(4)], [np.zeros(4)], 0.3)
+        noisy = QuadraticPopulation([np.eye(4)], [np.zeros(4)], 0.3)
         k_local = 20000
         round_draws = noisy.draw_round(5, 0, [0], k_local)
         draws = np.array([noisy.client_gradients(x, round_draws, k)[0] - x[0] for k in range(k_local)])

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from fedsim import algorithms, simulator
 from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, init_round_state
 from fedsim.cli import metrics_csv_bytes, parse_config
-from fedsim.objectives import quadratic_problem_from
+from fedsim.objectives import QuadraticPopulation
 from fedsim.simulator import (
     BUILDERS,
     ConfigError,
@@ -166,6 +167,24 @@ class TestRunTraining:
         assert np.array_equal(plain.final_x, checked.final_x)
         assert checked.max_residual_delta <= 1e-12
 
+    def test_verify_round_computes_u_and_gradient_sum_once(self, monkeypatch):
+        # a verify round with a metric row computed u_{t+1} twice and added the gradient rows twice
+        calls = {"compute_u": 0, "_total_grad_sum": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(simulator, "compute_u")
+        counted(algorithms, "_total_grad_sum")
+        record = run_training(quad_config(verify=True, metric_every=1, rounds=7))
+        assert len(record.rows) == 7
+        assert calls == {"compute_u": 2 * 7, "_total_grad_sum": 7}
+
     def test_grad_norm_at_u_only_for_momentum_rule(self):
         mim = run_training(quad_config(rounds=3))
         avg = run_training(quad_config(rounds=3, algorithm="fedavg"))
@@ -183,8 +202,8 @@ class TestRunTraining:
     def test_divergence_names_lowest_client_and_its_step(self, algorithm):
         # client 2 overflows at local step 3, client 0 only at step 10, client 1 never;
         # the per-client loops this kernel replaced reported (0, 10) for every rule
-        problem = quadratic_problem_from([1e30 * np.eye(1), 0.5 * np.eye(1), 1e100 * np.eye(1)],
-                                         [np.ones(1)] * 3, 0.0)
+        problem = QuadraticPopulation([1e30 * np.eye(1), 0.5 * np.eye(1), 1e100 * np.eye(1)],
+                                      [np.ones(1)] * 3, 0.0)
         cfg = quad_config(problem=ProblemConfig(kind="quadratic", n_clients=3, dim=1),
                           algorithm=algorithm, rounds=2,
                           hyper=MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=1.0, k_local=20, s_participate=3))
@@ -221,6 +240,9 @@ class TestRunTraining:
     def test_eta_bound_reported_when_l_known(self):
         record = run_training(quad_config(rounds=1))
         assert record.eta_bound is not None and record.eta_bound.bound > 0
+        # a quadratic built by its constructor knows L too; the constants were set by a separate function
+        problem = QuadraticPopulation([np.eye(4)] * 6, [np.zeros(4)] * 6)
+        assert run_training(quad_config(rounds=1), problem).eta_bound is not None
         mlp_cfg = quad_config(rounds=1, problem=ProblemConfig(
             kind="mlp", n_clients=4, dim=3, mlp_hidden=4, samples_per_client=10, batch_size=5))
         assert run_training(mlp_cfg).eta_bound is None
