@@ -12,6 +12,7 @@ from .algorithms import (
     MimHyper,
     RoundState,
     compute_delta,
+    eta_l_bound,
     fedadam_round,
     fedavg_round,
     fedcm_round,
@@ -19,7 +20,6 @@ from .algorithms import (
     mim_local_update,
     mim_round,
     scaffold_round,
-    validate_eta_l,
 )
 from .analysis import (
     MetricRow,

@@ -347,21 +347,13 @@ ROUND_FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class EtaBoundReport:
-    eta_l: float
-    bound: float
-    satisfied: bool
+def eta_l_bound(smoothness_l: float, k_local: int, a_scale: float) -> float:
+    """The local-rate bound min{1/(4LK sqrt(A)), 3/(16KL)}.
 
-
-def validate_eta_l(eta_l: float, smoothness_l: float, k_local: int, a_scale: float) -> EtaBoundReport:
-    """Check the local rate against min{1/(4LK sqrt(A)), 3/(16KL)}.
-
-    Advisory only: the report annotates run metadata and never blocks
-    execution.
+    Advisory only: ``run.json`` reports it and whether eta_l meets it; it
+    never blocks execution.
     """
     if not (0 < a_scale <= 1):
         raise ValueError("a_scale must be in (0, 1]")
-    bound = min(1.0 / (4.0 * smoothness_l * k_local * math.sqrt(a_scale)),
-                3.0 / (16.0 * k_local * smoothness_l))
-    return EtaBoundReport(eta_l, bound, eta_l <= bound)
+    return min(1.0 / (4.0 * smoothness_l * k_local * math.sqrt(a_scale)),
+               3.0 / (16.0 * k_local * smoothness_l))

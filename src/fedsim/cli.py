@@ -121,8 +121,8 @@ def write_run_json(record: RunRecord, path: Path) -> None:
     payload = {
         "config": dataclasses.asdict(record.config),
         "status": "diverged" if record.diverged_round is not None else "completed",
-        "eta_l_bound": None if bound is None else {"value": _json_float(bound.bound),
-                                                   "satisfied": bound.satisfied},
+        "eta_l_bound": None if bound is None else {"value": _json_float(bound),
+                                                   "satisfied": record.config.hyper.eta_l <= bound},
         "final_loss": _json_float(record.final_loss),
         "wall_ms_total": _json_float(record.wall_ms_total),
         "manifest": {

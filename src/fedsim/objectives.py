@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -332,15 +333,17 @@ class MlpPopulation(_SampledPopulation):
 
     The network is two-layer tanh, parameters packed flat as [W1 (h,d),
     b1 (h), W2 (o,h), b2 (o)] (see ``unpack_mlp``), targets t the ``values``.
-    ``evaluate`` handles scalar output only (widths (d, h, 1)), as ``mlp_problem`` builds it.
+    Scalar output only (widths (d, h, 1)), as ``mlp_problem`` builds it: ``targets`` must be (n, 1).
     """
 
     fd_tolerance = 1e-4
 
     def __init__(self, features: np.ndarray, targets: np.ndarray, partition: PartitionResult, batch: int,
                  hidden: int):
+        if targets.ndim != 2 or targets.shape[1] != 1:
+            raise ValueError(f"targets must have shape (n, 1), got {targets.shape}")
         super().__init__(features, targets, partition, batch)
-        self.widths = (features.shape[1], hidden, targets.shape[1])
+        self.widths = (features.shape[1], hidden, 1)
         d, h, o = self.widths
         self.dim = h * d + h + o * h + o  # W1 (h, d), b1 (h), W2 (o, h), b2 (o)
 
@@ -515,7 +518,7 @@ def mlp_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProble
 
 
 def ingest_csv(path: str, label_column: str):
-    """Read a numeric-feature CSV with a header row.
+    """Read a numeric-feature CSV with a header row of distinct names.
 
     Returns ``(labels, features)``: integer class labels (sorted unique
     values mapped to 0..C-1) and per-column standardized features
@@ -528,6 +531,9 @@ def ingest_csv(path: str, label_column: str):
         except StopIteration:
             raise CsvFormatError("empty file") from None
         header = [h.strip() for h in header]
+        repeated = [name for name, count in Counter(header).items() if count > 1]
+        if repeated:
+            raise CsvFormatError(f"column '{repeated[0]}' appears more than once in header {header}")
         if label_column not in header:
             raise CsvFormatError(f"label column '{label_column}' not found in header {header}")
         if len(header) == 1:

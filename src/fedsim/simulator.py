@@ -29,11 +29,10 @@ from .algorithms import (
     ROUND_FUNCTIONS,
     AlgoParams,
     DivergenceError,
-    EtaBoundReport,
     MimHyper,
     current_eta,
+    eta_l_bound,
     init_round_state,
-    validate_eta_l,
 )
 from .analysis import (
     MetricRow,
@@ -233,7 +232,7 @@ class RunRecord:
     diverged_round: Optional[int] = None
     diverged_client: Optional[int] = None  # lowest client id that went non-finite (None: the server step)
     diverged_step: Optional[int] = None  # that client's first non-finite local step
-    eta_bound: Optional[EtaBoundReport] = None
+    eta_bound: Optional[float] = None  # eta_l_bound(L, K, A), None when the problem has no L
     max_residual_delta: Optional[float] = None
     max_residual_u: Optional[float] = None
     wall_ms_total: float = 0.0
@@ -271,13 +270,6 @@ def build_problem(cfg: ProblemConfig, master_seed: int) -> FederatedProblem:
         raise ConfigError(f"cannot build the {cfg.kind} problem: {exc}") from None
 
 
-def _eta_bound_report(config: RunConfig, problem: FederatedProblem) -> Optional[EtaBoundReport]:
-    if problem.smoothness_L is None:
-        return None
-    return validate_eta_l(config.hyper.eta_l, problem.smoothness_L,
-                          config.hyper.k_local, config.hyper.A)
-
-
 def run_training(config: RunConfig, problem: Optional[FederatedProblem] = None) -> RunRecord:
     """Execute the configured number of rounds, recording metrics on cadence.
 
@@ -286,7 +278,9 @@ def run_training(config: RunConfig, problem: Optional[FederatedProblem] = None) 
     """
     if problem is None:
         problem = build_problem(config.problem, config.master_seed)
-    record = RunRecord(config=config, eta_bound=_eta_bound_report(config, problem))
+    hyper, smooth = config.hyper, problem.smoothness_L
+    bound = None if smooth is None else eta_l_bound(smooth, hyper.k_local, hyper.A)
+    record = RunRecord(config=config, eta_bound=bound)
     started = time.perf_counter()
     try:
         # overflow is detected explicitly after every local step and server step; keep numpy quiet

@@ -14,11 +14,11 @@ from client_reference import clients_of
 from fedsim.algorithms import (
     MimHyper,
     AlgoParams,
+    eta_l_bound,
     fedavg_round,
     fedcm_round,
     init_round_state,
     mim_round,
-    validate_eta_l,
 )
 from fedsim.analysis import finite_difference_check
 from fedsim.cli import main
@@ -136,7 +136,7 @@ def test_criterion_05_pl_convergence():
     problem = build_problem(pc, 42)
     k_local = 5
     a_scale = MimHyper().A  # default alpha weights
-    eta = 0.9 * validate_eta_l(0.1, problem.smoothness_L, k_local, a_scale).bound
+    eta = 0.9 * eta_l_bound(problem.smoothness_L, k_local, a_scale)
     cfg = RunConfig(problem=pc, algorithm="fedmim",
                     hyper=MimHyper(eta_l=eta, k_local=k_local, s_participate=4),
                     rounds=2000, master_seed=42)
@@ -224,11 +224,11 @@ def test_criterion_09_rate_bound_arithmetic():
         smooth = float(gen.uniform(0.1, 10.0))
         k_local = int(gen.integers(1, 64))
         a_scale = float(gen.uniform(0.01, 1.0))
-        report = validate_eta_l(0.05, smooth, k_local, a_scale)
+        bound = eta_l_bound(smooth, k_local, a_scale)
         # independently coded expression
         oracle = min(1 / (4 * smooth * k_local * a_scale**0.5),
                      3 / (16 * k_local * smooth))
-        ok &= abs(report.bound - oracle) <= np.spacing(max(report.bound, oracle))
+        ok &= abs(bound - oracle) <= np.spacing(max(bound, oracle))
     verdict(9, "learning-rate bound matches independent arithmetic to 1 ulp", ok)
 
 

@@ -17,6 +17,7 @@ from fedsim.algorithms import (
     adam_server_step,
     compute_delta,
     current_eta,
+    eta_l_bound,
     fedadam_round,
     fedavg_round,
     fedcm_round,
@@ -24,7 +25,6 @@ from fedsim.algorithms import (
     mim_local_update,
     mim_round,
     scaffold_round,
-    validate_eta_l,
 )
 from fedsim.objectives import QuadraticPopulation
 from fedsim.simulator import BUILDERS, ConfigError, ProblemConfig, build_problem, sample_clients
@@ -503,15 +503,14 @@ class TestExactRecurrenceOracle:
 
 class TestValidateEtaL:
     def test_closed_form_case_one(self):
-        report = validate_eta_l(0.01, 1.0, 10, 0.1)
-        assert report.bound == pytest.approx(0.01875, abs=1e-12)
-        assert report.satisfied
+        bound = eta_l_bound(1.0, 10, 0.1)
+        assert bound == pytest.approx(0.01875, abs=1e-12)
+        assert 0.01 <= bound
 
     def test_closed_form_case_two(self):
-        report = validate_eta_l(0.2, 1.0, 1, 1.0)
-        assert report.bound == pytest.approx(0.1875, abs=1e-12)
-        assert not report.satisfied
+        bound = eta_l_bound(1.0, 1, 1.0)
+        assert bound == pytest.approx(0.1875, abs=1e-12)
+        assert not 0.2 <= bound
 
     def test_warning_carries_both_numbers(self):
-        report = validate_eta_l(0.5, 2.0, 4, 0.5)
-        assert report.eta_l == 0.5 and report.bound < 0.5 and not report.satisfied
+        assert eta_l_bound(2.0, 4, 0.5) < 0.5

@@ -309,17 +309,22 @@ class TestCmdRun:
         train.assert_not_called()
         assert "error:" in capsys.readouterr().err
 
-    def test_bound_report_value(self, minimal_config, tmp_path):
+    # the minimal config's eta_l of 0.1 is above its bound; 1e-4 is below it
+    @pytest.mark.parametrize("overrides, satisfied", [((), False), (("eta_l=1e-4",), True)],
+                             ids=["default", "eta_l=1e-4"])
+    def test_bound_report_value(self, minimal_config, tmp_path, overrides, satisfied):
         out = tmp_path / "out"
-        assert main(["run", "-c", minimal_config, "--out", str(out)]) == 0
+        flags = [arg for item in overrides for arg in ("-o", item)]
+        assert main(["run", "-c", minimal_config, "--out", str(out), *flags]) == 0
         payload = json.loads((out / "run.json").read_text())
         bound = payload["eta_l_bound"]
-        cfg = parse_config(minimal_config)
+        cfg = parse_config(minimal_config, overrides)
         from fedsim.simulator import build_problem
         smooth = build_problem(cfg.problem, cfg.master_seed).smoothness_L
         expected = min(1 / (4 * smooth * cfg.hyper.k_local * math.sqrt(cfg.hyper.A)),
                        3 / (16 * cfg.hyper.k_local * smooth))
         assert bound["value"] == pytest.approx(expected, rel=1e-12)
+        assert bound["satisfied"] is satisfied
         assert bound["satisfied"] == (cfg.hyper.eta_l <= expected)
 
     def test_run_json_manifest(self, minimal_config, tmp_path):

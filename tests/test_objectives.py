@@ -317,6 +317,14 @@ class TestProblemGenerators:
         assert prob.dim == 5 * 4 + 5 + 5 + 1
         assert prob.smoothness_L is None
 
+    @pytest.mark.parametrize("shape", [(6, 2), (6,)], ids=["two-columns", "flat"])
+    def test_mlp_rejects_targets_that_are_not_one_column(self, shape):
+        # evaluate handles scalar output only; two columns used to fail at the first metric row
+        gen = np.random.default_rng(0)
+        part = PartitionResult([np.arange(3), np.arange(3, 6)])
+        with pytest.raises(ValueError, match="targets must have shape"):
+            MlpPopulation(gen.standard_normal((6, 3)), np.zeros(shape), part, 0, 4)
+
     @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8), dim=st.integers(1, 4),
            seed=st.integers(0, 10_000))
     @example(sizes=[1], dim=1, seed=0)
@@ -445,6 +453,12 @@ class TestCsvIngestion:
         plain_labels, plain_feats = ingest_csv(str(plain), "y")
         bom_labels, bom_feats = ingest_csv(str(marked), "y")
         assert np.array_equal(bom_labels, plain_labels) and np.array_equal(bom_feats, plain_feats)
+
+    def test_repeated_column_name(self, tmp_path):
+        # the second 'y' (here 1 - label) used to be standardized as a feature
+        path = self._write(tmp_path, ["1,0,1", "2,1,0", "3,0,1", "4,1,0"], header="a,y,y")
+        with pytest.raises(CsvFormatError, match="column 'y' appears more than once"):
+            ingest_csv(path, "y")
 
     def test_missing_label_column(self, tmp_path):
         path = self._write(tmp_path, ["1.0,2.0,0"])

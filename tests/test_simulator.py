@@ -10,7 +10,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from fedsim import algorithms, simulator
-from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, init_round_state
+from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, eta_l_bound, init_round_state
 from fedsim.cli import metrics_csv_bytes, parse_config
 from fedsim.objectives import QuadraticPopulation
 from fedsim.simulator import (
@@ -238,11 +238,14 @@ class TestRunTraining:
         assert record.max_residual_delta > 1e-7
 
     def test_eta_bound_reported_when_l_known(self):
-        record = run_training(quad_config(rounds=1))
-        assert record.eta_bound is not None and record.eta_bound.bound > 0
+        cfg = quad_config(rounds=1)
+        problem = build_problem(cfg.problem, cfg.master_seed)
+        expected = eta_l_bound(problem.smoothness_L, cfg.hyper.k_local, cfg.hyper.A)
+        assert expected > 0 and run_training(cfg, problem).eta_bound == expected
         # a quadratic built by its constructor knows L too; the constants were set by a separate function
         problem = QuadraticPopulation([np.eye(4)] * 6, [np.zeros(4)] * 6)
-        assert run_training(quad_config(rounds=1), problem).eta_bound is not None
+        expected = eta_l_bound(problem.smoothness_L, cfg.hyper.k_local, cfg.hyper.A)
+        assert run_training(cfg, problem).eta_bound == expected
         mlp_cfg = quad_config(rounds=1, problem=ProblemConfig(
             kind="mlp", n_clients=4, dim=3, mlp_hidden=4, samples_per_client=10, batch_size=5))
         assert run_training(mlp_cfg).eta_bound is None
