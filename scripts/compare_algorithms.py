@@ -44,7 +44,7 @@ def main():
         out.mkdir(parents=True, exist_ok=True)  # before any training, so a bad directory fails first
         sweeps = [run_sweep(sweep_configs(with_settings(config, {"seed": seed}), "algorithm", ALGORITHMS))
                   for seed in args.seeds]
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         sys.exit(f"error: {exc}")
 
     lines = [",".join(("algorithm", "seed") + METRIC_COLUMNS)]

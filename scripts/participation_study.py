@@ -55,7 +55,7 @@ def main():
         sweeps = [run_sweep(sweep_configs(with_settings(config, {"seed": seed}), "s_participate",
                                           args.participate))
                   for seed in args.seeds]
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         sys.exit(f"error: {exc}")
 
     print(f"{'S':>4}  {'median rounds':>13}  per-seed")

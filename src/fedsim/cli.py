@@ -273,7 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.subcommand == "gradcheck":
             return cmd_gradcheck(config)
         raise ConfigError(f"unknown subcommand {args.subcommand}")
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,7 @@ Three synthetic problem families with progressively weaker structure:
 
 * quadratics with known optimum, smoothness and PL constants,
 * two-blob binary logistic regression with an analytic smoothness bound,
-* a small two-layer tanh network (non-convex, no constants).
+* a two-layer tanh network, parameters [W1, b1, w2, b2] (non-convex, no constants).
 
 Plus Dirichlet label-skew partitioning and CSV ingestion for tabular data.
 Each builder takes a :class:`~fedsim.simulator.ProblemConfig`, which holds
@@ -29,16 +29,17 @@ call); ``global_loss`` is its single-point wrapper.
 ``draw_round(seed, round_index, ids, k_local)`` draws each sampled client's
 gradient noise or K minibatches (as stack rows) for the round up front, from
 its own (round, client, PURPOSE_BATCH) stream in one call (a
-``standard_normal`` fill or ``EpochSampler.batches(K)``).  The round's
-streams come from ``vectors.round_generators``: their keys are computed in
-one pass and drawn on one reset Philox, with the same draws as ``derive_rng``.
+``standard_normal`` fill or ``EpochSampler.batches(K)``), the sample-based
+kinds' grouped by batch length.  The round's streams come from
+``vectors.round_generators``: their keys are computed in one pass and drawn
+on one reset Philox, with the same draws as ``derive_rng``.
 ``client_gradients`` returns the (S, d) gradients of the sampled clients at
-one local step.
+one local step, one batched product per group.
 ``client_loss(cid, x)`` and ``client_gradient(cid, x)`` are one client's
 full-batch loss and gradient, each computed on its own: the gradient by the
-training arithmetic, so that finite differences of the loss (``fedsim
-gradcheck``, through the one-client view :class:`ClientObjective`) check the
-gradient that trains, and no loss probe computes a gradient.
+training arithmetic (``_rows_gradient`` on one row), so that finite
+differences of the loss (``fedsim gradcheck``, through :class:`ClientObjective`)
+check the gradient that trains, and no loss probe computes a gradient.
 """
 
 from __future__ import annotations
@@ -83,19 +84,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def unpack_mlp(x: np.ndarray, widths: tuple[int, int, int]):
-    """Views (W1 (h,d), b1 (h), W2 (o,h), b2 (o)) into a flat parameter vector.
+    """(W1 (h,d), b1 (h), w2 (h,), b2) of a flat parameter vector of the scalar-output widths (d, h, 1).
 
-    A (P, dim) stack of parameter vectors gives (P, h, d), (P, h), (P, o, h)
-    and (P, o) views.
+    A (P, dim) stack of parameter vectors gives (P, h, d), (P, h), (P, h)
+    and (P,) views.
     """
-    d, h, o = widths
-    lead = x.shape[:-1]
-    i = 0
-    w1 = x[..., i:i + h * d].reshape(lead + (h, d)); i += h * d
-    b1 = x[..., i:i + h]; i += h
-    w2 = x[..., i:i + o * h].reshape(lead + (o, h)); i += o * h
-    b2 = x[..., i:i + o]
-    return w1, b1, w2, b2
+    d, h = widths[:2]
+    w1 = x[..., :h * d].reshape(x.shape[:-1] + (h, d))
+    return w1, x[..., h * d:h * d + h], x[..., h * d + h:h * d + 2 * h], x[..., h * d + 2 * h]
 
 
 class EpochSampler:
@@ -123,7 +119,6 @@ class EpochSampler:
 @dataclass(frozen=True)
 class PartitionResult:
     client_indices: list  # one sorted int array per client
-    class_values: Optional[np.ndarray] = None
     class_proportions: Optional[np.ndarray] = None  # (num_classes, num_clients), final accepted draw
 
 
@@ -261,23 +256,34 @@ class _SampledPopulation(FederatedProblem):
         self.num_clients = len(sizes)
 
     def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
-        """Each sampled client's K minibatches: a (K, B_i) array of stack rows, drawn on its own stream."""
-        spans = [self.spans[cid] for cid in ids]
+        """The sampled clients grouped by batch length: (positions in ``ids``, (K, G, B) stack rows) pairs.
+
+        Each client's K minibatches are drawn on its own stream; a client
+        with no more than ``batch`` samples takes its full, shorter batch.
+        """
+        groups: dict = {}
         gens = round_generators(seed, round_index, ids, PURPOSE_BATCH)
-        return [start + EpochSampler(stop - start, self.batch, gen).batches(k_local)
-                for (start, stop), gen in zip(spans, gens)]
+        for pos, (cid, gen) in enumerate(zip(ids, gens)):
+            start, stop = self.spans[cid]
+            batches = start + EpochSampler(stop - start, self.batch, gen).batches(k_local)
+            groups.setdefault(batches.shape[1], []).append((pos, batches))
+        return [(np.array([pos for pos, _ in members]), np.stack([rows for _, rows in members], axis=1))
+                for members in groups.values()]
 
     def client_gradients(self, x: np.ndarray, draws, step: int) -> np.ndarray:
-        """Row s: the minibatch gradient of client s at row s of ``x``."""
-        return np.stack([self._rows_gradient(row, batches[step]) for row, batches in zip(x, draws)])
+        """Row s: the minibatch gradient of client s at row s of ``x``, one batched call per group."""
+        g = np.empty_like(x)
+        for positions, rows in draws:
+            g[positions] = self._rows_gradient(x[positions], rows[step])
+        return g
 
     def client_loss(self, cid: int, x: ParamVector) -> float:
         """Client ``cid``'s full-batch loss, over all its rows."""
         return self._rows_loss(x, np.arange(*self.spans[cid]))
 
     def client_gradient(self, cid: int, x: ParamVector) -> ParamVector:
-        """Client ``cid``'s full-batch gradient: the minibatch gradient over all its rows."""
-        return self._rows_gradient(x, np.arange(*self.spans[cid]))
+        """Client ``cid``'s full-batch gradient: the training gradient of one row over all its rows."""
+        return self._rows_gradient(x[None], np.arange(*self.spans[cid])[None])[0]
 
 
 class LogisticPopulation(_SampledPopulation):
@@ -300,12 +306,11 @@ class LogisticPopulation(_SampledPopulation):
         data = float(np.mean(np.logaddexp(0.0, z) - self.values[rows] * z))
         return data + 0.5 * self.weight_decay * float(x @ x)
 
-    def _rows_gradient(self, x: ParamVector, rows: np.ndarray) -> ParamVector:
-        """Gradient of the loss over the stack ``rows`` at ``x``."""
+    def _rows_gradient(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row g: the gradient over stack rows ``rows[g]`` (G, B) at ``x[g]`` (G, d), one matmul per client."""
         xb = self.features[rows]
-        z = xb @ x
-        r = _sigmoid(z) - self.values[rows]
-        return xb.T @ r / len(rows) + self.weight_decay * x
+        r = _sigmoid(np.matmul(xb, x[:, :, None])[..., 0]) - self.values[rows]
+        return np.matmul(xb.transpose(0, 2, 1), r[:, :, None])[..., 0] / rows.shape[1] + self.weight_decay * x
 
     def evaluate(self, points: np.ndarray):
         """Losses (P,) and gradients (P, d) at the (P, d) ``points``, in one blocked pass.
@@ -331,9 +336,8 @@ class LogisticPopulation(_SampledPopulation):
 class MlpPopulation(_SampledPopulation):
     """f(x) = sum_s w_s 0.5 (net(x_s) - t_s)^2, w_s = 1/(N n_i), with hand-coded backprop.
 
-    The network is two-layer tanh, parameters packed flat as [W1 (h,d),
-    b1 (h), W2 (o,h), b2 (o)] (see ``unpack_mlp``), targets t the ``values``.
-    Scalar output only (widths (d, h, 1)), as ``mlp_problem`` builds it: ``targets`` must be (n, 1).
+    The network is two-layer tanh with a scalar output, widths (d, h, 1), parameters packed flat as
+    [W1 (h,d), b1 (h), w2 (h), b2] (see ``unpack_mlp``).  ``targets`` must be (n, 1); their column is the ``values``.
     """
 
     fd_tolerance = 1e-4
@@ -342,34 +346,27 @@ class MlpPopulation(_SampledPopulation):
                  hidden: int):
         if targets.ndim != 2 or targets.shape[1] != 1:
             raise ValueError(f"targets must have shape (n, 1), got {targets.shape}")
-        super().__init__(features, targets, partition, batch)
+        super().__init__(features, targets[:, 0], partition, batch)
         self.widths = (features.shape[1], hidden, 1)
-        d, h, o = self.widths
-        self.dim = h * d + h + o * h + o  # W1 (h, d), b1 (h), W2 (o, h), b2 (o)
-
-    def _forward(self, x: ParamVector, rows: np.ndarray):
-        w1, b1, w2, b2 = unpack_mlp(x, self.widths)
-        xb = self.features[rows]
-        a1 = np.tanh(xb @ w1.T + b1)
-        out = a1 @ w2.T + b2
-        return xb, a1, out, w2
+        self.dim = hidden * (features.shape[1] + 2) + 1
 
     def _rows_loss(self, x: ParamVector, rows: np.ndarray) -> float:
         """0.5 mean over ``rows`` of the squared residual."""
-        _, _, out, _ = self._forward(x, rows)
-        r = out - self.values[rows]
-        return 0.5 * float(np.mean(np.sum(r * r, axis=1)))
+        w1, b1, w2, b2 = unpack_mlp(x, self.widths)
+        r = np.tanh(self.features[rows] @ w1.T + b1) @ w2 + b2 - self.values[rows]
+        return 0.5 * float(np.mean(r * r))
 
-    def _rows_gradient(self, x: ParamVector, rows: np.ndarray) -> ParamVector:
-        """Gradient of the loss over the stack ``rows`` at ``x``, by backprop."""
-        xb, a1, out, w2 = self._forward(x, rows)
-        r = (out - self.values[rows]) / len(rows)
-        g_w2 = r.T @ a1
-        g_b2 = r.sum(axis=0)
-        dz1 = (r @ w2) * (1.0 - a1 * a1)
-        g_w1 = dz1.T @ xb
-        g_b1 = dz1.sum(axis=0)
-        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    def _rows_gradient(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Row g: the gradient over stack rows ``rows[g]`` (G, B) at ``x[g]`` (G, dim), by backprop."""
+        w1, b1, w2, b2 = unpack_mlp(x, self.widths)
+        xb = self.features[rows]
+        a1 = np.tanh(np.matmul(xb, w1.transpose(0, 2, 1)) + b1[:, None, :])  # (G, B, h)
+        r = (np.matmul(a1, w2[:, :, None])[..., 0] + b2[:, None] - self.values[rows]) / rows.shape[1]
+        # the outer product r w2 by matmul, which adds each product to 0 and so writes no -0
+        dz1 = np.matmul(r[:, :, None], w2[:, None, :]) * (1.0 - a1 * a1)
+        g_w1 = np.matmul(dz1.transpose(0, 2, 1), xb).reshape(len(x), -1)
+        g_w2 = np.matmul(r[:, None, :], a1)[:, 0]
+        return np.concatenate([g_w1, dz1.sum(axis=1), g_w2, r.sum(axis=1)[:, None]], axis=1)
 
     def evaluate(self, points: np.ndarray):
         """Losses (P,) and gradients (P, dim) at the (P, dim) ``points``, in one blocked pass.
@@ -382,21 +379,18 @@ class MlpPopulation(_SampledPopulation):
         n_points, hidden, d_in = w1.shape
         w1 = w1.reshape(n_points * hidden, d_in)
         b1 = b1.reshape(n_points * hidden, 1)
-        w2_col = w2.reshape(n_points, hidden, 1)
-        targets = self.values[:, 0]
         losses = np.zeros(n_points)
         grads = np.zeros_like(points)
         g_w1, g_b1, g_w2, g_b2 = unpack_mlp(grads, self.widths)
-        g_w2 = g_w2.reshape(n_points, hidden)
         for rows in _row_blocks(len(self.weights)):
             xb = self.features[rows]
             a1 = np.tanh(w1 @ xb.T + b1).reshape(n_points, hidden, -1)  # (P, h, B)
-            r = (w2 @ a1)[:, 0, :] + b2 - targets[rows]  # (P, B)
+            r = np.matmul(w2[:, None, :], a1)[:, 0] + b2[:, None] - self.values[rows]  # (P, B)
             losses += row_dots(r * r, self.weights[rows])
             r *= self.weights[rows]
-            g_w2 += (a1 @ r[:, :, None])[:, :, 0]
-            g_b2 += r.sum(axis=1, keepdims=True)
-            dz1 = ((w2_col * r[:, None, :]) * (1.0 - a1 * a1)).reshape(n_points * hidden, -1)
+            g_w2 += np.matmul(a1, r[:, :, None])[..., 0]
+            g_b2 += r.sum(axis=1)
+            dz1 = ((w2[:, :, None] * r[:, None, :]) * (1.0 - a1 * a1)).reshape(n_points * hidden, -1)
             g_w1 += (dz1 @ xb).reshape(g_w1.shape)
             g_b1 += dz1.sum(axis=1).reshape(g_b1.shape)
         return 0.5 * losses, grads
@@ -472,7 +466,7 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, concentration: Opt
                 start += cnt
         parts = [np.sort(np.concatenate(a)) if a else np.empty(0, dtype=np.intp) for a in assigned]
         if all(p.size > 0 for p in parts):
-            return PartitionResult(parts, class_values, proportions)
+            return PartitionResult(parts, proportions)
     raise PartitionError("a client received no samples after 10 redraws")
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from client_reference import QueueSampler, clients_of
@@ -198,6 +198,12 @@ def random_problem(case):
 
 class TestBatchedKernel:
     @given(case=kernel_cases())
+    # clients 0-5 hold 20, 7, 32, 5, 12 and 14 samples and clients 0, 1, 3, 4, 5 are sampled: batch
+    # lengths 12, 7, 5, 12, 12 in id order, so the rows of the 12-group interleave with two shorter groups
+    @example(case=dict(kind="mlp", n_clients=6, s_participate=5, k_local=3, alpha=(0.2, 0.05), beta=(0.9, 0.1),
+                       batch_size=12, correction=True, seed=1))
+    @example(case=dict(kind="logreg", n_clients=6, s_participate=5, k_local=3, alpha=(0.2, 0.05),
+                       beta=(0.9, 0.1), batch_size=12, correction=True, seed=1))
     @settings(max_examples=60, deadline=None)
     def test_rows_match_per_client_reference_bytes(self, case):
         problem = random_problem(case)

@@ -388,6 +388,16 @@ class TestCmdRun:
         assert main(["run", "-c", minimal_config, "-o", "alpha=0.9,0.2"]) == 1
         assert "alpha weights must sum below 1" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_1(self, minimal_config, tmp_path, capsys, monkeypatch):
+        # a round's draws are allocated up front: k_local=100000000 on quadratic_verify.ini asked numpy
+        # for 35.8 GiB and ended in a traceback
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 35.8 GiB")
+
+        monkeypatch.setattr(cli, "run_training", out_of_memory)
+        assert main(["run", "-c", minimal_config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 35.8 GiB\n"
+
     @pytest.mark.parametrize("override, message", [  # space-separated items are separate -o flags
         ("eta_l=nan", "eta_l must be positive and finite"),  # ran and exited 2 as a divergence
         ("dim=0", "dim must be >= 1"),  # escaped the builder as a ValueError traceback

@@ -204,7 +204,10 @@ class TestEpochSampler:
 
 def assert_batches_match_streams(population, seed, round_index, ids, k_local):
     """Client s's K minibatches are its stack rows, drawn on derive_rng's (round, client, batch) stream."""
-    draws = population.draw_round(seed, round_index, ids, k_local)
+    placed = [(pos, batches) for positions, rows in population.draw_round(seed, round_index, ids, k_local)
+              for pos, batches in zip(positions.tolist(), rows.transpose(1, 0, 2), strict=True)]
+    assert sorted(pos for pos, _ in placed) == list(range(len(ids)))  # each client in exactly one group
+    draws = [batches for _, batches in sorted(placed, key=lambda item: item[0])]
     for cid, batches in zip(ids, draws, strict=True):
         start, stop = population.spans[cid]
         if 0 < population.batch < stop - start:
@@ -339,7 +342,7 @@ class TestProblemGenerators:
         part = PartitionResult(np.split(gen.permutation(n), np.cumsum(sizes)[:-1]))
         targets = labels.astype(np.float64)[:, None]
         for prob, values in [(LogisticPopulation(features, labels, part, 0, 0.01), labels.astype(np.float64)),
-                             (MlpPopulation(features, targets, part, 0, 3), targets)]:
+                             (MlpPopulation(features, targets, part, 0, 3), targets[:, 0])]:
             ref_features, ref_values, ref_weights, ref_spans = _stack_by_client(features, values,
                                                                                 part.client_indices)
             for got, want in [(prob.features, ref_features), (prob.values, ref_values),

@@ -104,6 +104,15 @@ def test_script_config_error_exits_1(monkeypatch, name):
         run_script(monkeypatch, name, *SMALL, "-o", "rounds=0")
 
 
+@pytest.mark.parametrize("name, args", [("compare_algorithms.py", ("-o", "s_participate=2")),
+                                        ("participation_study.py", ("--participate", "2"))])
+def test_script_out_of_memory_exits_1(tmp_path, monkeypatch, name, args):
+    # a MemoryError from numpy escaped as a traceback
+    with mock.patch.object(simulator, "run_training", side_effect=MemoryError("Unable to allocate 35.8 GiB")), \
+            pytest.raises(SystemExit, match="^error: Unable to allocate 35.8 GiB$"):
+        run_script(monkeypatch, name, *SMALL, *args, "-o", f"out_dir={tmp_path / 'out'}")
+
+
 @pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf"])
 def test_participation_study_rejects_bad_threshold(monkeypatch, threshold):
     # nan, -1 and 0 used to censor every seed, inf to report round 1, all with exit 0

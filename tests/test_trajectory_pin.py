@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from fedsim.algorithms import ROUND_FUNCTIONS, AlgoParams, MimHyper, init_round_state
+from fedsim.cli import metrics_csv_bytes
 from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training, sample_clients
 
 PINS = {
@@ -36,6 +37,13 @@ PINS = {
         "f5f6c72347dd8a912b303f6f536830ac23e4f42854ef05c30eb3a6a9390c1a8f",
         "b1b3d046a91356839a7f8cdc9e137df570d1f19fb01ada9a740698a1996db6d3",
     ),
+}
+
+# metrics.csv of the same runs, recorded before the sample-based kinds' training gradients were batched
+# over clients and the mlp's output axis was dropped; the rows come from the population oracles' evaluate
+METRICS_PINS = {
+    "logreg": "46db513b8535543fdbd296e1c1e72a4bed7af00bbbec01acd56f7017a1311b4f",
+    "mlp": "b17ce370f71e4345dc315eda5ef94dd995781cf7b0699bbdb992fed426dcc6e9",
 }
 
 # Baseline round rules on the quadratic pin problem (S=3 of N=6 clients),
@@ -89,6 +97,12 @@ def test_training_trajectory_is_pinned(kind):
     assert np.array_equal(record.final_x, state.x)
     assert _sha(state.x.tobytes()) == x_digest
     assert _sha(b"".join(d.tobytes() for d in state.delta_history)) == delta_digest
+
+
+@pytest.mark.parametrize("kind", sorted(METRICS_PINS))
+def test_metrics_csv_is_pinned(kind):
+    record = run_training(_config(PINS[kind][0]))
+    assert _sha(metrics_csv_bytes(record.rows)) == METRICS_PINS[kind]
 
 
 @pytest.mark.parametrize("algorithm", sorted(BASELINE_PINS))
