@@ -164,11 +164,18 @@ def exit_code(records: Sequence[RunRecord], labels: Sequence[str] = ()) -> int:
 
 
 def cmd_run(config: RunConfig) -> int:
-    """Build the problem, make ``out_dir``, then train: a bad config or directory fails before training."""
+    """Build the problem, make ``out_dir``, then train: a bad config or directory fails before training.
+    If training raises (out of memory, say), an ``out_dir`` made here is removed while it is still empty."""
     problem = build_problem(config.problem, config.master_seed)
     out = Path(config.out_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    record = run_training(config, problem)
+    try:
+        record = run_training(config, problem)
+    except BaseException:
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
     write_metrics_csv(record.rows, out / "metrics.csv")
     write_run_json(record, out / "run.json")
     print(f"{record.status}: {len(record.rows)} metric rows -> {out / 'metrics.csv'}")
@@ -178,12 +185,8 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig, axis: str, raw_values: Sequence[str]) -> int:
-    values: list = []
-    for occurrence in raw_values:
-        if axis == "alpha_beta" or "|" in occurrence:
-            values.append(occurrence)
-        else:
-            values.extend(v.strip() for v in occurrence.split(",") if v.strip())
+    values = [v.strip() for occurrence in raw_values  # an empty item is one that its setting's parser rejects
+              for v in ([occurrence] if axis == "alpha_beta" else occurrence.split(","))]
     configs = sweep_configs(config, axis, values)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

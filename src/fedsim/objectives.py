@@ -7,12 +7,11 @@ Three synthetic problem families with progressively weaker structure:
 * a two-layer tanh network, parameters [W1, b1, w2, b2] (non-convex, no constants).
 
 Plus Dirichlet label-skew partitioning and CSV ingestion for tabular data.
-Each builder takes a :class:`~fedsim.simulator.ProblemConfig`, which holds
-every problem parameter and its default, and the data generator, which
-``simulator.build_problem`` opens on the master seed's (0, 0, PURPOSE_DATA)
-stream.  Training randomness is drawn per round from the master seed (see
-``draw_round`` below); objectives are immutable after construction and never
-store generator state.
+Each builder takes the data generator, on the master seed's (0, 0,
+PURPOSE_DATA) stream, and, as keyword-only arguments, exactly the problem
+parameters its kind reads.  Training randomness is drawn per round from the
+master seed (see ``draw_round`` below); objectives are immutable after
+construction and never store generator state.
 
 A problem is one object of its kind's population class, a subclass of
 :class:`FederatedProblem`: it holds the data stacked in client-id order and
@@ -48,14 +47,11 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .vectors import PURPOSE_BATCH, ParamVector, round_generators, row_dots
-
-if TYPE_CHECKING:  # the simulator imports this module
-    from .simulator import ProblemConfig
 
 # Rows per block in the population oracles.  On the 10,000 x 50 mlp benchmark
 # stack (2 cores, OpenBLAS 0.3.31), blocks of up to 1,024 rows ran on one
@@ -251,7 +247,7 @@ class _SampledPopulation(FederatedProblem):
         self.features = features[order]
         self.values = values[order]
         self.spans = list(zip(bounds[:-1], bounds[1:]))  # client i's (start, stop) rows, Python ints
-        self.batch = batch  # ProblemConfig.batch_size; 0 or >= n_i is client i's full batch
+        self.batch = batch  # 0 or >= n_i is client i's full batch
         self.partition = partition
         self.num_clients = len(sizes)
 
@@ -470,9 +466,9 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, concentration: Opt
     raise PartitionError("a client received no samples after 10 redraws")
 
 
-def quadratic_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
+def quadratic_problem(gen: np.random.Generator, *, n_clients: int, dim: int, heterogeneity: float,
+                      sigma_l: float) -> FederatedProblem:
     """Random SPD quadratics, eigenvalues in [0.5, 2), centres spread proportionally to ``heterogeneity``."""
-    n_clients, dim = cfg.n_clients, cfg.dim
     hessians = np.empty((n_clients, dim, dim))
     centers = np.empty((n_clients, dim))
     for i in range(n_clients):
@@ -480,13 +476,12 @@ def quadratic_problem(cfg: ProblemConfig, gen: np.random.Generator) -> Federated
         eigs = gen.uniform(0.5, 2.0, size=dim)
         h = (q * eigs) @ q.T
         hessians[i] = 0.5 * (h + h.T)
-        centers[i] = cfg.heterogeneity * gen.standard_normal(dim)
-    return QuadraticPopulation(hessians, centers, cfg.sigma_l)
+        centers[i] = heterogeneity * gen.standard_normal(dim)
+    return QuadraticPopulation(hessians, centers, sigma_l)
 
 
-def _two_blob_dataset(cfg: ProblemConfig, gen: np.random.Generator):
-    """Two balanced Gaussian blobs of n_clients * samples_per_client points, 2 apart on a random axis."""
-    n, dim = cfg.n_clients * cfg.samples_per_client, cfg.dim
+def _two_blob_dataset(gen: np.random.Generator, n: int, dim: int):
+    """Two balanced Gaussian blobs of ``n`` points, 2 apart on a random axis."""
     labels = np.zeros(n, dtype=np.intp)
     labels[n // 2:] = 1
     labels = labels[gen.permutation(n)]
@@ -497,18 +492,20 @@ def _two_blob_dataset(cfg: ProblemConfig, gen: np.random.Generator):
     return features, labels
 
 
-def logreg_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
+def logreg_problem(gen: np.random.Generator, *, n_clients: int, concentration: Optional[float], batch_size: int,
+                   dim: int, samples_per_client: int, weight_decay: float) -> FederatedProblem:
     """Synthetic two-blob logistic regression."""
-    features, labels = _two_blob_dataset(cfg, gen)
-    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, gen)
-    return LogisticPopulation(features, labels, part, cfg.batch_size, cfg.weight_decay)
+    features, labels = _two_blob_dataset(gen, n_clients * samples_per_client, dim)
+    part = dirichlet_partition(labels, n_clients, concentration, gen)
+    return LogisticPopulation(features, labels, part, batch_size, weight_decay)
 
 
-def mlp_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
+def mlp_problem(gen: np.random.Generator, *, n_clients: int, concentration: Optional[float], batch_size: int,
+                dim: int, samples_per_client: int, mlp_hidden: int) -> FederatedProblem:
     """Two-layer tanh regression onto {0,1} blob labels, widths (dim, mlp_hidden, 1); no known constants."""
-    features, labels = _two_blob_dataset(cfg, gen)
-    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, gen)
-    return MlpPopulation(features, labels.astype(np.float64)[:, None], part, cfg.batch_size, cfg.mlp_hidden)
+    features, labels = _two_blob_dataset(gen, n_clients * samples_per_client, dim)
+    part = dirichlet_partition(labels, n_clients, concentration, gen)
+    return MlpPopulation(features, labels.astype(np.float64)[:, None], part, batch_size, mlp_hidden)
 
 
 def ingest_csv(path: str, label_column: str):
@@ -574,10 +571,11 @@ def _is_number(s: str) -> bool:
         return False
 
 
-def csv_problem(cfg: ProblemConfig, gen: np.random.Generator) -> FederatedProblem:
+def csv_problem(gen: np.random.Generator, *, n_clients: int, concentration: Optional[float], batch_size: int,
+                weight_decay: float, csv_path: str, label_column: str) -> FederatedProblem:
     """Logistic regression over the two-class CSV dataset at ``csv_path``."""
-    labels, features = ingest_csv(cfg.csv_path, cfg.label_column)
+    labels, features = ingest_csv(csv_path, label_column)
     if len(np.unique(labels)) != 2:
         raise CsvFormatError("logistic objective needs exactly 2 label classes")
-    part = dirichlet_partition(labels, cfg.n_clients, cfg.concentration, gen)
-    return LogisticPopulation(features, labels, part, cfg.batch_size, cfg.weight_decay)
+    part = dirichlet_partition(labels, n_clients, concentration, gen)
+    return LogisticPopulation(features, labels, part, batch_size, weight_decay)

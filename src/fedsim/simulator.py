@@ -18,6 +18,7 @@ study scripts all go through.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -51,13 +52,9 @@ from .objectives import (
 )
 from .vectors import PURPOSE_DATA, PURPOSE_SAMPLING, derive_rng, l2_norm_sq
 
-_SAMPLED = ("n_clients", "concentration", "batch_size")  # the partition and the minibatch size
-BUILDERS = {  # problem kind -> (builder(cfg, data generator), the ProblemConfig fields besides kind it reads)
-    "quadratic": (quadratic_problem, ("n_clients", "dim", "heterogeneity", "sigma_l")),
-    "logreg": (logreg_problem, _SAMPLED + ("dim", "samples_per_client", "weight_decay")),
-    "mlp": (mlp_problem, _SAMPLED + ("dim", "samples_per_client", "mlp_hidden")),
-    "csv": (csv_problem, _SAMPLED + ("weight_decay", "csv_path", "label_column")),
-}
+# problem kind -> (builder(gen, **keys), keys): its keyword arguments, the ProblemConfig fields the kind reads
+BUILDERS = {kind: (builder, tuple(inspect.signature(builder).parameters)[1:]) for kind, builder in (
+    ("quadratic", quadratic_problem), ("logreg", logreg_problem), ("mlp", mlp_problem), ("csv", csv_problem))}
 PROBLEM_KINDS = tuple(BUILDERS)
 
 
@@ -148,9 +145,8 @@ def _iid_or_float(raw) -> Optional[float]:
 
 
 def _weights(raw) -> tuple:
-    if isinstance(raw, str):
-        raw = [v for v in raw.split(",") if v.strip()]
-    return tuple(float(v) for v in raw)
+    """Every comma-separated item of an INI string (float rejects an empty one), or each item of a sequence."""
+    return tuple(float(v) for v in (raw.split(",") if isinstance(raw, str) else raw))
 
 
 class Setting(NamedTuple):
@@ -265,7 +261,8 @@ def build_problem(cfg: ProblemConfig, master_seed: int) -> FederatedProblem:
     for example) is a ``ConfigError``.
     """
     try:
-        return BUILDERS[cfg.kind][0](cfg, derive_rng(master_seed, 0, 0, PURPOSE_DATA).generator)
+        builder, keys = BUILDERS[cfg.kind]
+        return builder(derive_rng(master_seed, 0, 0, PURPOSE_DATA).generator, **{k: getattr(cfg, k) for k in keys})
     except ValueError as exc:
         raise ConfigError(f"cannot build the {cfg.kind} problem: {exc}") from None
 

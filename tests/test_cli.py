@@ -206,6 +206,15 @@ class TestParseConfig:
         assert cfg.problem.weight_decay == 1e-3
         assert cfg.rounds == 10 and cfg.metric_every == 1 and not cfg.verify
 
+    @pytest.mark.parametrize("override", ["alpha=", "alpha=0.5,,0.2", "alpha=0.5,0.2,", "beta=,0.1", "beta= , "])
+    def test_empty_weight_item_rejected(self, minimal_config, tmp_path, override):
+        # 'alpha=' ran with alpha (0.0, 0.0) and 'alpha=0.5,,0.2' as (0.5, 0.2)
+        key, raw = override.split("=")
+        with pytest.raises(ConfigError, match=f"invalid value '{raw.strip()}' for algorithm.{key}"):
+            parse_config(minimal_config, [override])
+        with pytest.raises(ConfigError, match=f"invalid value '{raw.strip()}' for algorithm.{key}"):
+            parse_config(write_ini(tmp_path / "empty.ini", {"algorithm": {key: raw}}))
+
     def test_alpha_sum_rejected(self, minimal_config):
         with pytest.raises(ConfigError, match="alpha weights must sum below 1"):
             parse_config(minimal_config, ["alpha=0.7,0.4"])
@@ -397,6 +406,11 @@ class TestCmdRun:
         monkeypatch.setattr(cli, "run_training", out_of_memory)
         assert main(["run", "-c", minimal_config, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: Unable to allocate 35.8 GiB\n"
+        assert not (tmp_path / "out").exists()  # the run made it, and it stayed empty
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        assert main(["run", "-c", minimal_config, "--out", str(existing)]) == 1
+        assert existing.is_dir()  # a directory that was there before stays
 
     @pytest.mark.parametrize("override, message", [  # space-separated items are separate -o flags
         ("eta_l=nan", "eta_l must be positive and finite"),  # ran and exited 2 as a divergence
@@ -641,6 +655,15 @@ class TestCmdSweep:
         assert main(["sweep", "-c", minimal_config, "--out", str(out),
                      "--axis", "eta_l", "--values", "0.05,nan"]) == 1
         assert "invalid eta_l value 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [["0.01,,0.02,"], [","], ["0.01,0.02,"], ["0.01", ""]])
+    def test_empty_value_item_is_config_error(self, minimal_config, tmp_path, capsys, values):
+        # '0.01,,0.02,' ran two legs and exited 0
+        out = tmp_path / "o"
+        assert main(["sweep", "-c", minimal_config, "--out", str(out), "-o", "rounds=2", "--axis", "eta_l",
+                     *(arg for value in values for arg in ("--values", value))]) == 1
+        assert "invalid eta_l value ''" in capsys.readouterr().err
         assert not out.exists()
 
     def test_json_outputs_are_strict(self, tmp_path):

@@ -1,8 +1,8 @@
+import inspect
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from fedsim.cli import metrics_csv_bytes, parse_config
 from fedsim.objectives import QuadraticPopulation
 from fedsim.simulator import (
     BUILDERS,
+    PROBLEM_KINDS,
     ConfigError,
     ProblemConfig,
     RunConfig,
@@ -403,7 +404,33 @@ def write_two_label_csv(path, seed):
     return str(path)
 
 
+NON_DEFAULT = dict(n_clients=3, dim=2, heterogeneity=2.0, concentration=2.0, sigma_l=0.3, batch_size=5,
+                   samples_per_client=10, weight_decay=0.01, mlp_hidden=4, csv_path="b.csv", label_column="y2")
+
+
+def builder_keywords(kind) -> list:
+    return [name for name, p in inspect.signature(BUILDERS[kind][0]).parameters.items() if p.kind is p.KEYWORD_ONLY]
+
+
 class TestProblemKeys:
+    def test_non_default_values_cover_every_field(self):
+        defaults = {f.name: f.default for f in fields(ProblemConfig) if f.name != "kind"}
+        assert set(NON_DEFAULT) == set(defaults)
+        assert all(NON_DEFAULT[name] != default for name, default in defaults.items())
+
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
+    def test_builder_keywords_are_config_fields(self, kind):
+        assert set(builder_keywords(kind)) <= set(NON_DEFAULT)
+
+    @pytest.mark.parametrize("kind, key", [(kind, key) for kind in PROBLEM_KINDS for key in NON_DEFAULT])
+    def test_non_default_value_accepted_exactly_when_the_builder_takes_it(self, kind, key):
+        csv_keys = dict(csv_path="data.csv", label_column="y") if kind == "csv" else {}
+        if key in builder_keywords(kind):
+            assert getattr(ProblemConfig(kind=kind, **{**csv_keys, key: NON_DEFAULT[key]}), key) == NON_DEFAULT[key]
+        else:
+            with pytest.raises(ConfigError, match=f"^'{key}' is not used by kind '{kind}'$"):
+                ProblemConfig(kind=kind, **{**csv_keys, key: NON_DEFAULT[key]})
+
     @pytest.mark.parametrize("kind, key, value", [
         ("csv", "dim", 3),
         ("mlp", "weight_decay", 0.01),
@@ -439,12 +466,10 @@ class TestProblemKeys:
         cfg = ProblemConfig(kind=kind, **{key: value for key, value in base.items() if key in read})
 
         def fingerprint(problem_cfg):
-            return pickle.dumps(builder(problem_cfg, derive_rng(9, 0, 0, PURPOSE_DATA).generator))
+            return pickle.dumps(builder(derive_rng(9, 0, 0, PURPOSE_DATA).generator,
+                                        **{key: getattr(problem_cfg, key) for key in read}))
 
-        # the builder finds every key it reads in ``read``, and nothing else
-        only_read = SimpleNamespace(kind=kind, **{key: getattr(cfg, key) for key in read})
-        assert fingerprint(only_read) == fingerprint(cfg)
-        for key in read:  # and each of them changes the problem
+        for key in read:  # each key the builder takes changes the problem
             assert fingerprint(replace(cfg, **{key: other[key]})) != fingerprint(cfg), key
 
 
