@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedsim.cli import METRIC_COLUMNS, UsageParser, exit_code, metric_row_fields, parse_config
+from fedsim.cli import METRIC_COLUMNS, UsageParser, exit_code, metric_row_fields, output_dir, parse_config
 from fedsim.simulator import ConfigError, run_sweep, sweep_configs, with_settings
 
 ALGORITHMS = ("fedavg", "fedcm", "scaffold", "fedadam", "fedmim")
@@ -40,10 +40,9 @@ def main():
     args = parse_args()
     try:
         config = parse_config(args.config, args.override)
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)  # before any training, so a bad directory fails first
-        sweeps = [run_sweep(sweep_configs(with_settings(config, {"seed": seed}), "algorithm", ALGORITHMS))
-                  for seed in args.seeds]
+        with output_dir(config.out_dir) as out:  # made before any training, removed if training fails
+            sweeps = [run_sweep(sweep_configs(with_settings(config, {"seed": seed}), "algorithm", ALGORITHMS))
+                      for seed in args.seeds]
     except (ConfigError, OSError, MemoryError) as exc:
         sys.exit(f"error: {exc}")
 

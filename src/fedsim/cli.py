@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -18,7 +19,7 @@ import math
 import platform
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -163,19 +164,28 @@ def exit_code(records: Sequence[RunRecord], labels: Sequence[str] = ()) -> int:
     return 2 if diverged else 3 if failed else 0
 
 
-def cmd_run(config: RunConfig) -> int:
-    """Build the problem, make ``out_dir``, then train: a bad config or directory fails before training.
-    If training raises (out of memory, say), an ``out_dir`` made here is removed while it is still empty."""
-    problem = build_problem(config.problem, config.master_seed)
-    out = Path(config.out_dir)
-    made = not out.exists()
+@contextlib.contextmanager
+def output_dir(path: str) -> Iterator[Path]:
+    """Make ``path`` (and its parents) for a run's outputs before the body trains.  If the body raises
+    (out of memory, say), the directories made here are removed while still empty; older ones stay."""
+    out = Path(path)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)
     try:
-        record = run_training(config, problem)
+        yield out
     except BaseException:
-        if made and not any(out.iterdir()):
-            out.rmdir()
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
         raise
+
+
+def cmd_run(config: RunConfig) -> int:
+    """Build the problem, make ``out_dir``, then train: a bad config or directory fails before training."""
+    problem = build_problem(config.problem, config.master_seed)
+    with output_dir(config.out_dir) as out:
+        record = run_training(config, problem)
     write_metrics_csv(record.rows, out / "metrics.csv")
     write_run_json(record, out / "run.json")
     print(f"{record.status}: {len(record.rows)} metric rows -> {out / 'metrics.csv'}")
@@ -188,9 +198,8 @@ def cmd_sweep(config: RunConfig, axis: str, raw_values: Sequence[str]) -> int:
     values = [v.strip() for occurrence in raw_values  # an empty item is one that its setting's parser rejects
               for v in ([occurrence] if axis == "alpha_beta" else occurrence.split(","))]
     configs = sweep_configs(config, axis, values)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    records = run_sweep(configs)
+    with output_dir(config.out_dir) as out:
+        records = run_sweep(configs)
     lines = [",".join(("axis", "value") + METRIC_COLUMNS)]
     for value, record in zip(values, records):
         for row in record.rows:
@@ -273,9 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_run(config)
         if args.subcommand == "sweep":
             return cmd_sweep(config, args.axis, args.values)
-        if args.subcommand == "gradcheck":
-            return cmd_gradcheck(config)
-        raise ConfigError(f"unknown subcommand {args.subcommand}")
+        return cmd_gradcheck(config)  # argparse accepts no other subcommand
     except (ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,10 +10,10 @@ makes one call of the problem's oracle, ``evaluate``, on x (and,
 for ``fedmim``, on the shifted iterate u too): one blocked pass over the
 stacked data of all clients gives f(x), grad f(x) and grad f(u) together.
 
-The run configuration lives here too: the dataclasses hold every default
-and check their values when they are built, and ``SETTINGS`` is the one
-table of config keys that INI files, ``-o`` overrides, sweep axes and the
-study scripts all go through.
+The run configuration lives here too: the dataclasses hold every default and
+check their values when they are built, and their fields are the config keys
+(``SETTINGS``) that INI files, ``-o`` overrides, sweep axes and the scripts
+go through; only ``name`` and ``seed`` are not a field's own name.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import inspect
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -127,6 +127,8 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.verify and self.algorithm != "fedmim":  # the identities are the momentum rule's
             raise ConfigError("verify requires algorithm=fedmim")
+        if not self.out_dir:  # an empty path would write the outputs into the working directory
+            raise ConfigError("out_dir must not be empty")
         if not math.isfinite(self.corrupt_delta):
             raise ConfigError("corrupt_delta must be finite")
 
@@ -137,6 +139,13 @@ def _flag(raw) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
+    raise ValueError(raw)
+
+
+def _integer(raw) -> int:
+    """An INI string's int, or a number's when it is integral: ``int`` alone truncates 2.5 to 2."""
+    if isinstance(raw, str) or int(raw) == raw:
+        return int(raw)
     raise ValueError(raw)
 
 
@@ -156,40 +165,28 @@ class Setting(NamedTuple):
     parse: Callable  # raw value (an INI string, or a typed value from Python) -> field value
 
 
-# Every config key: an INI entry, an ``-o`` override, and through AXIS_KEYS a
-# sweep axis.  The defaults live only on the dataclasses.
-SETTINGS = {
-    "kind": Setting("problem", "problem", "kind", str),
-    "n_clients": Setting("problem", "problem", "n_clients", int),
-    "dim": Setting("problem", "problem", "dim", int),
-    "heterogeneity": Setting("problem", "problem", "heterogeneity", float),
-    "concentration": Setting("problem", "problem", "concentration", _iid_or_float),
-    "sigma_l": Setting("problem", "problem", "sigma_l", float),
-    "batch_size": Setting("problem", "problem", "batch_size", int),
-    "samples_per_client": Setting("problem", "problem", "samples_per_client", int),
-    "weight_decay": Setting("problem", "problem", "weight_decay", float),
-    "mlp_hidden": Setting("problem", "problem", "mlp_hidden", int),
-    "csv_path": Setting("problem", "problem", "csv_path", str),
-    "label_column": Setting("problem", "problem", "label_column", str),
-    "name": Setting("algorithm", None, "algorithm", str),
-    "alpha": Setting("algorithm", "hyper", "alpha", _weights),
-    "beta": Setting("algorithm", "hyper", "beta", _weights),
-    "eta_l": Setting("algorithm", "hyper", "eta_l", float),
-    "k_local": Setting("algorithm", "hyper", "k_local", int),
-    "s_participate": Setting("algorithm", "hyper", "s_participate", int),
-    "lr_decay": Setting("algorithm", "hyper", "lr_decay", float),
-    "fedcm_alpha": Setting("algorithm", "params", "fedcm_alpha", float),
-    "adam_beta1": Setting("algorithm", "params", "adam_beta1", float),
-    "adam_beta2": Setting("algorithm", "params", "adam_beta2", float),
-    "adam_eps": Setting("algorithm", "params", "adam_eps", float),
-    "global_lr": Setting("algorithm", "params", "global_lr", float),
-    "rounds": Setting("run", None, "rounds", int),
-    "seed": Setting("run", None, "master_seed", int),
-    "metric_every": Setting("run", None, "metric_every", int),
-    "verify": Setting("run", None, "verify", _flag),
-    "out_dir": Setting("run", None, "out_dir", str),
-    "corrupt_delta": Setting("run", None, "corrupt_delta", float),
-}
+_PARSERS = {int: _integer, float: float, str: str, bool: _flag, tuple: _weights,
+            Optional[str]: str, Optional[float]: _iid_or_float}  # field annotation -> parser
+_RENAMED = {"algorithm": ("algorithm", "name"), "master_seed": ("run", "seed")}  # RunConfig field -> (section, key)
+
+
+def _settings(*parts) -> dict:
+    """Every config key: an INI entry, an ``-o`` override, and through AXIS_KEYS a sweep axis.  A Setting
+    for each field of the (part, INI section, dataclass) ``parts``, but the parts themselves."""
+    settings, nested = {}, {part for part, _, _ in parts}
+    for part, section, cls in parts:
+        annotations = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name not in nested:
+                if annotations[f.name] not in _PARSERS:
+                    raise TypeError(f"no config parser for {cls.__name__}.{f.name}: {annotations[f.name]}")
+                key_section, key = _RENAMED.get(f.name, (section, f.name))
+                settings[key] = Setting(key_section, part, f.name, _PARSERS[annotations[f.name]])
+    return settings
+
+
+SETTINGS = _settings(("problem", "problem", ProblemConfig), ("hyper", "algorithm", MimHyper),
+                     ("params", "algorithm", AlgoParams), (None, "run", RunConfig))
 
 
 def with_settings(config: RunConfig, raw: dict) -> RunConfig:
@@ -205,7 +202,7 @@ def with_settings(config: RunConfig, raw: dict) -> RunConfig:
         setting = SETTINGS[key]
         try:
             changes[setting.part][setting.field] = setting.parse(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # int() overflows on an infinity
             raise ConfigError(f"invalid value '{value}' for {setting.section}.{key}") from None
     try:
         parts = {part: replace(getattr(config, part), **fields)
@@ -351,14 +348,9 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
         record.max_residual_u = float(max_residual_u)
 
 
-AXIS_KEYS = {  # sweep axis -> the SETTINGS keys one of its values sets
-    "s_participate": ("s_participate",),
-    "k_local": ("k_local",),
-    "eta_l": ("eta_l",),
-    "concentration": ("concentration",),
-    "alpha_beta": ("alpha", "beta"),
-    "algorithm": ("name",),
-}
+# sweep axis -> the SETTINGS keys one of its values sets
+AXIS_KEYS = {**{key: (key,) for key in ("s_participate", "k_local", "eta_l", "concentration")},
+             "alpha_beta": ("alpha", "beta"), "algorithm": ("name",)}
 SWEEP_AXES = tuple(AXIS_KEYS)
 
 

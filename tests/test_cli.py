@@ -6,6 +6,7 @@ import json
 import math
 import platform
 import re
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -266,6 +267,14 @@ class TestParseConfig:
     def test_samples_cover_every_key(self):
         assert {(setting.section, key) for key, setting in SETTINGS.items()} == set(SETTING_SAMPLES)
 
+    def test_every_field_is_set_by_exactly_one_key(self):
+        # a field without a key could not be set from a file, an override or a sweep
+        dataclass_of_part = {"problem": ProblemConfig, "hyper": MimHyper, "params": AlgoParams, None: RunConfig}
+        expected = Counter((part, f.name) for part, cls in dataclass_of_part.items()
+                           for f in dataclasses.fields(cls) if f.name not in dataclass_of_part)
+        assert Counter((setting.part, setting.field) for setting in SETTINGS.values()) == expected
+        assert set(expected.values()) == {1}
+
     @pytest.mark.parametrize("section, key", sorted(SETTING_SAMPLES))
     def test_key_sets_its_field_from_ini_and_overrides(self, tmp_path, section, key):
         raw, expected = SETTING_SAMPLES[(section, key)]
@@ -407,10 +416,22 @@ class TestCmdRun:
         assert main(["run", "-c", minimal_config, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: Unable to allocate 35.8 GiB\n"
         assert not (tmp_path / "out").exists()  # the run made it, and it stayed empty
+        assert main(["run", "-c", minimal_config, "--out", str(tmp_path / "a" / "b" / "out")]) == 1
+        assert not (tmp_path / "a").exists()  # so are the parents it made
         existing = tmp_path / "existing"
         existing.mkdir()
+        assert main(["run", "-c", minimal_config, "--out", str(existing / "out")]) == 1
         assert main(["run", "-c", minimal_config, "--out", str(existing)]) == 1
-        assert existing.is_dir()  # a directory that was there before stays
+        assert sorted(tmp_path.iterdir()) == [existing, tmp_path / "minimal.ini"]  # one that was there before stays
+        assert not any(existing.iterdir())
+
+    def test_empty_out_dir_is_config_error(self, minimal_config, tmp_path, capsys, monkeypatch):
+        # metrics.csv and run.json went into the working directory, and the run exited 0
+        monkeypatch.chdir(tmp_path)
+        for flags in (["-o", "out_dir="], ["--out", ""]):
+            assert main(["run", "-c", minimal_config, "-o", "rounds=2", *flags]) == 1
+            assert capsys.readouterr().err == "error: out_dir must not be empty\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "minimal.ini"]
 
     @pytest.mark.parametrize("override, message", [  # space-separated items are separate -o flags
         ("eta_l=nan", "eta_l must be positive and finite"),  # ran and exited 2 as a divergence
@@ -684,6 +705,18 @@ class TestCmdSweep:
                          "--axis", "eta_l", "--values", "0.01,0.02"]) == 1
         train.assert_not_called()
         assert "error:" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_1(self, minimal_config, tmp_path, capsys):
+        # the sweep left behind the empty out_dir it made
+        sweep = ["sweep", "-c", minimal_config, "--axis", "eta_l", "--values", "0.01,0.02"]
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        with mock.patch.object(simulator, "run_training", side_effect=MemoryError("Unable to allocate 35.8 GiB")):
+            assert main([*sweep, "--out", str(tmp_path / "a" / "out")]) == 1
+            assert capsys.readouterr().err == "error: Unable to allocate 35.8 GiB\n"
+            assert main([*sweep, "--out", str(existing)]) == 1
+        assert sorted(tmp_path.iterdir()) == [existing, tmp_path / "minimal.ini"]  # one that was there before stays
+        assert not any(existing.iterdir())
 
 
 class TestCmdGradcheck:

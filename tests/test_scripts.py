@@ -107,10 +107,15 @@ def test_script_config_error_exits_1(monkeypatch, name):
 @pytest.mark.parametrize("name, args", [("compare_algorithms.py", ("-o", "s_participate=2")),
                                         ("participation_study.py", ("--participate", "2"))])
 def test_script_out_of_memory_exits_1(tmp_path, monkeypatch, name, args):
-    # a MemoryError from numpy escaped as a traceback
-    with mock.patch.object(simulator, "run_training", side_effect=MemoryError("Unable to allocate 35.8 GiB")), \
-            pytest.raises(SystemExit, match="^error: Unable to allocate 35.8 GiB$"):
-        run_script(monkeypatch, name, *SMALL, *args, "-o", f"out_dir={tmp_path / 'out'}")
+    # a MemoryError from numpy escaped as a traceback; compare_algorithms.py then left its out_dir behind, empty
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for out in (tmp_path / "a" / "out", existing):
+        with mock.patch.object(simulator, "run_training", side_effect=MemoryError("Unable to allocate 35.8 GiB")), \
+                pytest.raises(SystemExit, match="^error: Unable to allocate 35.8 GiB$"):
+            run_script(monkeypatch, name, *SMALL, *args, "-o", f"out_dir={out}")
+    assert sorted(tmp_path.iterdir()) == [existing]  # one that was there before stays
+    assert not any(existing.iterdir())
 
 
 @pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf"])

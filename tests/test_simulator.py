@@ -1,7 +1,7 @@
 import inspect
 import math
 import pickle
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from fedsim.simulator import (
     run_training,
     sample_clients,
     sweep_configs,
+    with_settings,
 )
 from fedsim.vectors import PURPOSE_DATA, PURPOSE_SAMPLING, derive_rng
 
@@ -391,6 +392,38 @@ class TestRunConfig:
     def test_fedadam_global_lr_default(self):
         # AlgoParams holds the one default; fedadam's server step is its only reader
         assert RunConfig(algorithm="fedadam").params.global_lr == 0.1
+
+    def test_empty_out_dir_is_config_error(self):
+        # the outputs went into the working directory
+        with pytest.raises(ConfigError, match="^out_dir must not be empty$"):
+            RunConfig(out_dir="")
+
+
+class TestWithSettings:
+    @pytest.mark.parametrize("key, value", [("k_local", 2.5), ("rounds", 7.9), ("n_clients", np.float64(4.5)),
+                                            ("seed", math.inf), ("metric_every", math.nan)])
+    def test_integer_key_rejects_a_fractional_value(self, key, value):
+        # k_local 2.5 set k_local 2 and rounds 7.9 ran 7 rounds; an infinity escaped as an OverflowError
+        with pytest.raises(ConfigError, match=f"^invalid value '{value}' for [a-z]+\\.{key}$"):
+            with_settings(quad_config(), {key: value})
+
+    def test_integer_axis_rejects_a_fractional_value(self):
+        with pytest.raises(ConfigError, match="^invalid k_local value '2.5': invalid value '2.5'"):
+            apply_axis(quad_config(), "k_local", 2.5)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), "3", 3.0])
+    def test_integer_key_accepts_an_integral_value(self, value):
+        assert with_settings(quad_config(), {"k_local": value}).hyper.k_local == 3
+        assert apply_axis(quad_config(), "k_local", value).hyper.k_local == 3
+
+    def test_unknown_annotation_fails(self):
+        # a field type without a parser must stop the import, not leave its key out
+        @dataclass(frozen=True)
+        class Odd:
+            scale: complex = 1j
+
+        with pytest.raises(TypeError, match="^no config parser for Odd.scale: <class 'complex'>$"):
+            simulator._settings((None, "run", Odd))
 
 
 def write_two_label_csv(path, seed):
