@@ -50,7 +50,7 @@ from .objectives import (
     mlp_problem,
     quadratic_problem,
 )
-from .vectors import PURPOSE_DATA, PURPOSE_SAMPLING, derive_rng, l2_norm_sq
+from .vectors import PURPOSE_DATA, PURPOSE_SAMPLING, derive_rng, l2_norm_sq, round_generators
 
 # problem kind -> (builder(gen, **keys), keys): its keyword arguments, the ProblemConfig fields the kind reads
 BUILDERS = {kind: (builder, tuple(inspect.signature(builder).parameters)[1:]) for kind, builder in (
@@ -119,6 +119,8 @@ class RunConfig:
             raise ConfigError(f"unknown algorithm '{self.algorithm}' (choose from {sorted(ROUND_FUNCTIONS)})")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
+        if self.rounds > 2**32:  # a round index is one 32-bit word of its streams' keys
+            raise ConfigError("rounds must be <= 2**32")
         if not (1 <= self.metric_every <= self.rounds):  # past rounds, no metric row would be written
             raise ConfigError("metric_every must be in [1, rounds]")
         if not (1 <= self.hyper.s_participate <= self.problem.n_clients):
@@ -234,15 +236,19 @@ class RunRecord:
 def sample_clients(n_clients: int, s_participate: int, seed: int, round_index: int) -> list:
     """Uniform sample of S distinct client ids for one round, returned sorted.
 
-    The draws come from the (round_index, 0, PURPOSE_SAMPLING) stream under
-    the master ``seed``.  Partial Fisher-Yates over the id range, so every
-    client is selected with probability S/N and pairs with probability
-    S(S-1)/(N(N-1)).  The S swap offsets, uniform on [0, N - i), are drawn in
-    one call; they equal S scalar ``integers(N - i)`` draws.
+    At S = N the set is every id, so nothing is drawn and no stream is
+    opened: the sampling stream feeds nothing else.  Otherwise the draws come
+    from the (round_index, 0, PURPOSE_SAMPLING) stream under the master
+    ``seed``, served by ``round_generators``.  Partial Fisher-Yates over the
+    id range, so every client is selected with probability S/N and pairs with
+    probability S(S-1)/(N(N-1)).  The S swap offsets, uniform on [0, N - i),
+    are drawn in one call; they equal S scalar ``integers(N - i)`` draws.
     """
     if not (1 <= s_participate <= n_clients):
         raise ConfigError(f"cannot sample {s_participate} of {n_clients} clients")
-    gen = derive_rng(seed, round_index, 0, PURPOSE_SAMPLING).generator
+    if s_participate == n_clients:
+        return list(range(n_clients))
+    gen = next(round_generators(seed, round_index, [0], PURPOSE_SAMPLING))
     offsets = gen.integers(n_clients - np.arange(s_participate))
     ids = list(range(n_clients))
     for i, offset in enumerate(offsets.tolist()):

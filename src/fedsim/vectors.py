@@ -7,17 +7,19 @@ and keep every reduction order fixed, so that runs are bit-reproducible.
 Every random draw comes from a stream keyed by the master seed and a
 ``(round, client, purpose)`` path.  ``derive_rng`` builds one such stream,
 an :class:`RngStream`; its callers are ``simulator.build_problem`` (data
-synthesis), ``simulator.sample_clients`` (client selection) and
-``cli.cmd_gradcheck`` (probe points), and each draws from its
-``generator``.  ``round_generators`` serves the per-client streams of one
-round: it computes all the clients' Philox keys in one vectorized pass of
-``SeedSequence``'s entropy mixing and draws them on one reused ``Philox``,
-reset per client, so its draws equal ``derive_rng``'s without building a
-``SeedSequence`` and a ``Philox`` per client.
+synthesis) and ``cli.cmd_gradcheck`` (probe points), and each draws from
+its ``generator``.  ``round_generators`` serves the streams of one round,
+the clients' batch streams and the sampling stream alike: it computes
+their Philox keys in one vectorized pass of ``SeedSequence``'s entropy
+mixing and draws them on one module-level ``Philox``, reset from Python
+ints for each key, so its draws equal ``derive_rng``'s while a round builds
+no ``Philox`` or ``Generator`` and one ``SeedSequence`` per call (the
+shared pool of the seed and round words).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -151,7 +153,25 @@ def _next_four(hash_const: int, mult: int):
     for _ in range(POOL_SIZE):
         consts.append((consts[-1] * mult) & MASK32)
     column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False  # _mixing_columns hands the same columns to every call
     return column[:-1], column[1:], consts[-1]
+
+
+@functools.cache
+def _mixing_columns(words: int):
+    """The (before, after) columns of the ids word, the purpose word and ``generate_state``, after ``words``
+    entropy words.
+
+    A table of constants keyed on that count, never on the seed's value: it
+    holds nothing of any seed, round or run, so no draw depends on an
+    earlier call.
+    """
+    # hashmix calls so far: four to fill the pool, twelve to mix it, then four per later entropy word
+    calls = POOL_SIZE * POOL_SIZE + POOL_SIZE * (words - POOL_SIZE)
+    ids_before, ids_after, hash_const = _next_four((INIT_A * pow(MULT_A, calls, MASK32 + 1)) & MASK32, MULT_A)
+    purpose_before, purpose_after, _ = _next_four(hash_const, MULT_A)
+    state_before, state_after, _ = _next_four(INIT_B, MULT_B)
+    return (ids_before, ids_after), (purpose_before, purpose_after), (state_before, state_after)
 
 
 def _check_word(value: int, name: str) -> None:
@@ -176,39 +196,44 @@ def round_keys(master_seed: int, round_index: int, ids: Sequence[int], purpose: 
     if len(ids) and not (0 <= min(ids) and max(ids) <= MASK32):
         raise ValueError("a client id does not fit one 32-bit word")
     shared = np.random.SeedSequence(master_seed, spawn_key=(round_index,))
-    # hashmix calls so far: four to fill the pool, twelve to mix it, then four per later entropy word
-    words = max(POOL_SIZE, -(-int(master_seed).bit_length() // 32)) + 1
-    calls = POOL_SIZE * POOL_SIZE + POOL_SIZE * (words - POOL_SIZE)
-    hash_const = (INIT_A * pow(MULT_A, calls, MASK32 + 1)) & MASK32
-    before, after, hash_const = _next_four(hash_const, MULT_A)
-    pool = _mix(shared.pool[:, None], _hashmix(np.array(ids, dtype=np.uint32), before, after))
-    before, after, _ = _next_four(hash_const, MULT_A)
-    pool = _mix(pool, _hashmix(purpose, before, after))
+    words = max(POOL_SIZE, -(-int(master_seed).bit_length() // 32)) + 1  # the seed's, padded, and the round word
+    ids_word, purpose_word, state_word = _mixing_columns(words)
+    pool = _mix(shared.pool[:, None], _hashmix(np.array(ids, dtype=np.uint32), *ids_word))
+    pool = _mix(pool, _hashmix(purpose, *purpose_word))
 
     # generate_state(2, np.uint64): one 32-bit word per pool word, read little-endian in pairs
-    before, after, _ = _next_four(INIT_B, MULT_B)
-    state = _hashmix(pool, before, after).astype(np.uint64)
+    state = _hashmix(pool, *state_word).astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+# One Philox and its Generator serve every round stream.  They are not a memo: each key
+# overwrites the whole state (counter, key, buffer, buffer position, has_uint32 and
+# its stored half-word) before anything is drawn, so no draw depends on an earlier stream.
+_ROUND_BIT_GENERATOR = np.random.Philox(0)
+_ROUND_GENERATOR = np.random.Generator(_ROUND_BIT_GENERATOR)
 
 
 def round_generators(master_seed: int, round_index: int, ids: Sequence[int],
                      purpose: int) -> Iterator[np.random.Generator]:
     """For each id in order, a Generator whose draws equal ``derive_rng(master_seed, round_index, id, purpose)``'s.
 
-    The keys come from ``round_keys``; every id gets the same ``Generator``
-    object, its ``Philox`` reset to the next key (counter 0, empty buffer),
-    so the caller must finish one id's draws before it advances.
+    The keys come from ``round_keys``; every id of every call gets the same
+    module-level ``Generator``, its ``Philox`` reset to the next key (counter
+    0, empty buffer), so the caller must finish one id's draws before it
+    advances, and before it opens another call's streams.
     """
-    keys = round_keys(master_seed, round_index, ids, purpose)
-    return _reset_per_key(keys)
+    return _reset_per_key(round_keys(master_seed, round_index, ids, purpose).tolist())
 
 
-def _reset_per_key(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """One Generator on one Philox, set to each (2,) key in turn: counter 0, no buffered output."""
-    bit_generator = np.random.Philox(0)
-    gen = np.random.Generator(bit_generator)
-    zeros = np.zeros(4, dtype=np.uint64)
+def _reset_per_key(keys: list) -> Iterator[np.random.Generator]:
+    """The shared Generator, its Philox set to each [k0, k1] key in turn: counter 0, no buffered output.
+
+    The key, counter and buffer are Python ints, not uint64 arrays: the
+    state setter reads every element on its own, and reading an array
+    element costs more than taking an int.
+    """
+    zeros = (0, 0, 0, 0)
     for key in keys:
-        bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                               "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        yield gen
+        _ROUND_BIT_GENERATOR.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield _ROUND_GENERATOR

@@ -319,6 +319,17 @@ class TestCmdRun:
         assert payload["status"] == "completed"
         assert set(payload) >= {"config", "status", "eta_l_bound", "final_loss", "wall_ms_total"}
 
+    def test_too_many_rounds_fails_before_training(self, tmp_path, capsys):
+        """A round index must fit one 32-bit word: rounds up to 2**32 parse, more is a config error."""
+        config = str(CONFIG_DIR / "quadratic_verify.ini")
+        assert parse_config(config, ["rounds=4294967296"]).rounds == 2**32
+        out = tmp_path / "out"
+        with mock.patch.object(cli, "run_training") as train:
+            assert main(["run", "-c", config, "-o", "rounds=4294967297", "--out", str(out)]) == 1
+        train.assert_not_called()
+        assert not out.exists()
+        assert "error: rounds must be <= 2**32" in capsys.readouterr().err
+
     def test_out_dir_that_cannot_be_made_fails_before_training(self, minimal_config, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

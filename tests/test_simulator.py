@@ -1,6 +1,7 @@
 import inspect
 import math
 import pickle
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fedsim import algorithms, simulator
+from fedsim import algorithms, simulator, vectors
 from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, eta_l_bound, init_round_state
 from fedsim.cli import metrics_csv_bytes, parse_config
 from fedsim.objectives import QuadraticPopulation
@@ -186,6 +187,44 @@ class TestRunTraining:
         record = run_training(quad_config(verify=True, metric_every=1, rounds=7))
         assert len(record.rows) == 7
         assert calls == {"compute_u": 2 * 7, "_total_grad_sum": 7}
+
+    @pytest.mark.parametrize("problem, s_participate", [
+        (ProblemConfig(kind="quadratic", n_clients=6, dim=4, sigma_l=0.1), 3),
+        (ProblemConfig(kind="quadratic", n_clients=6, dim=4, sigma_l=0.1), 6),
+        (ProblemConfig(kind="logreg", n_clients=5, dim=3, samples_per_client=8, batch_size=4), 2),
+        (ProblemConfig(kind="mlp", n_clients=5, dim=3, mlp_hidden=3, samples_per_client=8, batch_size=4), 2),
+    ], ids=["quadratic-partial", "quadratic-full", "logreg", "mlp"])
+    def test_rounds_build_no_generator(self, monkeypatch, problem, s_participate):
+        """Every round stream is a reset of the one shared Philox: a round builds no Philox and no Generator,
+        and no SeedSequence but the shared pool of each round_keys call; full participation opens no
+        sampling stream at all."""
+        config = quad_config(problem=problem, hyper=MimHyper(s_participate=s_participate, k_local=3, eta_l=0.05),
+                             rounds=6)
+        built = build_problem(config.problem, config.master_seed)
+        counts = Counter()
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in ("Philox", "Generator", "SeedSequence"):
+            monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
+        purposes = []  # one per round_keys call
+        inner_keys = vectors.round_keys
+
+        def round_keys(seed, round_index, ids, purpose):
+            purposes.append(purpose)
+            return inner_keys(seed, round_index, ids, purpose)
+
+        monkeypatch.setattr(vectors, "round_keys", round_keys)
+        record = run_training(config, built)
+        assert record.status == "completed"
+        assert counts["Philox"] == counts["Generator"] == 0
+        assert purposes and counts["SeedSequence"] <= len(purposes)
+        full = s_participate == problem.n_clients
+        assert purposes.count(PURPOSE_SAMPLING) == (0 if full else config.rounds)
 
     def test_grad_norm_at_u_only_for_momentum_rule(self):
         mim = run_training(quad_config(rounds=3))

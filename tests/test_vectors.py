@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedsim.vectors import (
@@ -126,6 +126,26 @@ class TestRoundGenerators:
             assert np.array_equal(gen.integers(0, **raw), ref.integers(0, **raw))
             assert np.array_equal(gen.standard_normal((2, 3)), ref.standard_normal((2, 3)))
             assert np.array_equal(gen.permutation(n), ref.permutation(n))
+
+    @given(first=st.tuples(master_seeds, st.integers(0, WORD - 1), id_subsets.filter(len), purposes),
+           second=st.tuples(master_seeds, st.integers(0, WORD - 1), id_subsets, purposes),
+           normals=st.integers(0, 5), words=st.integers(0, 9), halves=st.integers(0, 4).map(lambda k: 2 * k + 1))
+    @settings(max_examples=100, deadline=None)
+    def test_reset_carries_nothing_between_calls(self, first, second, normals, words, halves):
+        """After arbitrary draws on one call's streams, every stream of another call equals derive_rng's."""
+        for gen in round_generators(*first):
+            gen.standard_normal(normals)
+            gen.integers(0, 2**64, size=words, dtype=np.uint64)
+            gen.integers(0, WORD, size=halves, dtype=np.uint32)  # an odd count keeps a half word
+        state = gen.bit_generator.state
+        assert state["has_uint32"] == 1
+        assume(state["buffer_pos"] < 4)  # the last stream left its Philox buffer partly used
+        master_seed, round_index, ids, purpose = second
+        for cid, gen in zip(ids, round_generators(*second), strict=True):
+            ref = derive_rng(master_seed, round_index, cid, purpose).generator
+            raw = dict(high=WORD, size=3, dtype=np.uint32)
+            assert np.array_equal(gen.integers(0, **raw), ref.integers(0, **raw))
+            assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
 
     def test_every_id_shares_one_generator(self):
         gens = list(round_generators(1, 2, [3, 4, 5], PURPOSE_BATCH))
