@@ -58,7 +58,7 @@ def parse_config(path: str, overrides: Sequence[str] = ()) -> RunConfig:
     """Load and override a run configuration; the config dataclasses check the result."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
-        found = parser.read(path, encoding="utf-8")
+        found = parser.read(path, encoding="utf-8-sig")  # -sig drops a byte-order mark
     except (configparser.Error, UnicodeDecodeError) as exc:  # no section header, a repeat, a non-UTF-8 byte
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not found:

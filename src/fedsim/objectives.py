@@ -172,6 +172,11 @@ class QuadraticPopulation(FederatedProblem):
         self.centers = np.asarray(centers, dtype=np.float64)
         self.noise_sigma = float(noise_sigma)
         self.num_clients, self.dim = self.centers.shape
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):  # NaN or < 0 would draw no noise
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        finite = np.isfinite(self.hessians).all(axis=(1, 2)) & np.isfinite(self.centers).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"the Hessian or centre of client {int(np.argmin(finite))} is not finite")
         eigs = np.linalg.eigvalsh(self.hessians)  # (N, d), each row ascending
         definite = eigs[:, 0] > 0
         if not definite.all():

@@ -232,6 +232,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid value"):
             parse_config(minimal_config, ["rounds=ten"])
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a BOM-prefixed file failed with "File contains no section headers"
+        plain = CONFIG_DIR / "quadratic_verify.ini"
+        marked = tmp_path / "bom.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config(str(marked)) == parse_config(str(plain))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(str(tmp_path / "nope.ini"))
@@ -513,6 +520,15 @@ class TestCmdRun:
         out = tmp_path / "out"
         assert main(["run", "-c", str(cfg), "--out", str(out)]) == 1
         assert "cannot build the logreg problem: a client received no samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_overflowing_quadratic_data_is_config_error(self, tmp_path, capsys):
+        # heterogeneity * standard_normal overflowed to inf, and the run exited 2 as a divergence at round 1
+        out = tmp_path / "out"
+        assert main(["run", "-c", str(CONFIG_DIR / "quadratic_verify.ini"), "--out", str(out),
+                     "-o", "heterogeneity=1e308", "-o", "rounds=3"]) == 1
+        assert "cannot build the quadratic problem: the Hessian or centre of client" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_is_config_error(self, minimal_config, tmp_path, capsys):

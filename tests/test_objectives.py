@@ -66,6 +66,23 @@ class TestQuadraticProblem:
         with pytest.raises(ValueError, match="client 2 is not positive definite"):
             QuadraticPopulation(hessians, [np.zeros(2)] * 3)
 
+    @pytest.mark.parametrize("hessian, center, client", [
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 0.0], 0),  # built, with a NaN known_optimum
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, -np.inf], 1),
+        ([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0], 1),  # was reported as "not positive definite"
+        ([[1.0, np.nan], [np.nan, 1.0]], [0.0, 0.0], 0),
+    ])
+    def test_non_finite_client_rejected(self, hessian, center, client):
+        hessians, centers = [np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)]
+        hessians[client], centers[client] = np.array(hessian), np.array(center)
+        with pytest.raises(ValueError, match=f"the Hessian or centre of client {client} is not finite"):
+            QuadraticPopulation(hessians, centers)
+
+    @pytest.mark.parametrize("noise_sigma", [np.nan, -0.1, np.inf])  # NaN and -0.1 drew no noise
+    def test_bad_noise_sigma_rejected(self, noise_sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            QuadraticPopulation([np.eye(2)], [np.zeros(2)], noise_sigma)
+
     def test_smoothness_witness(self):
         prob = build_problem(ProblemConfig(n_clients=4, dim=5, heterogeneity=1.5, sigma_l=0.0), 3)
         gen = np.random.default_rng(0)
