@@ -52,11 +52,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MimHyper:
-    """Inertial-momentum hyper-parameters shared by all round transitions.
+    """The ``[algorithm]`` section: hyper-parameters of all five round transitions.
 
     ``alpha``/``beta`` are the increment weights (padded to a common length
     J); ``eta_l`` is the initial local learning rate, decayed by ``lr_decay``
-    once per round.
+    once per round.  ``fedcm_alpha`` weights fedcm's momentum, and the
+    ``adam_*`` knobs and ``global_lr`` set fedadam's server step.
     """
 
     alpha: tuple = (0.6, 0.3)
@@ -65,6 +66,11 @@ class MimHyper:
     k_local: int = 10
     s_participate: int = 1
     lr_decay: float = 0.998
+    fedcm_alpha: float = 0.1
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.99
+    adam_eps: float = 1e-3
+    global_lr: float = 0.1
 
     def __post_init__(self):
         alpha = tuple(float(a) for a in self.alpha)
@@ -86,6 +92,15 @@ class MimHyper:
             raise ValueError("s_participate must be >= 1")
         if not (0 < self.lr_decay <= 1):
             raise ValueError("lr_decay must be in (0, 1]")
+        if not (0.0 <= self.fedcm_alpha < 1.0):
+            raise ValueError("fedcm_alpha must be in [0, 1)")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0, 1)")
+        for name in ("adam_eps", "global_lr"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def J(self) -> int:
@@ -98,45 +113,15 @@ class MimHyper:
 
 
 @dataclass(frozen=True)
-class AlgoParams:
-    """Knobs specific to the non-default baselines."""
-
-    fedcm_alpha: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.99
-    adam_eps: float = 1e-3
-    global_lr: float = 0.1  # server step of fedadam; no other rule reads it
-
-    def __post_init__(self):
-        if not (0.0 <= self.fedcm_alpha < 1.0):
-            raise ValueError("fedcm_alpha must be in [0, 1)")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ValueError(f"{name} must be in [0, 1)")
-        for name in ("adam_eps", "global_lr"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-
-
-@dataclass(frozen=True)
 class ScaffoldAux:
     c: ParamVector
     c_clients: np.ndarray  # (N, d), row i is client i's control
-
-    @staticmethod
-    def zeros(n_clients: int, dim: int) -> "ScaffoldAux":
-        return ScaffoldAux(np.zeros(dim), np.zeros((n_clients, dim)))
 
 
 @dataclass(frozen=True)
 class AdamAux:
     m: ParamVector
     v: ParamVector
-
-    @staticmethod
-    def zeros(dim: int) -> "AdamAux":
-        return AdamAux(np.zeros(dim), np.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -241,17 +226,13 @@ def _advance(state: RoundState, hyper: MimHyper, x_next: ParamVector, finals, gr
         raise DivergenceError(None, None)
     delta_next = compute_delta(x_next, state.x, hyper.k_local)
     history = (delta_next,) + state.delta_history[: hyper.J - 1]
-    new_state = RoundState(x_next, history, state.round + 1,
-                           algo_aux if algo_aux is not None else state.algo_aux)
-    return new_state, RoundArtifacts(finals, grad_sums)
+    return RoundState(x_next, history, state.round + 1, algo_aux), RoundArtifacts(finals, grad_sums)
 
 
 def _check_round_args(state: RoundState, problem: FederatedProblem, hyper: MimHyper, sampled) -> list:
     """The sampled ids, sorted, after checking them against the round's shape."""
     if len(sampled) != hyper.s_participate:
         raise ValueError(f"expected {hyper.s_participate} sampled clients, got {len(sampled)}")
-    if not (1 <= hyper.s_participate <= problem.num_clients):
-        raise ValueError("s_participate out of range")
     if len(state.delta_history) != hyper.J:
         raise ValueError("delta history length does not match momentum depth")
     ids = sorted(sampled)
@@ -265,19 +246,19 @@ def _zero_momentum(hyper: MimHyper) -> MimHyper:
 
 
 def mim_round(state: RoundState, problem: FederatedProblem, hyper: MimHyper, sampled: Sequence[int],
-              seed: int, *, params: AlgoParams = AlgoParams()) -> tuple:
+              seed: int) -> tuple:
     """One inertial-momentum round: local updates on the sampled clients, mean aggregation."""
     ids = _check_round_args(state, problem, hyper, sampled)
     finals, grad_sums = mim_local_update(problem, ids, state, hyper, seed)
     return _advance(state, hyper, mean_vectors(finals), finals, grad_sums)
 
 
-def fedavg_round(state, problem, hyper, sampled, seed, *, params: AlgoParams = AlgoParams()):
+def fedavg_round(state, problem, hyper, sampled, seed):
     """Local SGD plus averaging: the zero-momentum path, hard-coded."""
     return mim_round(state, problem, _zero_momentum(hyper), sampled, seed)
 
 
-def fedcm_round(state, problem, hyper, sampled, seed, *, params: AlgoParams = AlgoParams()):
+def fedcm_round(state, problem, hyper, sampled, seed):
     """Client-momentum baseline.
 
     Each local step blends the stochastic gradient with the broadcast
@@ -287,12 +268,12 @@ def fedcm_round(state, problem, hyper, sampled, seed, *, params: AlgoParams = Al
     with alpha = (a, 0, ...) and beta = 0.  With weight a = 0 this is the
     plain averaging baseline.
     """
-    a = params.fedcm_alpha
+    a = hyper.fedcm_alpha
     single = replace(hyper, alpha=(a,) + (0.0,) * (hyper.J - 1), beta=(0.0,) * hyper.J)
     return mim_round(state, problem, single, sampled, seed)
 
 
-def scaffold_round(state, problem, hyper, sampled, seed, *, params: AlgoParams = AlgoParams()):
+def scaffold_round(state, problem, hyper, sampled, seed):
     """Control-variate baseline.
 
     Local step x <- x - eta_l (g(x) - c_i + c); after K steps the client
@@ -300,9 +281,7 @@ def scaffold_round(state, problem, hyper, sampled, seed, *, params: AlgoParams =
     server control moves by the participation-weighted average change.
     """
     ids = _check_round_args(state, problem, hyper, sampled)
-    aux = state.algo_aux
-    if aux is None:
-        aux = ScaffoldAux.zeros(problem.num_clients, state.x.shape[0])
+    aux = state.algo_aux or ScaffoldAux(np.zeros_like(state.x), np.zeros((problem.num_clients, state.x.shape[0])))
     c_old = aux.c_clients[ids]
     finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), seed,
                                          correction=aux.c - c_old)
@@ -314,27 +293,25 @@ def scaffold_round(state, problem, hyper, sampled, seed, *, params: AlgoParams =
                     algo_aux=ScaffoldAux(c_next, clients_next))
 
 
-def adam_server_step(aux: AdamAux, pseudo_grad: ParamVector, params: AlgoParams) -> tuple:
+def adam_server_step(aux: AdamAux, pseudo_grad: ParamVector, hyper: MimHyper) -> tuple:
     """One server Adam step on the pseudo-gradient; returns (new_aux, update).
 
     No bias correction (moments are zero-initialized), so the update
     magnitude approaches global_lr / (1 + eps) for a persistent unit
     pseudo-gradient.
     """
-    m = params.adam_beta1 * aux.m + (1.0 - params.adam_beta1) * pseudo_grad
-    v = params.adam_beta2 * aux.v + (1.0 - params.adam_beta2) * pseudo_grad * pseudo_grad
-    update = params.global_lr * m / (np.sqrt(v) + params.adam_eps)
+    m = hyper.adam_beta1 * aux.m + (1.0 - hyper.adam_beta1) * pseudo_grad
+    v = hyper.adam_beta2 * aux.v + (1.0 - hyper.adam_beta2) * pseudo_grad * pseudo_grad
+    update = hyper.global_lr * m / (np.sqrt(v) + hyper.adam_eps)
     return AdamAux(m, v), update
 
 
-def fedadam_round(state, problem, hyper, sampled, seed, *, params: AlgoParams = AlgoParams()):
+def fedadam_round(state, problem, hyper, sampled, seed):
     """Adaptive server baseline: plain local SGD, one server Adam step per round."""
     ids = _check_round_args(state, problem, hyper, sampled)
-    aux = state.algo_aux
-    if aux is None:
-        aux = AdamAux.zeros(state.x.shape[0])
+    aux = state.algo_aux or AdamAux(np.zeros_like(state.x), np.zeros_like(state.x))
     finals, grad_sums = mim_local_update(problem, ids, state, _zero_momentum(hyper), seed)
-    aux_next, update = adam_server_step(aux, state.x - mean_vectors(finals), params)
+    aux_next, update = adam_server_step(aux, state.x - mean_vectors(finals), hyper)
     return _advance(state, hyper, state.x - update, finals, grad_sums, algo_aux=aux_next)
 
 

@@ -476,12 +476,13 @@ def quadratic_problem(gen: np.random.Generator, *, n_clients: int, dim: int, het
     """Random SPD quadratics, eigenvalues in [0.5, 2), centres spread proportionally to ``heterogeneity``."""
     hessians = np.empty((n_clients, dim, dim))
     centers = np.empty((n_clients, dim))
-    for i in range(n_clients):
-        q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
-        eigs = gen.uniform(0.5, 2.0, size=dim)
-        h = (q * eigs) @ q.T
-        hessians[i] = 0.5 * (h + h.T)
-        centers[i] = heterogeneity * gen.standard_normal(dim)
+    with np.errstate(over="ignore"):  # QuadraticPopulation names the client whose centre overflowed
+        for i in range(n_clients):
+            q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
+            eigs = gen.uniform(0.5, 2.0, size=dim)
+            h = (q * eigs) @ q.T
+            hessians[i] = 0.5 * (h + h.T)
+            centers[i] = heterogeneity * gen.standard_normal(dim)
     return QuadraticPopulation(hessians, centers, sigma_l)
 
 

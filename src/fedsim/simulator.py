@@ -28,7 +28,6 @@ import numpy as np
 
 from .algorithms import (
     ROUND_FUNCTIONS,
-    AlgoParams,
     DivergenceError,
     MimHyper,
     current_eta,
@@ -106,7 +105,6 @@ class RunConfig:
     problem: ProblemConfig = ProblemConfig()
     algorithm: str = "fedmim"
     hyper: MimHyper = MimHyper()
-    params: AlgoParams = AlgoParams()
     rounds: int = 1
     master_seed: int = 0
     metric_every: int = 1
@@ -128,7 +126,7 @@ class RunConfig:
         if self.master_seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.verify and self.algorithm != "fedmim":  # the identities are the momentum rule's
-            raise ConfigError("verify requires algorithm=fedmim")
+            raise ConfigError("verify requires algorithm=fedmim; add -o verify=false to run the other rules unverified")
         if not self.out_dir:  # an empty path would write the outputs into the working directory
             raise ConfigError("out_dir must not be empty")
         if not math.isfinite(self.corrupt_delta):
@@ -188,7 +186,7 @@ def _settings(*parts) -> dict:
 
 
 SETTINGS = _settings(("problem", "problem", ProblemConfig), ("hyper", "algorithm", MimHyper),
-                     ("params", "algorithm", AlgoParams), (None, "run", RunConfig))
+                     (None, "run", RunConfig))
 
 
 def with_settings(config: RunConfig, raw: dict) -> RunConfig:
@@ -303,7 +301,7 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
         prev = state
         eta = current_eta(hyper, t)
         try:
-            state, art = round_fn(prev, problem, hyper, sampled, config.master_seed, params=config.params)
+            state, art = round_fn(prev, problem, hyper, sampled, config.master_seed)
         except DivergenceError as exc:
             record.status = f"diverged at round {t + 1} ({exc.place})"
             record.diverged_round = t + 1

@@ -11,10 +11,11 @@ synthesis) and ``cli.cmd_gradcheck`` (probe points), and each draws from
 its ``generator``.  ``round_generators`` serves the streams of one round,
 the clients' batch streams and the sampling stream alike: it computes
 their Philox keys in one vectorized pass of ``SeedSequence``'s entropy
-mixing and draws them on one module-level ``Philox``, reset from Python
-ints for each key, so its draws equal ``derive_rng``'s while a round builds
-no ``Philox`` or ``Generator`` and one ``SeedSequence`` per call (the
-shared pool of the seed and round words).
+mixing, whose hash constants are powers known in closed form, and draws
+them on one module-level ``Philox``, reset from Python ints for each key,
+so its draws equal ``derive_rng``'s while a round builds no ``Philox`` or
+``Generator`` and one ``SeedSequence`` per call (the shared pool of the
+seed and round words).
 """
 
 from __future__ import annotations
@@ -147,31 +148,22 @@ def _mix(x, y):
     return result ^ (result >> XSHIFT)
 
 
-def _next_four(hash_const: int, mult: int):
-    """The before and after constants of the next four hashmix calls, as (4, 1) uint32 columns, and the next one."""
-    consts = [hash_const]
-    for _ in range(POOL_SIZE):
-        consts.append((consts[-1] * mult) & MASK32)
-    column = np.array(consts, dtype=np.uint32)[:, None]
-    column.flags.writeable = False  # _mixing_columns hands the same columns to every call
-    return column[:-1], column[1:], consts[-1]
-
-
 @functools.cache
-def _mixing_columns(words: int):
-    """The (before, after) columns of the ids word, the purpose word and ``generate_state``, after ``words``
-    entropy words.
+def _hash_columns(words: int):
+    """SeedSequence's hash constants after ``words`` entropy words, as read-only (n, 1) uint32 columns.
 
-    A table of constants keyed on that count, never on the seed's value: it
-    holds nothing of any seed, round or run, so no draw depends on an
-    earlier call.
+    Hashmix call n uses INIT_A * MULT_A^n as its first constant and the next power as its second.  The
+    4 * words calls before the ids word (four fill the pool, twelve mix it, four take each later word) fix
+    the first column: the nine constants of the ids and purpose words' eight calls.  The second holds
+    ``generate_state``'s five, INIT_B * MULT_B^i.  Keyed on that count, never on the seed's value, the
+    table holds nothing of any seed, round or run, so no draw depends on an earlier call.
     """
-    # hashmix calls so far: four to fill the pool, twelve to mix it, then four per later entropy word
-    calls = POOL_SIZE * POOL_SIZE + POOL_SIZE * (words - POOL_SIZE)
-    ids_before, ids_after, hash_const = _next_four((INIT_A * pow(MULT_A, calls, MASK32 + 1)) & MASK32, MULT_A)
-    purpose_before, purpose_after, _ = _next_four(hash_const, MULT_A)
-    state_before, state_after, _ = _next_four(INIT_B, MULT_B)
-    return (ids_before, ids_after), (purpose_before, purpose_after), (state_before, state_after)
+    mixing = [INIT_A * pow(MULT_A, POOL_SIZE * words + n, MASK32 + 1) & MASK32 for n in range(2 * POOL_SIZE + 1)]
+    state = [INIT_B * pow(MULT_B, n, MASK32 + 1) & MASK32 for n in range(POOL_SIZE + 1)]
+    columns = tuple(np.array(consts, dtype=np.uint32)[:, None] for consts in (mixing, state))
+    for column in columns:
+        column.flags.writeable = False  # the cache hands the same columns to every call
+    return columns
 
 
 def _check_word(value: int, name: str) -> None:
@@ -197,12 +189,12 @@ def round_keys(master_seed: int, round_index: int, ids: Sequence[int], purpose: 
         raise ValueError("a client id does not fit one 32-bit word")
     shared = np.random.SeedSequence(master_seed, spawn_key=(round_index,))
     words = max(POOL_SIZE, -(-int(master_seed).bit_length() // 32)) + 1  # the seed's, padded, and the round word
-    ids_word, purpose_word, state_word = _mixing_columns(words)
-    pool = _mix(shared.pool[:, None], _hashmix(np.array(ids, dtype=np.uint32), *ids_word))
-    pool = _mix(pool, _hashmix(purpose, *purpose_word))
+    mixing, state_consts = _hash_columns(words)
+    pool = _mix(shared.pool[:, None], _hashmix(np.array(ids, dtype=np.uint32), mixing[0:4], mixing[1:5]))
+    pool = _mix(pool, _hashmix(purpose, mixing[4:8], mixing[5:9]))
 
     # generate_state(2, np.uint64): one 32-bit word per pool word, read little-endian in pairs
-    state = _hashmix(pool, *state_word).astype(np.uint64)
+    state = _hashmix(pool, state_consts[:-1], state_consts[1:]).astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 

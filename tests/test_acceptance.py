@@ -13,7 +13,6 @@ import numpy as np
 from client_reference import clients_of
 from fedsim.algorithms import (
     MimHyper,
-    AlgoParams,
     eta_l_bound,
     fedavg_round,
     fedcm_round,
@@ -37,15 +36,15 @@ def verdict(num, name, ok):
     assert ok, f"criterion {num} ({name}) failed"
 
 
-def lockstep_trajectories(problem, hyper_a, round_a, hyper_b, round_b, rounds, seed, params=AlgoParams()):
+def lockstep_trajectories(problem, hyper_a, round_a, hyper_b, round_b, rounds, seed):
     """Run two round rules on the same problem/seeds; return max coordinate gap."""
     state_a = init_round_state(np.zeros(problem.dim), hyper_a.J)
     state_b = init_round_state(np.zeros(problem.dim), hyper_b.J)
     worst = 0.0
     for t in range(rounds):
         sampled = sample_clients(problem.num_clients, hyper_a.s_participate, seed, t)
-        state_a, _ = round_a(state_a, problem, hyper_a, sampled, seed, params=params)
-        state_b, _ = round_b(state_b, problem, hyper_b, sampled, seed, params=params)
+        state_a, _ = round_a(state_a, problem, hyper_a, sampled, seed)
+        state_b, _ = round_b(state_b, problem, hyper_b, sampled, seed)
         worst = max(worst, float(np.abs(state_a.x - state_b.x).max()))
     return worst
 
@@ -64,10 +63,9 @@ def test_criterion_01_fedavg_degeneracy():
 def test_criterion_02_fedcm_degeneracy():
     problem = build_problem(ProblemConfig(kind="quadratic", n_clients=6, dim=4,
                                           heterogeneity=1.0, sigma_l=0.1), 42)
-    hyper = MimHyper(alpha=(0.1,), beta=(0.0,), eta_l=0.05, k_local=5, s_participate=3)
+    hyper = MimHyper(alpha=(0.1,), beta=(0.0,), eta_l=0.05, k_local=5, s_participate=3, fedcm_alpha=0.1)
     worst = lockstep_trajectories(problem, hyper, mim_round, hyper, fedcm_round,
-                                  rounds=50, seed=42,
-                                  params=AlgoParams(fedcm_alpha=0.1))
+                                  rounds=50, seed=42)
     verdict(2, "single-step momentum equals client-momentum rule", worst <= 1e-12)
 
 

@@ -10,7 +10,6 @@ from client_reference import QueueSampler, clients_of
 from fedsim.algorithms import (
     ROUND_FUNCTIONS,
     AdamAux,
-    AlgoParams,
     DivergenceError,
     MimHyper,
     RoundState,
@@ -252,14 +251,14 @@ class TestBatchedKernel:
             states = [a, b]
 
 
-def run_rounds(round_fn, problem, hyper, rounds, seed, params=AlgoParams(), sampled_orders=None):
+def run_rounds(round_fn, problem, hyper, rounds, seed, sampled_orders=None):
     state = init_round_state(np.zeros(problem.dim), hyper.J)
     history = [state]
     for t in range(rounds):
         sampled = sample_clients(problem.num_clients, hyper.s_participate, seed, t)
         if sampled_orders is not None:
             sampled = sampled_orders(sampled)
-        state, _ = round_fn(state, problem, hyper, sampled, seed, params=params)
+        state, _ = round_fn(state, problem, hyper, sampled, seed)
         history.append(state)
     return history
 
@@ -323,6 +322,15 @@ class TestMimRound:
         with pytest.raises(ValueError, match="distinct and in"):
             mim_round(state, problem, hyper, sampled, 0)
 
+    @pytest.mark.parametrize("algorithm", sorted(ROUND_FUNCTIONS))
+    def test_more_sampled_ids_than_clients_rejected(self, algorithm):
+        # S > N leaves no room for S distinct ids in [0, N), so the id check catches it
+        problem = symmetric_pair()
+        hyper = MimHyper(s_participate=3, k_local=1)
+        state = init_round_state(np.zeros(1), hyper.J)
+        with pytest.raises(ValueError, match=r"distinct and in \[0, 2\)"):
+            ROUND_FUNCTIONS[algorithm](state, problem, hyper, [0, 1, 2], 0)
+
     def test_zero_history_alpha_scaling_identity(self):
         # round 1 with sigma=0 and K=1: the step scales exactly with A
         problem = build_problem(ProblemConfig(n_clients=4, dim=3, heterogeneity=1.0, sigma_l=0.0), 11)
@@ -357,26 +365,24 @@ class TestFedCm:
     def test_zero_weight_matches_fedavg(self):
         problem = build_problem(ProblemConfig(n_clients=4, dim=3, heterogeneity=1.0, sigma_l=0.1), 31)
         hyper = MimHyper(s_participate=2, k_local=5, eta_l=0.05)
-        cm = run_rounds(fedcm_round, problem, hyper, 30, seed=4,
-                        params=AlgoParams(fedcm_alpha=0.0))
+        cm = run_rounds(fedcm_round, problem, dataclasses.replace(hyper, fedcm_alpha=0.0), 30, seed=4)
         avg = run_rounds(fedavg_round, problem, hyper, 30, seed=4)
         for sc, sa in zip(cm, avg):
             assert np.array_equal(sc.x, sa.x)
 
     def test_matches_single_step_momentum_mapping(self):
         problem = build_problem(ProblemConfig(n_clients=6, dim=4, heterogeneity=1.0, sigma_l=0.1), 42)
-        mim_hyper = MimHyper(alpha=(0.1,), beta=(0.0,), s_participate=3, k_local=5, eta_l=0.05)
+        mim_hyper = MimHyper(alpha=(0.1,), beta=(0.0,), s_participate=3, k_local=5, eta_l=0.05, fedcm_alpha=0.1)
         mim_states = run_rounds(mim_round, problem, mim_hyper, 50, seed=42)
-        cm_states = run_rounds(fedcm_round, problem, mim_hyper, 50, seed=42,
-                               params=AlgoParams(fedcm_alpha=0.1))
+        cm_states = run_rounds(fedcm_round, problem, mim_hyper, 50, seed=42)
         for sm, sc in zip(mim_states, cm_states):
             assert np.abs(sm.x - sc.x).max() <= 1e-12
 
     def test_first_round_scales_gradient_only(self):
         problem = build_problem(ProblemConfig(n_clients=3, dim=3, heterogeneity=1.0, sigma_l=0.0), 8)
         hyper = MimHyper(s_participate=3, k_local=1, eta_l=0.1)
-        s_cm, _ = fedcm_round(init_round_state(np.zeros(3), hyper.J), problem, hyper,
-                              [0, 1, 2], 0, params=AlgoParams(fedcm_alpha=0.3))
+        s_cm, _ = fedcm_round(init_round_state(np.zeros(3), hyper.J), problem,
+                              dataclasses.replace(hyper, fedcm_alpha=0.3), [0, 1, 2], 0)
         s_avg, _ = fedavg_round(init_round_state(np.zeros(3), hyper.J), problem, hyper,
                                 [0, 1, 2], 0)
         assert np.abs(s_cm.x - 0.7 * s_avg.x).max() <= 1e-15
@@ -426,11 +432,11 @@ class TestFedAdam:
 
     def test_constant_pseudo_gradient_limit(self):
         # closed form without bias correction: m_t = 1 - b1^t, v_t = 1 - b2^t
-        params = AlgoParams(global_lr=0.1, adam_beta1=0.9, adam_beta2=0.99, adam_eps=1e-3)
-        aux = AdamAux.zeros(1)
+        hyper = MimHyper(global_lr=0.1, adam_beta1=0.9, adam_beta2=0.99, adam_eps=1e-3)
+        aux = AdamAux(np.zeros(1), np.zeros(1))
         pg = np.array([1.0])
         for t in range(1, 5001):
-            aux, update = adam_server_step(aux, pg, params)
+            aux, update = adam_server_step(aux, pg, hyper)
             m_t, v_t = 1 - 0.9**t, 1 - 0.99**t
             expected = 0.1 * m_t / (np.sqrt(v_t) + 1e-3)
             assert update[0] == pytest.approx(expected, rel=1e-9)
@@ -439,8 +445,8 @@ class TestFedAdam:
         assert abs(update[0] - 0.1) <= 0.1 * 2e-3
 
     def test_degenerate_betas_large_eps(self):
-        params = AlgoParams(global_lr=0.1, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e6)
-        aux, update = adam_server_step(AdamAux.zeros(2), np.array([1.0, -2.0]), params)
+        hyper = MimHyper(global_lr=0.1, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e6)
+        aux, update = adam_server_step(AdamAux(np.zeros(2), np.zeros(2)), np.array([1.0, -2.0]), hyper)
         assert np.allclose(update, 0.1 / 1e6 * np.array([1.0, -2.0]), rtol=1e-5)
 
 

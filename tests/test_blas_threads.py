@@ -1,10 +1,11 @@
-"""The byte pins hold at 1 and at 2 BLAS threads.
+"""The output bytes hold at 1 and at 2 BLAS threads.
 
-Each case runs every ``test_config_bytes`` case in a child process whose
-own environment sets ``OPENBLAS_NUM_THREADS``, and compares the digests with
-``DIGESTS``.  The perfbench workloads stay out: the d = 100 Hessians of
-``quad-baselines`` depend on the thread count, so its bytes differ between
-1 and 2 threads.
+Each case runs in child processes whose own environment sets
+``OPENBLAS_NUM_THREADS``.  Every ``test_config_bytes`` case must give the
+digests of ``DIGESTS`` at both counts.  Each perfbench workload's INI leg,
+20 rounds at ``metric_every = 1`` under seeds 1 and 2, must give the same
+digests at both counts; the d = 100 Hessians of ``quad-baselines`` do not
+(ROADMAP M7), so that case is an expected failure.
 """
 
 import json
@@ -15,16 +16,37 @@ from pathlib import Path
 
 import pytest
 
-from test_config_bytes import CASES, DIGESTS
+from test_config_bytes import CASES, DIGESTS, config_digests
 
 TESTS = Path(__file__).resolve().parent
+WORKLOADS = TESTS.parent / "perfbench" / "workloads"
 CHILD = "import json, test_config_bytes as t; print(json.dumps([t.run_digests(*case) for case in t.CASES]))"
+BLAS_BOUND = pytest.mark.xfail(strict=False, reason="(q * eigs) @ q.T in quadratic_problem and the solve in "
+                               "known_optimum depend on the BLAS thread count at d = 100 (ROADMAP M7)")
+
+
+def child_json(code: str, threads: str):
+    """What ``code`` prints, as JSON, in a child process at ``threads`` BLAS threads."""
+    path = [str(TESTS.parent / "src"), str(TESTS)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+def workload_digests(name: str) -> list:
+    """The digest pairs of a workload's INI leg, 20 rounds at ``metric_every = 1``, under seeds 1 and 2."""
+    return [config_digests(WORKLOADS / f"{name}.ini", ["rounds=20", "metric_every=1", f"seed={seed}"])
+            for seed in (1, 2)]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_config_bytes_at_blas_threads(threads):
-    path = [str(TESTS.parent / "src"), str(TESTS)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
-    child = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True, text=True)
-    assert child.returncode == 0, child.stderr
-    assert dict(zip(CASES, map(tuple, json.loads(child.stdout)))) == DIGESTS
+    assert dict(zip(CASES, map(tuple, child_json(CHILD, threads)))) == DIGESTS
+
+
+@pytest.mark.parametrize("name", [pytest.param(path.stem, marks=[BLAS_BOUND] if path.stem == "quad-baselines" else [])
+                                  for path in sorted(WORKLOADS.glob("*.ini"))])
+def test_workload_bytes_at_blas_threads(name):
+    code = f"import json, test_blas_threads as t; print(json.dumps(t.workload_digests({name!r})))"
+    assert child_json(code, "1") == child_json(code, "2")

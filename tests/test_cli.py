@@ -6,6 +6,7 @@ import json
 import math
 import platform
 import re
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from fedsim import cli, objectives, simulator
-from fedsim.algorithms import AlgoParams, MimHyper
+from fedsim.algorithms import MimHyper
 from fedsim.cli import (
     METRIC_COLUMNS,
     main,
@@ -141,19 +142,18 @@ def write_ini(path, *entries: dict) -> str:
 
 def construct(overrides) -> RunConfig:
     """The config that ``overrides`` (``key=value`` items) set, built directly from the dataclasses."""
-    fields: dict = {part: {} for part in ("problem", "hyper", "params", None)}
+    fields: dict = {part: {} for part in ("problem", "hyper", None)}
     for item in overrides:
         key, raw = item.split("=", 1)
         fields[SETTINGS[key].part][SETTINGS[key].field] = SETTINGS[key].parse(raw)
-    return RunConfig(problem=ProblemConfig(**fields["problem"]), hyper=MimHyper(**fields["hyper"]),
-                     params=AlgoParams(**fields["params"]), **fields[None])
+    return RunConfig(problem=ProblemConfig(**fields["problem"]), hyper=MimHyper(**fields["hyper"]), **fields[None])
 
 
 def assert_rejected(minimal_config, tmp_path, capsys, overrides, message) -> None:
     """``fedsim run`` exits 1 with ``message`` and writes nothing; building the config directly raises it.
 
-    ProblemConfig and RunConfig raise a ConfigError themselves; MimHyper and
-    AlgoParams raise a ValueError that the settings table turns into one.
+    ProblemConfig and RunConfig raise a ConfigError themselves; MimHyper
+    raises a ValueError that the settings table turns into one.
     """
     out = tmp_path / "out"
     args = ["run", "-c", minimal_config, "--out", str(out)]
@@ -163,7 +163,7 @@ def assert_rejected(minimal_config, tmp_path, capsys, overrides, message) -> Non
     assert message in capsys.readouterr().err
     assert not out.exists()
     parts = {SETTINGS[item.split("=", 1)[0]].part for item in overrides}
-    with pytest.raises(ValueError if parts & {"hyper", "params"} else ConfigError, match=re.escape(message)):
+    with pytest.raises(ValueError if "hyper" in parts else ConfigError, match=re.escape(message)):
         construct(overrides)
 
 
@@ -264,8 +264,8 @@ class TestParseConfig:
         assert parse_config(minimal_config, ["kind=logreg", "concentration=0.3"]).problem.concentration == 0.3
 
     def test_fedadam_global_lr_default(self, minimal_config):
-        assert parse_config(minimal_config, ["name=fedadam"]).params.global_lr == 0.1
-        assert parse_config(minimal_config).params.global_lr == 0.1  # one default; only fedadam reads it
+        assert parse_config(minimal_config, ["name=fedadam"]).hyper.global_lr == 0.1
+        assert parse_config(minimal_config).hyper.global_lr == 0.1  # one default; only fedadam reads it
 
     def test_minimal_config_is_the_dataclass_defaults(self, minimal_config):
         expected = RunConfig(rounds=10, hyper=MimHyper(s_participate=ProblemConfig().n_clients))
@@ -276,7 +276,7 @@ class TestParseConfig:
 
     def test_every_field_is_set_by_exactly_one_key(self):
         # a field without a key could not be set from a file, an override or a sweep
-        dataclass_of_part = {"problem": ProblemConfig, "hyper": MimHyper, "params": AlgoParams, None: RunConfig}
+        dataclass_of_part = {"problem": ProblemConfig, "hyper": MimHyper, None: RunConfig}
         expected = Counter((part, f.name) for part, cls in dataclass_of_part.items()
                            for f in dataclasses.fields(cls) if f.name not in dataclass_of_part)
         assert Counter((setting.part, setting.field) for setting in SETTINGS.values()) == expected
@@ -522,12 +522,15 @@ class TestCmdRun:
         assert "cannot build the logreg problem: a client received no samples" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_overflowing_quadratic_data_is_config_error(self, tmp_path, capsys):
-        # heterogeneity * standard_normal overflowed to inf, and the run exited 2 as a divergence at round 1
+        # heterogeneity * standard_normal overflowed to inf: the run exited 2 as a divergence at round 1,
+        # and once that was an error, numpy's overflow warning still printed before it
         out = tmp_path / "out"
-        assert main(["run", "-c", str(CONFIG_DIR / "quadratic_verify.ini"), "--out", str(out),
-                     "-o", "heterogeneity=1e308", "-o", "rounds=3"]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "-c", str(CONFIG_DIR / "quadratic_verify.ini"), "--out", str(out),
+                         "-o", "heterogeneity=1e308", "-o", "rounds=3"]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "cannot build the quadratic problem: the Hessian or centre of client" in capsys.readouterr().err
         assert not out.exists()
 
@@ -693,6 +696,16 @@ class TestCmdSweep:
             assert main(["run", "-c", config, "--out", str(out), "-o", f"{axis}={value}"]) == 0
             expected += [f"{axis},{value},{line}" for line in (out / "metrics.csv").read_text().splitlines()[1:]]
         assert (tmp_path / "s" / "sweep.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    def test_algorithm_sweep_on_verify_config_names_the_fix(self, tmp_path, capsys):
+        # the error gave no hint that verify=false runs the other rules
+        out = tmp_path / "out"
+        assert main(["sweep", "-c", str(CONFIG_DIR / "quadratic_verify.ini"), "--out", str(out),
+                     "--axis", "algorithm", "--values", "fedmim,fedavg"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid algorithm value 'fedavg': verify requires algorithm=fedmim" in err
+        assert "add -o verify=false" in err
+        assert not out.exists()
 
     def test_unknown_axis_is_config_error(self, minimal_config, tmp_path):
         assert main(["sweep", "-c", minimal_config, "--out", str(tmp_path / "o"),

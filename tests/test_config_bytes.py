@@ -85,12 +85,17 @@ DIGESTS = {
 }
 
 
-def run_digests(name, rule, seed):
-    overrides = ["rounds=40", "metric_every=1", f"seed={seed}"] + ([f"name={rule}"] if rule else [])
-    record = run_training(parse_config(str(CONFIG_DIR / f"{name}.ini"), overrides))
+def config_digests(path, overrides) -> tuple:
+    """The sha256 of metrics.csv and of the final x of the run that the INI file at ``path`` and ``overrides`` set."""
+    record = run_training(parse_config(str(path), overrides))
     assert record.status == "completed"
     return (hashlib.sha256(metrics_csv_bytes(record.rows)).hexdigest(),
             hashlib.sha256(record.final_x.tobytes()).hexdigest())
+
+
+def run_digests(name, rule, seed):
+    overrides = ["rounds=40", "metric_every=1", f"seed={seed}"] + ([f"name={rule}"] if rule else [])
+    return config_digests(CONFIG_DIR / f"{name}.ini", overrides)
 
 
 @pytest.mark.parametrize("name, rule, seed", CASES)

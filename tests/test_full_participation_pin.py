@@ -66,7 +66,7 @@ def _replay(config: RunConfig):
     for t in range(config.rounds):
         sampled = sample_clients(problem.num_clients, config.hyper.s_participate, config.master_seed, t)
         state, art = ROUND_FUNCTIONS[config.algorithm](
-            state, problem, config.hyper, sampled, config.master_seed, params=config.params)
+            state, problem, config.hyper, sampled, config.master_seed)
         grad_sums.append(art.grad_sum)
     return state, grad_sums
 

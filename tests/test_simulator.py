@@ -133,8 +133,7 @@ class TestRoundApiReplay:
         state = init_round_state(np.zeros(problem.dim), hyper.J)
         for t in range(config.rounds):
             sampled = sample_clients(problem.num_clients, hyper.s_participate, config.master_seed, t)
-            state, _ = ROUND_FUNCTIONS[config.algorithm](state, problem, hyper, sampled, config.master_seed,
-                                                         params=config.params)
+            state, _ = ROUND_FUNCTIONS[config.algorithm](state, problem, hyper, sampled, config.master_seed)
         assert state.x.tobytes() == record.final_x.tobytes()
 
 
@@ -429,8 +428,8 @@ class TestRunSweep:
 
 class TestRunConfig:
     def test_fedadam_global_lr_default(self):
-        # AlgoParams holds the one default; fedadam's server step is its only reader
-        assert RunConfig(algorithm="fedadam").params.global_lr == 0.1
+        # MimHyper holds the one default; fedadam's server step is its only reader
+        assert RunConfig(algorithm="fedadam").hyper.global_lr == 0.1
 
     def test_empty_out_dir_is_config_error(self):
         # the outputs went into the working directory

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedsim.algorithms import ROUND_FUNCTIONS, AlgoParams, MimHyper, init_round_state
+from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, init_round_state
 from fedsim.cli import metrics_csv_bytes
 from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training, sample_clients
 
@@ -64,7 +64,7 @@ BASELINE_PINS = {
 }
 # the settings these digests were recorded at: global_lr was 1.0 by default then
 # (0.1 now); fedadam is the only rule that reads it
-BASELINE_PARAMS = AlgoParams(global_lr=1.0)
+BASELINE_GLOBAL_LR = 1.0
 
 
 def _config(problem: ProblemConfig) -> RunConfig:
@@ -80,7 +80,7 @@ def _replay(config: RunConfig):
     for t in range(config.rounds):
         sampled = sample_clients(problem.num_clients, config.hyper.s_participate, config.master_seed, t)
         state, _ = ROUND_FUNCTIONS[config.algorithm](
-            state, problem, config.hyper, sampled, config.master_seed, params=config.params)
+            state, problem, config.hyper, sampled, config.master_seed)
     return state
 
 
@@ -108,7 +108,8 @@ def test_metrics_csv_is_pinned(kind):
 @pytest.mark.parametrize("algorithm", sorted(BASELINE_PINS))
 def test_baseline_trajectory_is_pinned(algorithm):
     x_digest, delta_digest = BASELINE_PINS[algorithm]
-    config = replace(_config(PINS["quadratic"][0]), algorithm=algorithm, params=BASELINE_PARAMS)
+    base = _config(PINS["quadratic"][0])
+    config = replace(base, algorithm=algorithm, hyper=replace(base.hyper, global_lr=BASELINE_GLOBAL_LR))
     state = _replay(config)
     record = run_training(config)
     assert np.array_equal(record.final_x, state.x)
