@@ -280,7 +280,7 @@ class _SampledPopulation(FederatedProblem):
 
     def client_loss(self, cid: int, x: ParamVector) -> float:
         """Client ``cid``'s full-batch loss, over all its rows."""
-        return self._rows_loss(x, np.arange(*self.spans[cid]))
+        return self._rows_loss(x, slice(*self.spans[cid]))
 
     def client_gradient(self, cid: int, x: ParamVector) -> ParamVector:
         """Client ``cid``'s full-batch gradient: the training gradient of one row over all its rows."""

@@ -20,11 +20,32 @@ loop over the client rows, the form that the loop-free reductions replace;
 the tests hold those to these bytes.  ``delta_recursion_residual_loop`` is
 the increment-recursion check with its own skip-zero loop over the history,
 the form that ``verify_delta_recursion`` replaces with ``weighted_sum``.
+
+``replay`` is the simulator's round loop without verification or metric
+rows, from fedsim's public sampler and a round rule alone.  Every round
+stream resets the shared generator before it draws, and ``replay`` yields
+only after a round has finished its draws, so a replay that stops early, or
+two replays in lockstep, draw what one full run draws.
 """
 
 from typing import Sequence
 
 import numpy as np
+
+from fedsim.algorithms import init_round_state
+from fedsim.simulator import sample_clients
+
+
+def replay(round_fn, problem, hyper, rounds, seed, sampled_orders=None, state=None):
+    """``(state, artifacts)`` after each round, from ``state`` or the zero model; ``sampled_orders`` reorders ids."""
+    if state is None:
+        state = init_round_state(np.zeros(problem.dim), hyper.J)
+    for t in range(rounds):
+        sampled = sample_clients(problem.num_clients, hyper.s_participate, seed, t)
+        if sampled_orders is not None:
+            sampled = sampled_orders(sampled)
+        state, art = round_fn(state, problem, hyper, sampled, seed)
+        yield state, art
 
 
 class QueueSampler:

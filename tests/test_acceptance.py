@@ -10,13 +10,12 @@ import json
 
 import numpy as np
 
-from client_reference import clients_of
+from client_reference import clients_of, replay
 from fedsim.algorithms import (
     MimHyper,
     eta_l_bound,
     fedavg_round,
     fedcm_round,
-    init_round_state,
     mim_round,
 )
 from fedsim.analysis import finite_difference_check
@@ -27,8 +26,8 @@ from fedsim.simulator import (
     RunConfig,
     build_problem,
     run_training,
-    sample_clients,
 )
+from fedsim.vectors import l2_norm_sq
 
 
 def verdict(num, name, ok):
@@ -38,15 +37,8 @@ def verdict(num, name, ok):
 
 def lockstep_trajectories(problem, hyper_a, round_a, hyper_b, round_b, rounds, seed):
     """Run two round rules on the same problem/seeds; return max coordinate gap."""
-    state_a = init_round_state(np.zeros(problem.dim), hyper_a.J)
-    state_b = init_round_state(np.zeros(problem.dim), hyper_b.J)
-    worst = 0.0
-    for t in range(rounds):
-        sampled = sample_clients(problem.num_clients, hyper_a.s_participate, seed, t)
-        state_a, _ = round_a(state_a, problem, hyper_a, sampled, seed)
-        state_b, _ = round_b(state_b, problem, hyper_b, sampled, seed)
-        worst = max(worst, float(np.abs(state_a.x - state_b.x).max()))
-    return worst
+    pairs = zip(replay(round_a, problem, hyper_a, rounds, seed), replay(round_b, problem, hyper_b, rounds, seed))
+    return max(float(np.abs(a.x - b.x).max()) for (a, _), (b, _) in pairs)
 
 
 def test_criterion_01_fedavg_degeneracy():
@@ -147,17 +139,14 @@ def test_criterion_05_pl_convergence():
 
 
 def test_criterion_06_linear_speedup_trend():
-    def rounds_to_threshold(s_participate, seed, threshold=1e-4):
-        pc = ProblemConfig(kind="quadratic", n_clients=20, dim=8,
-                           heterogeneity=0.1, sigma_l=0.1)
-        cfg = RunConfig(problem=pc, algorithm="fedmim",
-                        hyper=MimHyper(eta_l=0.05, k_local=5, s_participate=s_participate),
-                        rounds=2800, master_seed=seed)
-        record = run_training(cfg)
-        for row in record.rows:
-            if row.grad_norm_sq <= threshold:
-                return row.round
-        return cfg.rounds + 1
+    def rounds_to_threshold(s_participate, seed, threshold=1e-4, rounds=2800):
+        """The first round whose grad_norm_sq (a metric row's, by TestRoundApiReplay) is at or below ``threshold``."""
+        problem = build_problem(ProblemConfig(kind="quadratic", n_clients=20, dim=8,
+                                              heterogeneity=0.1, sigma_l=0.1), seed)
+        hyper = MimHyper(eta_l=0.05, k_local=5, s_participate=s_participate)
+        steps = enumerate(replay(mim_round, problem, hyper, rounds, seed), start=1)
+        return next((t for t, (state, _) in steps
+                     if l2_norm_sq(problem.evaluate(state.x[None])[1][0]) <= threshold), rounds + 1)
 
     medians = []
     for s in (2, 5, 10, 20):

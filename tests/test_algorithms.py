@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from client_reference import QueueSampler, clients_of
+from client_reference import QueueSampler, clients_of, replay
 from fedsim.algorithms import (
     ROUND_FUNCTIONS,
     AdamAux,
@@ -252,15 +252,9 @@ class TestBatchedKernel:
 
 
 def run_rounds(round_fn, problem, hyper, rounds, seed, sampled_orders=None):
-    state = init_round_state(np.zeros(problem.dim), hyper.J)
-    history = [state]
-    for t in range(rounds):
-        sampled = sample_clients(problem.num_clients, hyper.s_participate, seed, t)
-        if sampled_orders is not None:
-            sampled = sampled_orders(sampled)
-        state, _ = round_fn(state, problem, hyper, sampled, seed)
-        history.append(state)
-    return history
+    """The start state, then the state after each round; the start is the object the first round read."""
+    start = init_round_state(np.zeros(problem.dim), hyper.J)
+    return [start] + [state for state, _ in replay(round_fn, problem, hyper, rounds, seed, sampled_orders, start)]
 
 
 class TestMimRound:

@@ -15,9 +15,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, init_round_state
+from client_reference import replay
+from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper
 from fedsim.cli import VERIFY_TOLERANCE
-from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training, sample_clients
+from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training
 
 PROBLEM = ProblemConfig(kind="quadratic", n_clients=5, dim=6, heterogeneity=1.0, sigma_l=0.1)
 CONFIG = RunConfig(problem=PROBLEM, algorithm="fedmim",
@@ -61,14 +62,9 @@ def _replay(config: RunConfig):
     """The simulator's round loop; returns the final state and each round's gradient sum."""
     problem = build_problem(config.problem, config.master_seed)
     assert config.hyper.s_participate == problem.num_clients
-    state = init_round_state(np.zeros(problem.dim), config.hyper.J)
-    grad_sums = []
-    for t in range(config.rounds):
-        sampled = sample_clients(problem.num_clients, config.hyper.s_participate, config.master_seed, t)
-        state, art = ROUND_FUNCTIONS[config.algorithm](
-            state, problem, config.hyper, sampled, config.master_seed)
-        grad_sums.append(art.grad_sum)
-    return state, grad_sums
+    steps = list(replay(ROUND_FUNCTIONS[config.algorithm], problem, config.hyper, config.rounds,
+                        config.master_seed))
+    return steps[-1][0], [art.grad_sum for _, art in steps]
 
 
 @pytest.mark.parametrize("algorithm", sorted(PINS))

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from client_reference import replay
 from fedsim import algorithms, simulator, vectors
-from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, eta_l_bound, init_round_state
+from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, eta_l_bound
 from fedsim.cli import metrics_csv_bytes, parse_config
 from fedsim.objectives import QuadraticPopulation
 from fedsim.simulator import (
@@ -28,7 +29,7 @@ from fedsim.simulator import (
     sweep_configs,
     with_settings,
 )
-from fedsim.vectors import PURPOSE_DATA, PURPOSE_SAMPLING, derive_rng
+from fedsim.vectors import PURPOSE_DATA, PURPOSE_SAMPLING, derive_rng, l2_norm_sq
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,16 +126,15 @@ class TestRoundApiReplay:
     @given(config=replay_cases())
     @settings(max_examples=100, deadline=None)
     def test_simulator_equals_hand_replay(self, config):
-        """run_training's final x, byte for byte, from the public sampler and round rules alone."""
+        """run_training's final x and rows' grad_norm_sq, byte for byte, from the public sampler and round rules."""
         problem = build_problem(config.problem, config.master_seed)
         record = run_training(config, problem)
         assert record.status == "completed"
-        hyper = config.hyper
-        state = init_round_state(np.zeros(problem.dim), hyper.J)
-        for t in range(config.rounds):
-            sampled = sample_clients(problem.num_clients, hyper.s_participate, config.master_seed, t)
-            state, _ = ROUND_FUNCTIONS[config.algorithm](state, problem, hyper, sampled, config.master_seed)
-        assert state.x.tobytes() == record.final_x.tobytes()
+        states = [state for state, _ in replay(ROUND_FUNCTIONS[config.algorithm], problem, config.hyper,
+                                               config.rounds, config.master_seed)]
+        assert states[-1].x.tobytes() == record.final_x.tobytes()
+        assert (np.array([row.grad_norm_sq for row in record.rows]).tobytes()
+                == np.array([l2_norm_sq(problem.evaluate(state.x[None])[1][0]) for state in states]).tobytes())
 
 
 class TestRunTraining:

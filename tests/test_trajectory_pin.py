@@ -15,9 +15,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, init_round_state
+from client_reference import replay
+from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper
 from fedsim.cli import metrics_csv_bytes
-from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training, sample_clients
+from fedsim.simulator import ProblemConfig, RunConfig, build_problem, run_training
 
 PINS = {
     "logreg": (
@@ -74,13 +75,10 @@ def _config(problem: ProblemConfig) -> RunConfig:
 
 
 def _replay(config: RunConfig):
-    """The simulator's round loop, written out so the final ring buffer is visible."""
+    """The final state of the simulator's round loop, so the final ring buffer is visible."""
     problem = build_problem(config.problem, config.master_seed)
-    state = init_round_state(np.zeros(problem.dim), config.hyper.J)
-    for t in range(config.rounds):
-        sampled = sample_clients(problem.num_clients, config.hyper.s_participate, config.master_seed, t)
-        state, _ = ROUND_FUNCTIONS[config.algorithm](
-            state, problem, config.hyper, sampled, config.master_seed)
+    *_, (state, _) = replay(ROUND_FUNCTIONS[config.algorithm], problem, config.hyper, config.rounds,
+                            config.master_seed)
     return state
 
 
