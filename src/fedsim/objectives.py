@@ -480,7 +480,8 @@ def quadratic_problem(gen: np.random.Generator, *, n_clients: int, dim: int, het
         for i in range(n_clients):
             q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
             eigs = gen.uniform(0.5, 2.0, size=dim)
-            h = (q * eigs) @ q.T
+            # in 16-row blocks: the same bytes at 1 and 2 BLAS threads up to d = 200 (README); one block at d <= 16
+            h = np.concatenate([(q[r:r + 16] * eigs) @ q.T for r in range(0, dim, 16)])
             hessians[i] = 0.5 * (h + h.T)
             centers[i] = heterogeneity * gen.standard_normal(dim)
     return QuadraticPopulation(hessians, centers, sigma_l)

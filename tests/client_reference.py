@@ -26,6 +26,11 @@ rows, from fedsim's public sampler and a round rule alone.  Every round
 stream resets the shared generator before it draws, and ``replay`` yields
 only after a round has finished its draws, so a replay that stops early, or
 two replays in lockstep, draw what one full run draws.
+
+``quadratic_data`` makes the draws of ``objectives.quadratic_problem`` and
+forms each Hessian as one ``(q * eigs) @ q.T`` product, the form that the
+product in 16-row blocks replaces; up to d = 16 that is one block, and the
+tests hold the two to the same bytes.
 """
 
 from typing import Sequence
@@ -46,6 +51,17 @@ def replay(round_fn, problem, hyper, rounds, seed, sampled_orders=None, state=No
             sampled = sampled_orders(sampled)
         state, art = round_fn(state, problem, hyper, sampled, seed)
         yield state, art
+
+
+def quadratic_data(gen, n_clients, dim, heterogeneity):
+    """The Hessians and centres of ``quadratic_problem``, each Hessian from one product."""
+    hessians, centers = [], []
+    for _ in range(n_clients):
+        q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
+        h = (q * gen.uniform(0.5, 2.0, size=dim)) @ q.T
+        hessians.append(0.5 * (h + h.T))
+        centers.append(heterogeneity * gen.standard_normal(dim))
+    return np.array(hessians), np.array(centers)
 
 
 class QueueSampler:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from client_reference import LogisticClient, MlpClient, QueueSampler, _stack_by_client, clients_of
+from client_reference import (LogisticClient, MlpClient, QueueSampler, _stack_by_client, clients_of,
+                              quadratic_data)
 from fedsim import objectives
 from fedsim.objectives import (
     CsvFormatError,
@@ -101,6 +102,16 @@ class TestQuadraticProblem:
             x = 3.0 * gen.standard_normal(5)
             gap = global_loss(prob, x) - f_star
             assert 0.5 * l2_norm_sq(population_gradient(prob, x)) >= prob.pl_mu * gap * (1 - 1e-12)
+
+    @given(dim=st.integers(1, 16), n_clients=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_block_up_to_16_rows(self, dim, n_clients, seed):
+        """Up to d = 16 the Hessians built in 16-row blocks are one product: the bytes of the pinned problems."""
+        prob = objectives.quadratic_problem(np.random.default_rng(seed), n_clients=n_clients, dim=dim,
+                                            heterogeneity=1.0, sigma_l=0.0)
+        hessians, centers = quadratic_data(np.random.default_rng(seed), n_clients, dim, 1.0)
+        assert prob.hessians.tobytes() == hessians.tobytes()
+        assert prob.centers.tobytes() == centers.tobytes()
 
     def test_noise_model(self):
         x = np.ones((1, 4))
