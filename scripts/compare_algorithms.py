@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from fedsim.cli import METRIC_COLUMNS, UsageParser, exit_code, metric_row_fields, output_dir, parse_config
-from fedsim.simulator import ConfigError, run_sweep, sweep_configs, with_settings
+from fedsim.cli import (METRIC_COLUMNS, USER_ERRORS, UsageParser, exit_code, metric_row_fields, output_dir,
+                        parse_config)
+from fedsim.simulator import run_sweep, sweep_configs, with_settings
 
 ALGORITHMS = ("fedavg", "fedcm", "scaffold", "fedadam", "fedmim")
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "compare_algorithms.ini"
@@ -43,7 +44,7 @@ def main():
         with output_dir(config.out_dir) as out:  # made before any training, removed if training fails
             sweeps = [run_sweep(sweep_configs(with_settings(config, {"seed": seed}), "algorithm", ALGORITHMS))
                       for seed in args.seeds]
-    except (ConfigError, OSError, MemoryError) as exc:
+    except USER_ERRORS as exc:
         sys.exit(f"error: {exc}")
 
     lines = [",".join(("algorithm", "seed") + METRIC_COLUMNS)]

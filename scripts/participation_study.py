@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedsim.cli import UsageParser, exit_code, parse_config
+from fedsim.cli import USER_ERRORS, UsageParser, exit_code, parse_config
 from fedsim.simulator import ConfigError, run_sweep, sweep_configs, with_settings
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "participation_study.ini"
@@ -55,7 +55,7 @@ def main():
         sweeps = [run_sweep(sweep_configs(with_settings(config, {"seed": seed}), "s_participate",
                                           args.participate))
                   for seed in args.seeds]
-    except (ConfigError, OSError, MemoryError) as exc:
+    except USER_ERRORS as exc:
         sys.exit(f"error: {exc}")
 
     print(f"{'S':>4}  {'median rounds':>13}  per-seed")

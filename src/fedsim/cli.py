@@ -43,6 +43,9 @@ METRIC_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRow))
 
 VERIFY_TOLERANCE = 1e-9
 
+# what every front end (``main`` and the scripts) reports as ``error: ...`` and exit code 1
+USER_ERRORS = (ConfigError, OSError, MemoryError)
+
 _SECTIONS = {setting.section for setting in SETTINGS.values()}
 
 
@@ -283,7 +286,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.subcommand == "sweep":
             return cmd_sweep(config, args.axis, args.values)
         return cmd_gradcheck(config)  # argparse accepts no other subcommand
-    except (ConfigError, OSError, MemoryError) as exc:
+    except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

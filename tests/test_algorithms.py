@@ -36,14 +36,6 @@ def symmetric_pair(sigma=0.0):
 
 
 class TestMimHyper:
-    def test_alpha_sum_constraint(self):
-        with pytest.raises(ValueError, match="alpha weights must sum below 1"):
-            MimHyper(alpha=(0.7, 0.4))
-
-    def test_negative_weight(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            MimHyper(beta=(-0.1,))
-
     def test_padding_to_common_length(self):
         hyper = MimHyper(alpha=(0.5,), beta=(0.2, 0.1, 0.05))
         assert hyper.alpha == (0.5, 0.0, 0.0) and hyper.J == 3

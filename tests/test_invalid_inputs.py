@@ -1,0 +1,225 @@
+"""Every invalid input that exits 1, in one table: a new invalid input gets its row here.
+
+The front ends are ``fedsim run|verify|sweep|gradcheck`` (through ``cli.main``) and both
+study scripts (through ``runpy``), run in-process in a working directory that holds
+``FILES``.  An input fails early when the front end exits 1 with ``error: <message>`` on
+stderr, prints no traceback, records no RuntimeWarning, never trains, and leaves the
+working directory as it was: no out dir made, nothing written.  A message that ends in
+``$`` is the whole error, any other one its start.
+"""
+
+import contextlib
+import re
+import runpy
+import sys
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from fedsim import cli, simulator
+from fedsim.algorithms import MimHyper
+from fedsim.cli import main, parse_config
+from fedsim.simulator import SETTINGS, ConfigError, ProblemConfig, RunConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+FEDSIM = ("run", "verify", "sweep", "gradcheck")
+ALL = FEDSIM + ("compare_algorithms.py", "participation_study.py")
+
+MINIMAL = "[problem]\nkind = quadratic\n[algorithm]\nname = fedmim\n[run]\nrounds = 10\n"
+# 'alpha=' ran with alpha (0.0, 0.0) and 'alpha=0.5,,0.2' as (0.5, 0.2); each also as an INI entry
+EMPTY_ITEMS = ["alpha=", "alpha=0.5,,0.2", "alpha=0.5,0.2,", "beta=,0.1", "beta= , "]
+MALFORMED = {  # configparser or the UTF-8 codec rejects these before any key is read
+    "no-section-header.ini": b"kind = quadratic\n",
+    "repeated-key.ini": b"[problem]\nkind = quadratic\nkind = mlp\n[algorithm]\nname = fedmim\n[run]\nrounds = 1\n",
+    "repeated-section.ini": b"[problem]\nkind = quadratic\n[algorithm]\nname = fedmim\n[problem]\ndim = 3\n"
+                            b"[run]\nrounds = 1\n",
+    "non-utf8-byte.ini": b"[problem]\nkind = quadratic\n# caf\xe9\n[algorithm]\nname = fedmim\n[run]\nrounds = 1\n",
+}
+
+# the working directory of every pair: the shipped configs and the files the rows name
+FILES = {path.name: path.read_bytes() for path in (ROOT / "configs").glob("*.ini")} | MALFORMED | {
+    name: text.encode() for name, text in {
+        "minimal.ini": MINIMAL,
+        **{f"empty{i}.ini": MINIMAL.replace("fedmim\n", "fedmim\n{} = {}\n".format(*item.split("=")))
+           for i, item in enumerate(EMPTY_ITEMS)},
+        "unknown-section.ini": "[training]\nrounds = 1\n",
+        "unknown-key.ini": MINIMAL.replace("quadratic\n", "quadratic\nsize = 3\n"),
+        "no-rounds.ini": MINIMAL.replace("[run]\nrounds = 10\n", ""),
+        "skew.ini": "[problem]\nkind = logreg\nn_clients = 5\ndim = 5\nconcentration = 0.01\nsamples_per_client = 50\n"
+                    "[algorithm]\nname = fedmim\ns_participate = 3\n[run]\nrounds = 2\n",
+        "labels.csv": "y\n0\n1\n0\n1\n",
+        "labels.ini": MINIMAL.replace("quadratic\n", "csv\ncsv_path = labels.csv\nlabel_column = y\nn_clients = 2\n"),
+        "missing-csv.ini": MINIMAL.replace("quadratic\n", "csv\ncsv_path = missing.csv\nlabel_column = y\n"),
+        "file": "",
+    }.items()}
+
+
+# (space-separated -o items on minimal.ini, message): a config dataclass rejects the value
+FIELD = [
+    ("eta_l=nan", "eta_l must be positive and finite"),  # ran and exited 2 as a divergence
+    ("dim=0", "dim must be >= 1"),  # escaped the builder as a ValueError traceback
+    ("sigma_l=-1", "sigma_l must be finite and >= 0"),  # ran with no noise and exited 0
+    ("corrupt_delta=nan", "corrupt_delta must be finite"),  # exited 2 as a divergence at round 2
+    ("corrupt_delta=-inf", "corrupt_delta must be finite"),
+    ("metric_every=11", "metric_every must be in [1, rounds]"),  # exited 0 with an empty metrics.csv
+    ("metric_every=0", "metric_every must be in [1, rounds]"),
+    ("rounds=0", "rounds must be >= 1$"),
+    ("rounds=4294967297", "rounds must be <= 2**32"),  # a round index is one 32-bit word
+    ("seed=-1", "seed must be >= 0"),
+    ("name=fedprox", "unknown algorithm 'fedprox'"),
+    ("s_participate=11", "s_participate must be in [1, n_clients]"),  # a hyper key that RunConfig checks
+    ("kind=cnn", "unknown problem kind 'cnn'"),
+    ("kind=csv", "csv problems need csv_path"),
+    ("kind=csv csv_path=data.csv", "csv problems need label_column"),
+    ("n_clients=0", "n_clients must be >= 1"),
+    ("samples_per_client=0", "samples_per_client must be >= 1"),
+    ("mlp_hidden=0", "mlp_hidden must be >= 1"),
+    ("batch_size=-3", "batch_size must be >= 0 (0 = full batch)"),  # trained full-batch and exited 0
+    ("heterogeneity=inf", "heterogeneity must be finite and >= 0"),
+    ("weight_decay=nan", "weight_decay must be finite and >= 0"),
+    ("concentration=0", "concentration must be 'iid' or finite and > 0"),
+    ("concentration=nan", "concentration must be 'iid' or finite and > 0"),
+    ("name=fedavg verify=true", "verify requires algorithm=fedmim"),  # exited 0 with no verification block
+    ("out_dir=", "out_dir must not be empty$"),  # metrics.csv and run.json went into the working directory
+    ("alpha=0.7,0.4", "alpha weights must sum below 1"),
+    ("alpha=0.9,0.2", "alpha weights must sum below 1"),
+    ("beta=-0.1", "momentum weights must be finite and nonnegative"),
+    ("name=fedcm fedcm_alpha=2", "fedcm_alpha must be in [0, 1)"),  # was a ValueError traceback
+    ("name=fedcm fedcm_alpha=-0.1", "fedcm_alpha must be in [0, 1)"),
+    ("name=fedadam adam_eps=nan", "adam_eps must be positive and finite"),  # exited 2 as a divergence
+    ("name=fedadam adam_eps=0", "adam_eps must be positive and finite"),
+    ("name=fedadam adam_beta1=1", "adam_beta1 must be in [0, 1)"),
+    ("name=fedadam adam_beta2=nan", "adam_beta2 must be in [0, 1)"),
+    ("name=fedadam global_lr=inf", "global_lr must be positive and finite"),
+    ("name=fedavg global_lr=-1", "global_lr must be positive and finite"),
+]
+
+# (config, args, message): parse_config rejects the input; every args item is an -o flag or its value
+PARSE = [("minimal.ini", [arg for item in items.split() for arg in ("-o", item)], message)
+         for items, message in FIELD] + [
+    *((config, args, f"invalid value '{raw.strip()}' for algorithm.{key}$") for i, item in enumerate(EMPTY_ITEMS)
+      for key, raw in [item.split("=")] for config, args in (("minimal.ini", ["-o", item]), (f"empty{i}.ini", []))),
+    ("minimal.ini", ["-o", "learning_rate=0.1"], "unknown override key 'learning_rate'$"),
+    ("minimal.ini", ["-o", "workers=2"], "unknown override key 'workers'$"),  # the thread pool is gone
+    ("minimal.ini", ["-o", "rounds=ten"], "invalid value 'ten' for run.rounds$"),
+    ("mlp_small.ini", ["-o", "sigma_l=3"], "'sigma_l' is not used by kind 'mlp'$"),  # exited 0, unchanged bytes
+    ("quadratic_verify.ini", ["-o", "batch_size=3"], "'batch_size' is not used by kind 'quadratic'$"),  # too
+    ("nope.ini", [], "config file not found: nope.ini$"),
+    ("unknown-section.ini", [], "unknown config section [training]$"),
+    ("unknown-key.ini", [], "unknown config key 'size' in section [problem]$"),
+    ("no-rounds.ini", [], "missing required key 'rounds' in section [run]$"),
+    # each escaped parse_config as a configparser or codec traceback
+    *((name, [], f"cannot parse config file {name}: ") for name in MALFORMED),
+]
+
+# (config, args, message): parse_config accepts the input, and building the problem rejects it
+BUILD = [
+    # a PartitionError from the problem builder escaped as a traceback
+    ("skew.ini", [], "cannot build the logreg problem: a client received no samples after 10 redraws$"),
+    ("labels.ini", [], "cannot build the csv problem: no feature columns$"),  # an IndexError in the smoothness bound
+    ("missing-csv.ini", [], "[Errno 2] No such file or directory: 'missing.csv'$"),  # a FileNotFoundError traceback
+    # heterogeneity * standard_normal overflowed to inf: the run exited 2 as a divergence at round 1, and once
+    # that was an error, numpy's overflow warning still printed before it.  verify=false lets the algorithm
+    # sweep of compare_algorithms.py reach the build.
+    ("quadratic_verify.ini", ["-o", "heterogeneity=1e308", "-o", "rounds=3", "-o", "verify=false"],
+     "cannot build the quadratic problem: the Hessian or centre of client "),
+]
+
+# (front ends, config, args, message): inputs that only some front ends take
+OTHER = [
+    (FEDSIM, "minimal.ini", ["--out", ""], "out_dir must not be empty$"),
+    (FEDSIM, "minimal.ini", ["--seed", "-1"], "seed must be >= 0$"),  # failed in the builder, "expected non-negative"
+    # the sweep trained every value, then failed to make the directory; so did compare_algorithms.py
+    (("run", "verify", "sweep", "compare_algorithms.py"), "minimal.ini", ["-o", "out_dir=file/out"],
+     "[Errno 20] Not a directory: 'file/out'$"),
+    # the error gave no hint that verify=false runs the other rules
+    (("sweep",), "quadratic_verify.ini", ["--axis", "algorithm", "--values", "fedmim,fedavg"],
+     "invalid algorithm value 'fedavg': verify requires algorithm=fedmim; add -o verify=false to run the other"
+     " rules unverified$"),
+    (("sweep",), "minimal.ini", ["--axis", "momentum", "--values", "1"], "unknown sweep axis 'momentum' (choose"),
+    (("sweep",), "minimal.ini", ["--axis", "eta_l", "--values", "0.05,nan"],
+     "invalid eta_l value 'nan': eta_l must be positive and finite$"),
+    # '0.01,,0.02,' ran two legs and exited 0
+    *((("sweep",), "minimal.ini", ["-o", "rounds=2", "--axis", "eta_l", *(a for v in values for a in ("--values", v))],
+       "invalid eta_l value '': invalid value '' for algorithm.eta_l$")
+      for values in (["0.01,,0.02,"], [","], ["0.01,0.02,"], ["0.01", ""])),
+    # nan, -1 and 0 censored every seed, inf reported round 1, all with exit 0
+    *((("participation_study.py",), "participation_study.ini", ["--threshold", value],
+       f"threshold must be finite and > 0, got {float(value)}$") for value in ("nan", "-1", "0", "inf")),
+]
+
+PAIRS = [(front_end, *row) for row in PARSE + BUILD for front_end in ALL] + [
+    (front_end, *row) for front_ends, *row in OTHER for front_end in front_ends]
+
+
+def pattern(message: str) -> str:
+    """The regex of a message: a prefix, or the whole text when it ends in '$'."""
+    return "^" + re.escape(message.removesuffix("$")) + "$" * message.endswith("$")
+
+
+def fail(front_end: str, config: str, args: list) -> int:
+    """Run ``front_end`` on ``config`` with ``-o out_dir=out`` and then ``args``; return its exit code."""
+    argv = ["-c", config, "-o", "out_dir=out", *args]
+    if front_end in FEDSIM:
+        axis = ["--axis", "eta_l", "--values", "0.05"] if front_end == "sweep" and "--axis" not in args else []
+        return main([front_end, *argv, *axis])
+    participate = ["--participate", "2"] if front_end == "participation_study.py" else []
+    with mock.patch.object(sys, "argv", [front_end, *argv, *participate]):
+        try:
+            runpy.run_path(str(ROOT / "scripts" / front_end), run_name="__main__")
+        except SystemExit as exc:
+            if isinstance(exc.code, str):  # the interpreter prints sys.exit's message and exits 1
+                print(exc.code, file=sys.stderr)
+                return 1
+            return exc.code
+    return 0
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    for name, content in FILES.items():
+        (tmp_path / name).write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("front_end, config, args, message", PAIRS,
+                         ids=[f"{pair[0]} {pair[1]} {' '.join(pair[2])}" for pair in PAIRS])
+def test_fails_early(workdir, capsys, front_end, config, args, message):
+    trained = AssertionError("training started")
+    with mock.patch.object(cli, "run_training", side_effect=trained) as cli_train, \
+            mock.patch.object(simulator, "run_training", side_effect=trained) as train, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = fail(front_end, config, args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.match(pattern("error: " + message), err), err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not cli_train.called and not train.called
+    assert sorted(path.name for path in workdir.iterdir()) == sorted(FILES)
+
+
+@pytest.mark.parametrize("config, args, message", PARSE + [row[:2] + (None,) for row in BUILD])
+def test_parse_config(workdir, config, args, message):
+    """parse_config rejects a PARSE row with its message and accepts a BUILD row."""
+    with pytest.raises(ConfigError, match=pattern(message)) if message else contextlib.nullcontext():
+        parse_config(config, args[1::2])
+
+
+def test_rounds_up_to_2_32_parse(workdir):
+    assert parse_config("quadratic_verify.ini", ["rounds=4294967296"]).rounds == 2**32
+
+
+@pytest.mark.parametrize("items, message", FIELD)
+def test_dataclasses_reject_the_value(items, message):
+    """Built directly, the dataclasses raise the message: MimHyper a ValueError, the others a ConfigError."""
+    fields: dict = {part: {} for part in ("problem", "hyper", None)}
+    for item in items.split():
+        setting = SETTINGS[item.split("=")[0]]
+        fields[setting.part][setting.field] = setting.parse(item.split("=")[1])
+    with pytest.raises(ValueError if fields["hyper"] else ConfigError, match=pattern(message)):
+        RunConfig(problem=ProblemConfig(**fields["problem"]), hyper=MimHyper(**fields["hyper"]), **fields[None])

@@ -102,7 +102,6 @@ class TestSampleClients:
         assert np.all(np.abs(counts - expected) <= 5 * sigma)
 
 
-
 @st.composite
 def replay_cases(draw):
     kind = draw(st.sampled_from(["quadratic", "logreg", "mlp"]))
@@ -349,14 +348,6 @@ class TestRunTraining:
         assert metrics_csv_bytes(first.rows) == metrics_csv_bytes(second.rows)
         assert first.final_x.tobytes() == second.final_x.tobytes()
 
-    def test_validation_errors(self):
-        with pytest.raises(ConfigError):
-            run_training(quad_config(rounds=0))
-        with pytest.raises(ConfigError):
-            run_training(quad_config(algorithm="fedprox"))
-        with pytest.raises(ConfigError):
-            run_training(quad_config(hyper=MimHyper(s_participate=9)))
-
     def test_noiseless_residuals_over_long_horizon(self):
         # full participation, exact gradients: both identities at <= 1e-10
         # for 500 consecutive rounds
@@ -431,11 +422,6 @@ class TestRunConfig:
         # MimHyper holds the one default; fedadam's server step is its only reader
         assert RunConfig(algorithm="fedadam").hyper.global_lr == 0.1
 
-    def test_empty_out_dir_is_config_error(self):
-        # the outputs went into the working directory
-        with pytest.raises(ConfigError, match="^out_dir must not be empty$"):
-            RunConfig(out_dir="")
-
 
 class TestWithSettings:
     @pytest.mark.parametrize("key, value", [("k_local", 2.5), ("rounds", 7.9), ("n_clients", np.float64(4.5)),
@@ -502,23 +488,6 @@ class TestProblemKeys:
             with pytest.raises(ConfigError, match=f"^'{key}' is not used by kind '{kind}'$"):
                 ProblemConfig(kind=kind, **{**csv_keys, key: NON_DEFAULT[key]})
 
-    @pytest.mark.parametrize("kind, key, value", [
-        ("csv", "dim", 3),
-        ("mlp", "weight_decay", 0.01),
-        ("quadratic", "weight_decay", 0.01),
-        ("mlp", "sigma_l", 3.0),
-        ("quadratic", "batch_size", 3),
-        ("quadratic", "concentration", 0.5),
-        ("logreg", "mlp_hidden", 4),
-        ("logreg", "heterogeneity", 2.0),
-        ("csv", "samples_per_client", 7),
-        ("mlp", "csv_path", "data.csv"),
-    ])
-    def test_key_the_kind_never_reads_is_config_error(self, kind, key, value):
-        csv_keys = dict(csv_path="data.csv", label_column="y") if kind == "csv" else {}
-        with pytest.raises(ConfigError, match=f"'{key}' is not used by kind '{kind}'"):
-            ProblemConfig(kind=kind, **{**csv_keys, key: value})
-
     def test_unread_key_at_its_default_is_accepted(self):
         defaults = ProblemConfig()
         for kind in ("quadratic", "logreg", "mlp"):
@@ -545,14 +514,6 @@ class TestProblemKeys:
 
 
 class TestBuildProblem:
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown problem kind 'cnn'"):
-            ProblemConfig(kind="cnn")
-
-    def test_csv_requires_path(self):
-        with pytest.raises(ConfigError, match="csv problems need csv_path"):
-            ProblemConfig(kind="csv")
-
     def test_problem_synthesis_deterministic(self):
         cfg = ProblemConfig(kind="logreg", n_clients=4, dim=3, samples_per_client=20)
         a = build_problem(cfg, 3)
