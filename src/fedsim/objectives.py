@@ -245,6 +245,8 @@ class _SampledPopulation(FederatedProblem):
 
     def __init__(self, features: np.ndarray, values: np.ndarray, partition: PartitionResult, batch: int):
         """Stack ``partition``'s samples in client-id order, with weights 1/(N n_i) and row ``spans``."""
+        if values.shape != features.shape[:1]:  # the oracles take one scalar value per sample
+            raise ValueError(f"values must have shape ({len(features)},), got {values.shape}")
         sizes = np.array([len(idx) for idx in partition.client_indices])
         bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
         self.weights = np.repeat(1.0 / (len(sizes) * sizes), sizes)
@@ -338,16 +340,14 @@ class MlpPopulation(_SampledPopulation):
     """f(x) = sum_s w_s 0.5 (net(x_s) - t_s)^2, w_s = 1/(N n_i), with hand-coded backprop.
 
     The network is two-layer tanh with a scalar output, widths (d, h, 1), parameters packed flat as
-    [W1 (h,d), b1 (h), w2 (h), b2] (see ``unpack_mlp``).  ``targets`` must be (n, 1); their column is the ``values``.
+    [W1 (h,d), b1 (h), w2 (h), b2] (see ``unpack_mlp``); the ``values`` are the targets t.
     """
 
     fd_tolerance = 1e-4
 
     def __init__(self, features: np.ndarray, targets: np.ndarray, partition: PartitionResult, batch: int,
                  hidden: int):
-        if targets.ndim != 2 or targets.shape[1] != 1:
-            raise ValueError(f"targets must have shape (n, 1), got {targets.shape}")
-        super().__init__(features, targets[:, 0], partition, batch)
+        super().__init__(features, targets, partition, batch)
         self.widths = (features.shape[1], hidden, 1)
         self.dim = hidden * (features.shape[1] + 2) + 1
 
@@ -512,7 +512,7 @@ def mlp_problem(gen: np.random.Generator, *, n_clients: int, concentration: Opti
     """Two-layer tanh regression onto {0,1} blob labels, widths (dim, mlp_hidden, 1); no known constants."""
     features, labels = _two_blob_dataset(gen, n_clients * samples_per_client, dim)
     part = dirichlet_partition(labels, n_clients, concentration, gen)
-    return MlpPopulation(features, labels.astype(np.float64)[:, None], part, batch_size, mlp_hidden)
+    return MlpPopulation(features, labels.astype(np.float64), part, batch_size, mlp_hidden)
 
 
 def ingest_csv(path: str, label_column: str):

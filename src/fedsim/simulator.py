@@ -129,6 +129,8 @@ class RunConfig:
             raise ConfigError("verify requires algorithm=fedmim; add -o verify=false to run the other rules unverified")
         if not self.out_dir:  # an empty path would write the outputs into the working directory
             raise ConfigError("out_dir must not be empty")
+        if "\0" in self.out_dir:  # no OS path holds one, and Path.mkdir raises ValueError on it
+            raise ConfigError("out_dir must not hold a NUL byte")
         if not math.isfinite(self.corrupt_delta):
             raise ConfigError("corrupt_delta must be finite")
 

@@ -356,14 +356,6 @@ class TestFedCm:
         for sc, sa in zip(cm, avg):
             assert np.array_equal(sc.x, sa.x)
 
-    def test_matches_single_step_momentum_mapping(self):
-        problem = build_problem(ProblemConfig(n_clients=6, dim=4, heterogeneity=1.0, sigma_l=0.1), 42)
-        mim_hyper = MimHyper(alpha=(0.1,), beta=(0.0,), s_participate=3, k_local=5, eta_l=0.05, fedcm_alpha=0.1)
-        mim_states = run_rounds(mim_round, problem, mim_hyper, 50, seed=42)
-        cm_states = run_rounds(fedcm_round, problem, mim_hyper, 50, seed=42)
-        for sm, sc in zip(mim_states, cm_states):
-            assert np.abs(sm.x - sc.x).max() <= 1e-12
-
     def test_first_round_scales_gradient_only(self):
         problem = build_problem(ProblemConfig(n_clients=3, dim=3, heterogeneity=1.0, sigma_l=0.0), 8)
         hyper = MimHyper(s_participate=3, k_local=1, eta_l=0.1)

@@ -1,18 +1,28 @@
-"""Every invalid input that exits 1, in one table: a new invalid input gets its row here.
+"""Every exit code a run can end with, one table per code: a new outcome gets its row here.
 
-The front ends are ``fedsim run|verify|sweep|gradcheck`` (through ``cli.main``) and both
-study scripts (through ``runpy``), run in-process in a working directory that holds
-``FILES``.  An input fails early when the front end exits 1 with ``error: <message>`` on
-stderr, prints no traceback, records no RuntimeWarning, never trains, and leaves the
-working directory as it was: no out dir made, nothing written.  A message that ends in
-``$`` is the whole error, any other one its start.
+The front ends are ``fedsim run|verify|sweep|gradcheck`` (through ``cli.main``) and both study scripts
+(through ``runpy``), run in-process in a working directory that holds ``FILES``.  An exception that
+escapes one prints its traceback and exits 1, as the interpreter does; a RuntimeWarning is an error here.
+
+Exit 1: an input fails early when the front end exits 1 with ``error: <message>`` on stderr, prints no
+traceback, never trains, and leaves the working directory as it was: no out dir made, nothing written.
+A message that ends in ``$`` is the whole error, any other one its start.
+
+Exits 2 (a divergence) and 3 (a residual above the tolerance): each front end of an ``OUTCOMES`` row
+ends with its code and prints its stderr lines, each after the label of its leg that equals ``fedsim
+run`` (then, on exit 3, the tolerance line).  It prints no traceback and writes exactly its ``OUTPUTS``,
+every JSON file strict, and run.json agrees with the status line; the row's ``check`` asserts the rest.
+A row's args are -o flags, or a sweep's own ``--axis`` and ``--values``, whose lines carry their labels.
 """
 
 import contextlib
+import csv
+import json
 import re
 import runpy
 import sys
-import warnings
+import traceback
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -20,8 +30,10 @@ import pytest
 
 from fedsim import cli, simulator
 from fedsim.algorithms import MimHyper
-from fedsim.cli import main, parse_config
+from fedsim.cli import METRIC_COLUMNS, main, parse_config
 from fedsim.simulator import SETTINGS, ConfigError, ProblemConfig, RunConfig
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 ROOT = Path(__file__).resolve().parents[1]
 FEDSIM = ("run", "verify", "sweep", "gradcheck")
@@ -52,6 +64,11 @@ FILES = {path.name: path.read_bytes() for path in (ROOT / "configs").glob("*.ini
         "labels.csv": "y\n0\n1\n0\n1\n",
         "labels.ini": MINIMAL.replace("quadratic\n", "csv\ncsv_path = labels.csv\nlabel_column = y\nn_clients = 2\n"),
         "missing-csv.ini": MINIMAL.replace("quadratic\n", "csv\ncsv_path = missing.csv\nlabel_column = y\n"),
+        "repeated.csv": "a,y,y\n1,0,1\n2,1,0\n3,0,1\n4,1,0\n",
+        "repeated.ini": MINIMAL.replace("quadratic\n", "csv\ncsv_path = repeated.csv\nlabel_column = y\n"),
+        "mlp-diverge.ini": "[problem]\nkind = mlp\nn_clients = 4\ndim = 4\nmlp_hidden = 6\nsamples_per_client = 20\n"
+                           "batch_size = 10\n[algorithm]\nname = fedmim\neta_l = 100.0\nk_local = 10\n"
+                           "s_participate = 4\n[run]\nrounds = 100\nseed = 3\n",
         "file": "",
     }.items()}
 
@@ -83,6 +100,7 @@ FIELD = [
     ("concentration=nan", "concentration must be 'iid' or finite and > 0"),
     ("name=fedavg verify=true", "verify requires algorithm=fedmim"),  # exited 0 with no verification block
     ("out_dir=", "out_dir must not be empty$"),  # metrics.csv and run.json went into the working directory
+    ("out_dir=a\0b", "out_dir must not hold a NUL byte$"),  # a ValueError traceback from making the directory
     ("alpha=0.7,0.4", "alpha weights must sum below 1"),
     ("alpha=0.9,0.2", "alpha weights must sum below 1"),
     ("beta=-0.1", "momentum weights must be finite and nonnegative"),
@@ -120,6 +138,8 @@ BUILD = [
     ("skew.ini", [], "cannot build the logreg problem: a client received no samples after 10 redraws$"),
     ("labels.ini", [], "cannot build the csv problem: no feature columns$"),  # an IndexError in the smoothness bound
     ("missing-csv.ini", [], "[Errno 2] No such file or directory: 'missing.csv'$"),  # a FileNotFoundError traceback
+    # the second 'y' was read as a feature
+    ("repeated.ini", [], "cannot build the csv problem: column 'y' appears more than once in header ['a', 'y', 'y']$"),
     # heterogeneity * standard_normal overflowed to inf: the run exited 2 as a divergence at round 1, and once
     # that was an error, numpy's overflow warning still printed before it.  verify=false lets the algorithm
     # sweep of compare_algorithms.py reach the build.
@@ -159,21 +179,26 @@ def pattern(message: str) -> str:
     return "^" + re.escape(message.removesuffix("$")) + "$" * message.endswith("$")
 
 
-def fail(front_end: str, config: str, args: list) -> int:
-    """Run ``front_end`` on ``config`` with ``-o out_dir=out`` and then ``args``; return its exit code."""
-    argv = ["-c", config, "-o", "out_dir=out", *args]
-    if front_end in FEDSIM:
-        axis = ["--axis", "eta_l", "--values", "0.05"] if front_end == "sweep" and "--axis" not in args else []
-        return main([front_end, *argv, *axis])
-    participate = ["--participate", "2"] if front_end == "participation_study.py" else []
-    with mock.patch.object(sys, "argv", [front_end, *argv, *participate]):
-        try:
+# the arguments that give a multi-run front end its one leg on an exit-1 row
+EXIT_1_LEGS = {"sweep": ["--axis", "eta_l", "--values", "0.05"], "participation_study.py": ["--participate", "2"]}
+
+
+def run_front_end(front_end: str, config: str, args: list, leg: list) -> int:
+    """Run ``front_end`` on ``config`` with ``-o out_dir=out``, ``args`` and ``leg``; return its exit code."""
+    argv = ["-c", config, "-o", "out_dir=out", *args, *leg]
+    try:
+        if front_end in FEDSIM:
+            return main([front_end, *argv])
+        with mock.patch.object(sys, "argv", [front_end, *argv]):
             runpy.run_path(str(ROOT / "scripts" / front_end), run_name="__main__")
-        except SystemExit as exc:
-            if isinstance(exc.code, str):  # the interpreter prints sys.exit's message and exits 1
-                print(exc.code, file=sys.stderr)
-                return 1
-            return exc.code
+    except SystemExit as exc:
+        if isinstance(exc.code, str):  # the interpreter prints sys.exit's message and exits 1
+            print(exc.code, file=sys.stderr)
+            return 1
+        return exc.code or 0
+    except Exception:
+        traceback.print_exc()
+        return 1
     return 0
 
 
@@ -190,15 +215,12 @@ def workdir(tmp_path, monkeypatch):
 def test_fails_early(workdir, capsys, front_end, config, args, message):
     trained = AssertionError("training started")
     with mock.patch.object(cli, "run_training", side_effect=trained) as cli_train, \
-            mock.patch.object(simulator, "run_training", side_effect=trained) as train, \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = fail(front_end, config, args)
+            mock.patch.object(simulator, "run_training", side_effect=trained) as train:
+        code = run_front_end(front_end, config, args, [] if "--axis" in args else EXIT_1_LEGS.get(front_end, []))
     err = capsys.readouterr().err
     assert code == 1
     assert re.match(pattern("error: " + message), err), err
     assert "Traceback" not in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not cli_train.called and not train.called
     assert sorted(path.name for path in workdir.iterdir()) == sorted(FILES)
 
@@ -223,3 +245,105 @@ def test_dataclasses_reject_the_value(items, message):
         fields[setting.part][setting.field] = setting.parse(item.split("=")[1])
     with pytest.raises(ValueError if fields["hyper"] else ConfigError, match=pattern(message)):
         RunConfig(problem=ProblemConfig(**fields["problem"]), hyper=MimHyper(**fields["hyper"]), **fields[None])
+
+
+# exits 2 and 3
+TRAINING = ("run", "verify", "sweep", "compare_algorithms.py", "participation_study.py")
+BASELINE = tuple(front_end for front_end in TRAINING if front_end != "verify")  # verify takes only fedmim
+VERIFIED = tuple(front_end for front_end in TRAINING if front_end != "compare_algorithms.py")  # it sweeps every rule
+OUTPUTS = {"run": ["metrics.csv", "run.json"], "verify": ["metrics.csv", "run.json"],
+           "sweep": ["sweep.csv", "sweep.json"], "compare_algorithms.py": ["compare.csv"], "participation_study.py": []}
+TOLERANCE = "verification residual exceeded tolerance 1e-09"
+
+
+def strict_json(path):
+    """The JSON document at ``path``, failing on NaN and Infinity, which strict JSON has no literal for."""
+    return json.loads(path.read_text(), parse_constant=lambda constant: pytest.fail(f"{path.name} holds {constant}"))
+
+
+def reports(delta: str, u: str, front_end, out, printed, label):
+    """A row check, given ``delta`` and ``u``: the leg prints its residual maxima so, and run.json holds them."""
+    assert f"{label}max residual_delta {delta}, max residual_u {u}" in printed.out.splitlines()
+    if "run.json" in OUTPUTS[front_end]:
+        maxima = strict_json(out / "run.json")["verification"]
+        assert ["nan" if value is None else f"{value:.3e}" for value in maxima.values()] == [delta, u]
+
+
+def null_final_loss(front_end, out, printed, label):  # sweep.json wrote the leg's final loss as Infinity
+    for name, value in (("run.json", None), ("sweep.json", [None])):
+        assert name not in OUTPUTS[front_end] or strict_json(out / name)["final_loss"] == value
+
+
+def nan_residuals(front_end, out, printed, label):
+    reports("nan", "nan", front_end, out, printed, label)
+    for name in {"metrics.csv", "sweep.csv"} & set(OUTPUTS[front_end]):
+        rows = csv.DictReader((out / name).read_text().splitlines())
+        assert all(row["residual_delta"] == row["residual_u"] == "nan" for row in rows)
+
+
+def no_metric_row(front_end, out, printed, label):
+    if front_end == "compare_algorithms.py":
+        assert [(row.split()[0], row.split()[2]) for row in printed.out.splitlines()[1:6]] == [
+            (rule, "nan") for rule in ("fedavg", "fedcm", "scaffold", "fedadam", "fedmim")]
+        assert (out / "compare.csv").read_text().splitlines() == [",".join(("algorithm", "seed") + METRIC_COLUMNS)]
+        assert printed.err.count("diverged at round 1") == 5
+
+
+CORRUPT = ["-o", "corrupt_delta=1e-6", "-o", "rounds=60"]
+OUTCOMES = [
+    (TRAINING, "mlp-diverge.ini", [], 2, ["diverged at round 33 (client 0, local step 7)"], None),
+    # round 33's aggregate overflows, also when round 33 is the last
+    *((BASELINE, "participation_study.ini", ["-o", f"rounds={rounds}", "-o", "s_participate=2", "-o", "eta_l=50",
+                                             "-o", "seed=2", "-o", "name=fedavg"], 2,
+       ["diverged at round 33 (server step)"], null_final_loss) for rounds in (33, 40)),
+    # participation_study.py exited 0 and counted both diverged runs as censored (101)
+    *((TRAINING, "participation_study.ini", ["-o", "eta_l=50", "-o", "rounds=100", "-o", f"s_participate={s}"], 2,
+       [f"diverged at round {line}"], None) for s, line in ((2, "76 (client 1, local step 4)"),
+                                                            (5, "77 (client 1, local step 2)"))),
+    # compare_algorithms.py died with IndexError at rows[-1] before writing compare.csv
+    (TRAINING, "compare_algorithms.ini", ["-o", "eta_l=1e300", "-o", "k_local=50", "-o", "rounds=3"], 2,
+     ["diverged at round 1 (client 1, local step 1)"], no_metric_row),
+    # run and sweep exited 0, with the residuals of the corrupted increments only in run.json; verify turns the check on
+    *((front_ends, "quadratic_verify.ini", [*more, *CORRUPT], 3, [], partial(reports, "1.000e-06", "9.000e-05"))
+      for front_ends, more in ((VERIFIED, []), (("verify",), ["-o", "verify=false"]))),
+    # a noise so large that every residual is NaN: max() dropped each NaN, and the run passed with 0.0
+    (VERIFIED, "quadratic_verify.ini", ["-o", "sigma_l=1e308", "-o", "rounds=5"], 3, [], nan_residuals),
+    # a divergence outranks a failed check, which is still reported
+    (("sweep",), "quadratic_verify.ini", [*CORRUPT, "--axis", "eta_l", "--values", "0.02,100"], 2,
+     ["eta_l=100: diverged at round 26 (client 0, local step 6)", TOLERANCE], None),
+]
+OUTCOME_PAIRS = [(front_end, *row[1:]) for row in OUTCOMES for front_end in row[0]]
+
+
+def leg(front_end: str, cfg: RunConfig) -> tuple:
+    """The arguments that make ``front_end``'s one leg the run of ``cfg``, and the label it prints that leg with."""
+    eta, seed, s = repr(cfg.hyper.eta_l).removesuffix(".0"), cfg.master_seed, cfg.hyper.s_participate
+    return {"sweep": (["--axis", "eta_l", "--values", eta], f"eta_l={eta}: "),
+            "compare_algorithms.py": (["--seeds", f"{seed}"], f"{cfg.algorithm} seed {seed}: "),
+            "participation_study.py": (["--participate", f"{s}", "--seeds", f"{seed}"], f"S {s} seed {seed}: "),
+            }.get(front_end, ([], ""))
+
+
+@pytest.mark.parametrize("front_end, config, args, code, lines, check", OUTCOME_PAIRS,
+                         ids=[f"{pair[0]} {pair[1]} {' '.join(pair[2])}" for pair in OUTCOME_PAIRS])
+def test_outcome(workdir, capsys, front_end, config, args, code, lines, check):
+    legs, label = ([], "") if "--axis" in args else leg(front_end, parse_config(config, args[1::2]))
+    got = run_front_end(front_end, config, args, legs)
+    printed, out, made = capsys.readouterr(), workdir / "out", OUTPUTS[front_end]
+    assert "Traceback" not in printed.err, printed.err
+    assert got == code
+    expected = [label + line for line in lines] + [TOLERANCE] * (code == 3)
+    assert [line for line in printed.err.splitlines()  # compare_algorithms.py also reports its other rules
+            if line in expected or front_end != "compare_algorithms.py"] == expected
+    assert sorted(str(path.relative_to(workdir)) for path in workdir.rglob("*")) == sorted(
+        [*FILES, *(["out"] if made else []), *(f"out/{name}" for name in made)])
+    documents = {name: strict_json(out / name) for name in made if name.endswith(".json")}
+    if "run.json" in documents and code == 2:  # the first stderr line is the one run's status
+        run = documents["run.json"]
+        client, step = run["diverged_client"], run["diverged_step"]
+        where = "server step" if client is None else f"client {client}, local step {step}"
+        assert [run["status"], f"diverged at round {run['diverged_round']} ({where})"] == ["diverged", lines[0]]
+    if front_end == "participation_study.py":  # its table, one row for the leg's S, comes before the exit
+        assert printed.out.splitlines()[1].split()[0] == legs[1]
+    if check:
+        check(front_end, out, printed, label)

@@ -348,13 +348,15 @@ class TestProblemGenerators:
         assert prob.dim == 5 * 4 + 5 + 5 + 1
         assert prob.smoothness_L is None
 
-    @pytest.mark.parametrize("shape", [(6, 2), (6,)], ids=["two-columns", "flat"])
-    def test_mlp_rejects_targets_that_are_not_one_column(self, shape):
-        # evaluate handles scalar output only; two columns used to fail at the first metric row
+    @pytest.mark.parametrize("shape", [(6, 2), (6, 1), (5,), ()], ids=["two-columns", "one-column", "short", "0-d"])
+    @pytest.mark.parametrize("population, extra", [(LogisticPopulation, 0.01), (MlpPopulation, 4)],
+                             ids=["logreg", "mlp"])
+    def test_values_must_be_one_per_sample(self, population, extra, shape):
+        # the oracles take one scalar per sample; an mlp with two target columns failed at the first metric row
         gen = np.random.default_rng(0)
         part = PartitionResult([np.arange(3), np.arange(3, 6)])
-        with pytest.raises(ValueError, match="targets must have shape"):
-            MlpPopulation(gen.standard_normal((6, 3)), np.zeros(shape), part, 0, 4)
+        with pytest.raises(ValueError, match=r"^values must have shape \(6,\), got "):
+            population(gen.standard_normal((6, 3)), np.zeros(shape), part, 0, extra)
 
     @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8), dim=st.integers(1, 4),
            seed=st.integers(0, 10_000))
@@ -368,9 +370,8 @@ class TestProblemGenerators:
         features = gen.standard_normal((n, dim))
         labels = gen.integers(0, 2, n)
         part = PartitionResult(np.split(gen.permutation(n), np.cumsum(sizes)[:-1]))
-        targets = labels.astype(np.float64)[:, None]
-        for prob, values in [(LogisticPopulation(features, labels, part, 0, 0.01), labels.astype(np.float64)),
-                             (MlpPopulation(features, targets, part, 0, 3), targets[:, 0])]:
+        values = labels.astype(np.float64)
+        for prob in (LogisticPopulation(features, labels, part, 0, 0.01), MlpPopulation(features, values, part, 0, 3)):
             ref_features, ref_values, ref_weights, ref_spans = _stack_by_client(features, values,
                                                                                 part.client_indices)
             for got, want in [(prob.features, ref_features), (prob.values, ref_values),
