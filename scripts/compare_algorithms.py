@@ -6,8 +6,8 @@ overrides.  Each seed is one ``algorithm`` sweep, so its problem is built
 once; every run's rows go to run.out_dir/compare.csv, grouped by algorithm.
 The median consistency is over the runs that recorded a metric row (nan when
 none did).  Exits 1 on a usage, config or I/O error, else as ``fedsim
-sweep`` does (``fedsim.cli.exit_code``: 2 on a divergence, 3 on a failed
-verify run).
+sweep`` does (``fedsim.cli.exit_code``: 2 on a divergence or a non-finite
+final loss, 3 on a failed verify run).
 
 Example:
     python scripts/compare_algorithms.py --seeds 0,1,2 -o kind=logreg -o concentration=0.1

@@ -7,7 +7,8 @@ the threshold, the empirical speedup trend.  Settings come from -c
 (configs/participation_study.ini by default) and -o overrides; each seed is
 one ``s_participate`` sweep, so its problem is built once.  Exits 1 on a
 usage, config or I/O error, else as ``fedsim sweep`` does after the table
-(``fedsim.cli.exit_code``: 2 on a divergence, 3 on a failed verify run).
+(``fedsim.cli.exit_code``: 2 on a divergence or a non-finite final loss, 3
+on a failed verify run).
 
 Example:
     python scripts/participation_study.py --participate 2,5,10,20 --seeds 0,1,2,3,4

@@ -16,11 +16,13 @@ past increments:
 
 Every rule runs its local steps through one batched kernel,
 :func:`mim_local_update`: the S sampled clients share the broadcast model
-and both shifts, so they are held as one (S, d) array and each local step
-is one call of the problem's oracle on the whole array.  The kernel
-reads the start, the history and eta_l off the :class:`RoundState`, and
-the problem draws the round's minibatches or gradient noise.  The
-rules differ only in the kernel's parameters and the server step:
+and both shifts, so they are held as one (S, d) array.  The problem splits
+it into row blocks (one unless a quadratic's Hessians overflow the cache);
+a block takes all K steps, one oracle call each, before the next starts.
+The kernel reads the start, the history and eta_l off the
+:class:`RoundState`, and the problem draws the round's minibatches or
+gradient noise.  The rules differ only in the kernel's parameters and the
+server step:
 
 * the averaging baseline sets every weight to zero (plain local SGD);
 * the client-momentum baseline is a single alpha step with zero beta;
@@ -174,45 +176,50 @@ def mim_local_update(
     *,
     correction: Optional[np.ndarray] = None,
 ) -> tuple:
-    """K inertial-momentum SGD steps from the broadcast model, on all sampled clients at once.
+    """K inertial-momentum SGD steps from the broadcast model, on the sampled clients a block at a time.
 
     Row s of the (S, d) iterate is client ``ids[s]``; ``ids`` are sorted and
     distinct; every row starts at ``state.x``, with eta_l
     ``current_eta(hyper, state.round)``.  The problem draws the round's
-    randomness up front, under the master ``seed``.  The increment
-    history is fixed for the whole round, so both momentum shifts are
-    computed once.  ``correction`` is a constant (S, d) offset added to the
-    gradient before each step (the control-variate baseline).
+    randomness up front, under the master ``seed``, and splits the rows into
+    ``step_blocks``, each of which takes all K steps before the next starts.
+    The increment history is fixed for the whole round, so both momentum
+    shifts are computed once.  ``correction`` is a constant (S, d) offset
+    added to the gradient before each step (the control-variate baseline).
 
     Returns the (S, d) final iterates and, on every call, the (S, d)
     per-client sums of the exact stochastic gradients consumed, which only
     the identity checks read.  A row that turns non-finite raises
-    :class:`DivergenceError` after the last step, for the lowest such client
+    :class:`DivergenceError` after the last block, for the lowest such client
     id and its first non-finite step.
     """
     step = hyper.A * current_eta(hyper, state.round)
     shift_alpha = weighted_sum(hyper.alpha, state.delta_history)
     shift_beta = weighted_sum(hyper.beta, state.delta_history)
     draws = problem.draw_round(seed, state.round, ids, hyper.k_local)
-    x = np.repeat(state.x[None, :], len(ids), axis=0)
-    grad_sums = np.zeros_like(x)
+    finals = np.empty((len(ids), state.x.shape[0]))
+    grad_sums = np.zeros_like(finals)
     first_bad = np.full(len(ids), -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught explicitly
-        for k in range(hyper.k_local):
-            y2 = x if shift_beta is None else x - shift_beta
-            g = problem.client_gradients(y2, draws, k)
-            grad_sums += g
-            if correction is not None:
-                g = g + correction
-            y1 = x if shift_alpha is None else x - shift_alpha
-            x = y1 - step * g
-            finite = np.isfinite(x).all(axis=1)
-            if not finite.all():
-                first_bad[~finite & (first_bad < 0)] = k
+        for rows, block in problem.step_blocks(draws, len(ids)):
+            bad, sums = first_bad[rows], grad_sums[rows]  # views of the block's rows
+            x = np.repeat(state.x[None, :], len(bad), axis=0)
+            for k in range(hyper.k_local):
+                y2 = x if shift_beta is None else x - shift_beta
+                g = problem.client_gradients(y2, block, k)
+                sums += g
+                if correction is not None:
+                    g += correction[rows]
+                g *= step  # x_{k+1} = y1 - step * g, in place: g and x are this call's own arrays
+                x = x if shift_alpha is None else x - shift_alpha
+                x -= g
+                if not np.isfinite(x).all():  # one reduction per step; rows only when one is bad
+                    bad[~np.isfinite(x).all(axis=1) & (bad < 0)] = k
+            finals[rows] = x
     if (first_bad >= 0).any():
         row = int(np.argmax(first_bad >= 0))
         raise DivergenceError(ids[row], int(first_bad[row]))
-    return x, grad_sums
+    return finals, grad_sums
 
 
 def _total_grad_sum(grad_sums: np.ndarray) -> ParamVector:

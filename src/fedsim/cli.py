@@ -4,7 +4,8 @@ Config files are INI-style with three sections ([problem], [algorithm],
 [run]); any key can be overridden on the command line with repeated
 ``-o key=value`` flags; ``verify`` is ``run`` with ``run.verify=true``
 added last.  Exit codes are scriptable: 0 success, 1 usage, config or I/O
-error, 2 divergence, 3 verification failure (see ``exit_code``).
+error, 2 divergence or a non-finite final loss, 3 verification failure (see
+``exit_code``).
 """
 
 from __future__ import annotations
@@ -148,16 +149,21 @@ def write_run_json(record: RunRecord, path: Path) -> None:
 
 
 def exit_code(records: Sequence[RunRecord], labels: Sequence[str] = ()) -> int:
-    """2 if any run diverged, else 3 if a run with ``verify`` on has a residual above
-    ``VERIFY_TOLERANCE``, else 0.  Prints each diverged run's status to stderr and each
-    verify run's two residual maxima, after its label when ``labels`` has one per record."""
+    """2 if any run diverged or ended at a non-finite loss, else 3 if a run with ``verify`` on
+    has a residual above ``VERIFY_TOLERANCE``, else 0.  Prints each diverged run's status and
+    each non-finite final loss to stderr, and the two residual maxima of each verify run that
+    did not diverge, after its label when ``labels`` has one per record."""
     prefixes = [f"{label}: " for label in labels] or [""] * len(records)
     diverged = failed = False
     for prefix, record in zip(prefixes, records):
         if record.diverged_round is not None:
             print(prefix + record.status, file=sys.stderr)
             diverged = True
-        elif record.config.verify:
+            continue
+        if not math.isfinite(record.final_loss):  # every parameter finite, yet the loss overflowed
+            print(f"{prefix}final loss {record.final_loss:.6g} is not finite", file=sys.stderr)
+            diverged = True
+        if record.config.verify:
             print(f"{prefix}max residual_delta {record.max_residual_delta:.3e}, "
                   f"max residual_u {record.max_residual_u:.3e}")
             failed |= not (record.max_residual_delta <= VERIFY_TOLERANCE

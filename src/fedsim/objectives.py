@@ -2,7 +2,7 @@
 
 Three synthetic problem families with progressively weaker structure:
 
-* quadratics with known optimum, smoothness and PL constants,
+* quadratics with a known smoothness constant,
 * two-blob binary logistic regression with an analytic smoothness bound,
 * a two-layer tanh network, parameters [W1, b1, w2, b2] (non-convex, no constants).
 
@@ -18,13 +18,12 @@ A problem is one object of its kind's population class, a subclass of
 is the only copy of its arithmetic.  A quadratic stacks (N, d, d) Hessians and
 (N, d) centres; the sample-based kinds stack a partition's feature rows and
 ``values`` (labels or targets), with a per-sample weight 1/(N n_i) and each
-client's ``(start, stop)`` row range.  Each constructor derives the constants
-its kind knows (a quadratic's ``known_optimum``, ``smoothness_L`` and
-``pl_mu``, a logistic's ``smoothness_L``); the base class defaults only
-``smoothness_L``, to None.  ``evaluate(points)`` computes the full-batch losses and
-gradients at a (P, d) stack of points in one pass over fixed-size row blocks
-(the simulator evaluates x and the shifted iterate u of a metric row in one
-call); ``global_loss`` is its single-point wrapper.
+client's ``(start, stop)`` row range.  The quadratic and logistic
+constructors derive ``smoothness_L``; the base class defaults it to None.
+``evaluate(points)`` computes the full-batch losses and gradients at a (P, d)
+stack of points in one pass over fixed-size row blocks (the simulator
+evaluates x and the shifted iterate u of a metric row in one call);
+``global_loss`` is its single-point wrapper.
 ``draw_round(seed, round_index, ids, k_local)`` draws each sampled client's
 gradient noise or K minibatches (as stack rows) for the round up front, from
 its own (round, client, PURPOSE_BATCH) stream in one call (a
@@ -32,8 +31,11 @@ its own (round, client, PURPOSE_BATCH) stream in one call (a
 kinds' grouped by batch length.  The round's streams come from
 ``vectors.round_generators``: their keys are computed in one pass and drawn
 on one reset Philox, with the same draws as ``derive_rng``.
-``client_gradients`` returns the (S, d) gradients of the sampled clients at
-one local step, one batched product per group.
+``step_blocks(draws, S)`` splits the S rows and their draws into blocks that
+take their K steps one after another: a quadratic's hold ``STEP_BLOCK_BYTES``
+of Hessians, which stay in cache; the sample-based kinds keep one block.
+``client_gradients`` returns a block's gradients at one local step, one
+batched product per group.
 ``client_loss(cid, x)`` and ``client_gradient(cid, x)`` are one client's
 full-batch loss and gradient, each computed on its own: the gradient by the
 training arithmetic (``_rows_gradient`` on one row), so that finite
@@ -60,6 +62,14 @@ from .vectors import PURPOSE_BATCH, ParamVector, round_generators, row_dots
 # 2.9 MB.  A fixed block also fixes the summation order, so reruns stay
 # byte-identical.
 BLOCK_ROWS = 1024
+
+# Bytes of per-client data that a block of sampled clients re-reads on each local step (a
+# quadratic's Hessians, 8 d^2 bytes each).  A block takes all K steps before the next starts,
+# so its Hessians come from L2 on steps 2..K; a row's bytes do not depend on the block size.
+# On quad-baselines (d = 100, S = 50; 2 MiB L2 per core, 2 cores, OpenBLAS 0.3.31), median
+# calibrated run_s over six seeds: one block 0.859 s, 1.5 MiB 0.746 s, 1.25 MiB 0.761 s,
+# 1 MiB 0.700 s, 0.75 MiB 0.777 s; an earlier sweep also put 2 MiB and 0.5 MiB behind 1 MiB.
+STEP_BLOCK_BYTES = 1 << 20  # 13 clients per block at d = 100
 
 
 class PartitionError(ValueError):
@@ -118,9 +128,9 @@ class PartitionResult:
     class_proportions: Optional[np.ndarray] = None  # (num_classes, num_clients), final accepted draw
 
 
-def _row_blocks(n: int):
-    for start in range(0, n, BLOCK_ROWS):
-        yield slice(start, start + BLOCK_ROWS)
+def _row_blocks(n: int, size: int):
+    for start in range(0, n, size):
+        yield slice(start, start + size)
 
 
 def _hessian_products(hessians: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -137,10 +147,10 @@ class FederatedProblem:
 
     Row p of ``evaluate(points)`` holds the full-batch loss and gradient at
     ``points[p]``, the mean of the clients' ``client_loss`` and
-    ``client_gradient`` up to summation order.  ``draw_round`` /
-    ``client_gradients`` give the training gradients of a round's sampled
-    clients.  ``fedsim gradcheck`` uses step ``fd_step`` and fails above
-    ``fd_tolerance``.
+    ``client_gradient`` up to summation order.  ``draw_round``,
+    ``step_blocks`` and ``client_gradients`` give the training gradients of
+    a round's sampled clients.  ``fedsim gradcheck`` uses step ``fd_step``
+    and fails above ``fd_tolerance``.
     """
 
     num_clients: int
@@ -148,6 +158,10 @@ class FederatedProblem:
     fd_step: float
     fd_tolerance: float
     smoothness_L: Optional[float] = None  # the kinds that know it set it; run_training reads it on every kind
+
+    def step_blocks(self, draws, n: int) -> list:
+        """The ``n`` sampled rows as ``(rows, draws)`` blocks that take their K steps in turn: here one."""
+        return [(slice(0, n), draws)]
 
 
 class QuadraticPopulation(FederatedProblem):
@@ -166,8 +180,7 @@ class QuadraticPopulation(FederatedProblem):
     fd_tolerance = 1e-6
 
     def __init__(self, hessians: Sequence[np.ndarray], centers: Sequence[np.ndarray], noise_sigma: float = 0.0):
-        """Stack positive-definite (H_i, b_i): x* solves (sum H_i) x = sum H_i b_i, L is the largest client
-        Hessian eigenvalue and the PL constant mu the smallest eigenvalue of the averaged Hessian."""
+        """Stack positive-definite (H_i, b_i); L is the largest client Hessian eigenvalue."""
         self.hessians = np.asarray(hessians, dtype=np.float64)  # no copy when already stacked
         self.centers = np.asarray(centers, dtype=np.float64)
         self.noise_sigma = float(noise_sigma)
@@ -181,10 +194,7 @@ class QuadraticPopulation(FederatedProblem):
         definite = eigs[:, 0] > 0
         if not definite.all():
             raise ValueError(f"the Hessian of client {int(np.argmin(definite))} is not positive definite")
-        h_sum = self.hessians.sum(axis=0)
-        self.known_optimum = np.linalg.solve(h_sum, _hessian_products(self.hessians, self.centers).sum(axis=0))
         self.smoothness_L = float(eigs[:, -1].max())
-        self.pl_mu = float(np.linalg.eigvalsh(h_sum / self.num_clients)[0])
 
     def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
         """The sampled clients' Hessians, centres and K scaled noise vectors.
@@ -209,6 +219,13 @@ class QuadraticPopulation(FederatedProblem):
             buf *= self.noise_sigma / np.sqrt(d)
             noise = buf.transpose(1, 0, 2)
         return hessians, centers, noise
+
+    def step_blocks(self, draws, n: int) -> list:
+        """Blocks of as many sampled clients as ``STEP_BLOCK_BYTES`` holds Hessians, each with its rows' draws."""
+        hessians, centers, noise = draws
+        size = max(1, STEP_BLOCK_BYTES // hessians[0].nbytes)
+        return [(rows, (hessians[rows], centers[rows], None if noise is None else noise[:, rows]))
+                for rows in _row_blocks(n, size)]
 
     def client_gradients(self, x: np.ndarray, draws, step: int) -> np.ndarray:
         """Row s: H_s (x_s - b_s) plus that client's noise for local step ``step``."""
@@ -325,7 +342,7 @@ class LogisticPopulation(_SampledPopulation):
         """
         losses = np.zeros(len(points))
         grads = np.zeros_like(points)
-        for rows in _row_blocks(len(self.weights)):
+        for rows in _row_blocks(len(self.weights), BLOCK_ROWS):
             xb = self.features[rows]
             labels = self.values[rows]
             z = np.matmul(points[:, None, :], xb.T)[:, 0]
@@ -383,7 +400,7 @@ class MlpPopulation(_SampledPopulation):
         losses = np.zeros(n_points)
         grads = np.zeros_like(points)
         g_w1, g_b1, g_w2, g_b2 = unpack_mlp(grads, self.widths)
-        for rows in _row_blocks(len(self.weights)):
+        for rows in _row_blocks(len(self.weights), BLOCK_ROWS):
             xb = self.features[rows]
             a1 = np.tanh(w1 @ xb.T + b1).reshape(n_points, hidden, -1)  # (P, h, B)
             r = np.matmul(w2[:, None, :], a1)[:, 0] + b2[:, None] - self.values[rows]  # (P, B)

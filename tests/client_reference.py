@@ -30,7 +30,9 @@ two replays in lockstep, draw what one full run draws.
 ``quadratic_data`` makes the draws of ``objectives.quadratic_problem`` and
 forms each Hessian as one ``(q * eigs) @ q.T`` product, the form that the
 product in 16-row blocks replaces; up to d = 16 that is one block, and the
-tests hold the two to the same bytes.
+tests hold the two to the same bytes.  ``known_optimum`` and ``pl_mu`` are a
+quadratic population's closed-form minimizer and PL constant, which no
+output of fedsim reads.
 """
 
 from typing import Sequence
@@ -62,6 +64,17 @@ def quadratic_data(gen, n_clients, dim, heterogeneity):
         hessians.append(0.5 * (h + h.T))
         centers.append(heterogeneity * gen.standard_normal(dim))
     return np.array(hessians), np.array(centers)
+
+
+def known_optimum(problem):
+    """The minimizer x* of a quadratic population: it solves (sum H_i) x = sum H_i b_i."""
+    rhs = np.matmul(problem.hessians, problem.centers[..., None])[..., 0].sum(axis=0)
+    return np.linalg.solve(problem.hessians.sum(axis=0), rhs)
+
+
+def pl_mu(problem):
+    """The PL constant of a quadratic population: the smallest eigenvalue of its averaged Hessian."""
+    return float(np.linalg.eigvalsh(problem.hessians.sum(axis=0) / problem.num_clients)[0])
 
 
 class QueueSampler:

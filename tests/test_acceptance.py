@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from client_reference import clients_of, replay
+from client_reference import clients_of, known_optimum, replay
 from fedsim.algorithms import (
     MimHyper,
     eta_l_bound,
@@ -131,7 +131,7 @@ def test_criterion_05_pl_convergence():
                     hyper=MimHyper(eta_l=eta, k_local=k_local, s_participate=4),
                     rounds=2000, master_seed=42)
     record = run_training(cfg, problem=problem)
-    f_star = global_loss(problem, problem.known_optimum)
+    f_star = global_loss(problem, known_optimum(problem))
     gaps = [(row.round, row.loss - f_star) for row in record.rows]
     rate = fit_geometric_rate([(t, g) for t, g in gaps if g > 1e-16])
     reached = min(g for _, g in gaps) <= 1e-8

@@ -1,12 +1,14 @@
 import dataclasses
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from client_reference import QueueSampler, clients_of, replay
+from client_reference import QueueSampler, clients_of, known_optimum, replay
+from fedsim import objectives
 from fedsim.algorithms import (
     ROUND_FUNCTIONS,
     AdamAux,
@@ -116,6 +118,15 @@ class TestMimLocalUpdate:
             mim_local_update(problem, [3], RoundState(np.array([1.0]), (np.zeros(1),)), hyper, 0)
         assert err.value.client_id == 3
         assert err.value.iteration > 0
+        # only client 3 diverges: in blocks of two clients it is in the second, and the report is one block's
+        hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=400, s_participate=4)
+        problem = QuadraticPopulation([np.eye(1)] * 3 + [100.0 * np.eye(1)], [np.zeros(1)] * 4)
+        reports = []
+        for budget in (objectives.STEP_BLOCK_BYTES, 2 * 8):
+            with mock.patch.object(objectives, "STEP_BLOCK_BYTES", budget), pytest.raises(DivergenceError) as err:
+                mim_local_update(problem, [0, 1, 2, 3], RoundState(np.array([1.0]), (np.zeros(1),)), hyper, 0)
+            reports.append((err.value.client_id, err.value.iteration))
+        assert reports == [(3, 321)] * 2  # x_k = (-9)^k, and the gradient 100 x_k overflows at k = 321
 
 
 def _reference_shift(weights, deltas):
@@ -176,7 +187,7 @@ def kernel_cases(draw):
 
 
 def random_problem(case):
-    fields = dict(dim=3, sigma_l=0.3, concentration=0.5, samples_per_client=15, mlp_hidden=3,
+    fields = dict(dim=case.get("dim", 3), sigma_l=0.3, concentration=0.5, samples_per_client=15, mlp_hidden=3,
                   batch_size=case["batch_size"])
     read = BUILDERS[case["kind"]][1]  # the other keys are a ConfigError for this kind
     cfg = ProblemConfig(kind=case["kind"], n_clients=case["n_clients"],
@@ -188,16 +199,21 @@ def random_problem(case):
 
 
 class TestBatchedKernel:
-    @given(case=kernel_cases())
+    # ``block``: the clients per block of local steps, by a patched byte budget (None: the shipped budget)
+    @given(case=kernel_cases(), block=st.integers(min_value=1, max_value=3))
     # clients 0-5 hold 20, 7, 32, 5, 12 and 14 samples and clients 0, 1, 3, 4, 5 are sampled: batch
     # lengths 12, 7, 5, 12, 12 in id order, so the rows of the 12-group interleave with two shorter groups
     @example(case=dict(kind="mlp", n_clients=6, s_participate=5, k_local=3, alpha=(0.2, 0.05), beta=(0.9, 0.1),
-                       batch_size=12, correction=True, seed=1))
+                       batch_size=12, correction=True, seed=1), block=1)
     @example(case=dict(kind="logreg", n_clients=6, s_participate=5, k_local=3, alpha=(0.2, 0.05),
-                       beta=(0.9, 0.1), batch_size=12, correction=True, seed=1))
+                       beta=(0.9, 0.1), batch_size=12, correction=True, seed=1), block=1)
+    # at d = 100 the shipped budget holds 13 Hessians, so 20 sampled clients take two blocks
+    @example(case=dict(kind="quadratic", n_clients=24, s_participate=20, k_local=3, alpha=(0.2, 0.05),
+                       beta=(0.9, 0.1), batch_size=0, correction=True, seed=1, dim=100), block=None)
     @settings(max_examples=60, deadline=None)
-    def test_rows_match_per_client_reference_bytes(self, case):
+    def test_rows_match_per_client_reference_bytes(self, case, block):
         problem = random_problem(case)
+        budget = objectives.STEP_BLOCK_BYTES if block is None else block * 8 * problem.dim ** 2
         gen = np.random.default_rng(case["seed"])
         hyper = MimHyper(alpha=case["alpha"], beta=case["beta"], eta_l=0.05, k_local=case["k_local"],
                          s_participate=case["s_participate"])
@@ -207,9 +223,10 @@ class TestBatchedKernel:
         correction = 0.2 * gen.standard_normal((len(ids), problem.dim)) if case["correction"] else None
         round_index = 4
 
-        finals, grad_sums = mim_local_update(
-            problem, ids, RoundState(x_start, tuple(deltas), round_index), hyper, case["seed"],
-            correction=correction)
+        with mock.patch.object(objectives, "STEP_BLOCK_BYTES", budget):
+            finals, grad_sums = mim_local_update(
+                problem, ids, RoundState(x_start, tuple(deltas), round_index), hyper, case["seed"],
+                correction=correction)
         ref_finals, ref_grad_sums = reference_local_updates(
             problem, ids, x_start, deltas, hyper, case["seed"], round_index, current_eta(hyper, round_index),
             case["batch_size"], correction)
@@ -396,7 +413,7 @@ class TestScaffold:
                                       [np.array([-1.0]), np.array([2.0])], 0.0)
         hyper = MimHyper(s_participate=2, k_local=5, eta_l=0.05, lr_decay=1.0)
         final = run_rounds(scaffold_round, problem, hyper, 5000, seed=1)[-1]
-        assert np.abs(final.x - problem.known_optimum).max() <= 1e-8
+        assert np.abs(final.x - known_optimum(problem)).max() <= 1e-8
 
 
 class TestFedAdam:

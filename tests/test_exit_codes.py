@@ -8,10 +8,11 @@ Exit 1: an input fails early when the front end exits 1 with ``error: <message>`
 traceback, never trains, and leaves the working directory as it was: no out dir made, nothing written.
 A message that ends in ``$`` is the whole error, any other one its start.
 
-Exits 2 (a divergence) and 3 (a residual above the tolerance): each front end of an ``OUTCOMES`` row
-ends with its code and prints its stderr lines, each after the label of its leg that equals ``fedsim
-run`` (then, on exit 3, the tolerance line).  It prints no traceback and writes exactly its ``OUTPUTS``,
-every JSON file strict, and run.json agrees with the status line; the row's ``check`` asserts the rest.
+Exits 2 (a divergence or a non-finite final loss) and 3 (a residual above the tolerance): each front end
+of an ``OUTCOMES`` row ends with its code and prints its stderr lines, each but the tolerance line after
+the label of its leg that equals ``fedsim run`` (then, on exit 3, the tolerance line).  It prints no
+traceback and writes exactly its ``OUTPUTS``, every JSON file strict, and run.json agrees with the first
+line; the row's ``check`` asserts the rest.
 A row's args are -o flags, or a sweep's own ``--axis`` and ``--values``, whose lines carry their labels.
 """
 
@@ -254,6 +255,7 @@ VERIFIED = tuple(front_end for front_end in TRAINING if front_end != "compare_al
 OUTPUTS = {"run": ["metrics.csv", "run.json"], "verify": ["metrics.csv", "run.json"],
            "sweep": ["sweep.csv", "sweep.json"], "compare_algorithms.py": ["compare.csv"], "participation_study.py": []}
 TOLERANCE = "verification residual exceeded tolerance 1e-09"
+INF_LOSS = "final loss inf is not finite"
 
 
 def strict_json(path):
@@ -306,8 +308,12 @@ OUTCOMES = [
     # run and sweep exited 0, with the residuals of the corrupted increments only in run.json; verify turns the check on
     *((front_ends, "quadratic_verify.ini", [*more, *CORRUPT], 3, [], partial(reports, "1.000e-06", "9.000e-05"))
       for front_ends, more in ((VERIFIED, []), (("verify",), ["-o", "verify=false"]))),
-    # a noise so large that every residual is NaN: max() dropped each NaN, and the run passed with 0.0
-    (VERIFIED, "quadratic_verify.ini", ["-o", "sigma_l=1e308", "-o", "rounds=5"], 3, [], nan_residuals),
+    # a noise so large that every metric is inf: the run exited 0 with status completed
+    (BASELINE, "quadratic_verify.ini", ["-o", "sigma_l=1e308", "-o", "rounds=5", "-o", "verify=false"], 2,
+     [INF_LOSS], null_final_loss),
+    # and every residual NaN: max() dropped each NaN, and the run passed with 0.0; then it exited 3
+    (VERIFIED, "quadratic_verify.ini", ["-o", "sigma_l=1e308", "-o", "rounds=5"], 2, [INF_LOSS, TOLERANCE],
+     nan_residuals),
     # a divergence outranks a failed check, which is still reported
     (("sweep",), "quadratic_verify.ini", [*CORRUPT, "--axis", "eta_l", "--values", "0.02,100"], 2,
      ["eta_l=100: diverged at round 26 (client 0, local step 6)", TOLERANCE], None),
@@ -332,17 +338,20 @@ def test_outcome(workdir, capsys, front_end, config, args, code, lines, check):
     printed, out, made = capsys.readouterr(), workdir / "out", OUTPUTS[front_end]
     assert "Traceback" not in printed.err, printed.err
     assert got == code
-    expected = [label + line for line in lines] + [TOLERANCE] * (code == 3)
+    expected = [line if line == TOLERANCE else label + line for line in lines] + [TOLERANCE] * (code == 3)
     assert [line for line in printed.err.splitlines()  # compare_algorithms.py also reports its other rules
             if line in expected or front_end != "compare_algorithms.py"] == expected
     assert sorted(str(path.relative_to(workdir)) for path in workdir.rglob("*")) == sorted(
         [*FILES, *(["out"] if made else []), *(f"out/{name}" for name in made)])
     documents = {name: strict_json(out / name) for name in made if name.endswith(".json")}
-    if "run.json" in documents and code == 2:  # the first stderr line is the one run's status
+    if "run.json" in documents and code == 2:  # the first stderr line is the one run's status or its final loss
         run = documents["run.json"]
-        client, step = run["diverged_client"], run["diverged_step"]
-        where = "server step" if client is None else f"client {client}, local step {step}"
-        assert [run["status"], f"diverged at round {run['diverged_round']} ({where})"] == ["diverged", lines[0]]
+        if lines[0] == INF_LOSS:
+            assert [run["status"], run["final_loss"]] == ["completed", None]
+        else:
+            client, step = run["diverged_client"], run["diverged_step"]
+            where = "server step" if client is None else f"client {client}, local step {step}"
+            assert [run["status"], f"diverged at round {run['diverged_round']} ({where})"] == ["diverged", lines[0]]
     if front_end == "participation_study.py":  # its table, one row for the leg's S, comes before the exit
         assert printed.out.splitlines()[1].split()[0] == legs[1]
     if check:

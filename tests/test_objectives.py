@@ -10,7 +10,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from client_reference import (LogisticClient, MlpClient, QueueSampler, _stack_by_client, clients_of,
-                              quadratic_data)
+                              known_optimum, pl_mu, quadratic_data)
 from fedsim import objectives
 from fedsim.objectives import (
     CsvFormatError,
@@ -40,26 +40,26 @@ def data_rng(seed):
 class TestQuadraticProblem:
     def test_single_client_at_own_optimum(self):
         prob = QuadraticPopulation([np.eye(3)], [np.zeros(3)])
-        assert np.array_equal(prob.known_optimum, np.zeros(3))
+        assert np.array_equal(known_optimum(prob), np.zeros(3))
         assert l2_norm_sq(population_gradient(prob, np.zeros(3))) == 0.0
 
     def test_symmetric_pair(self):
         prob = QuadraticPopulation([np.eye(1), np.eye(1)],
                                    [np.array([-1.0]), np.array([1.0])])
-        assert np.allclose(prob.known_optimum, [0.0])
+        assert np.allclose(known_optimum(prob), [0.0])
         # f(0) = mean of 0.5*(0 -+ 1)^2 = 0.5
         assert global_loss(prob, np.zeros(1)) == pytest.approx(0.5)
         assert population_gradient(prob, np.zeros(1)) == pytest.approx(0.0)
 
     def test_generated_optimum_against_dense_solve(self):
         prob = build_problem(ProblemConfig(n_clients=5, dim=4, heterogeneity=2.0, sigma_l=0.0), 42)
-        assert l2_norm_sq(population_gradient(prob, prob.known_optimum)) <= 1e-18
+        assert l2_norm_sq(population_gradient(prob, known_optimum(prob))) <= 1e-18
         # independent oracle: explicit inverse instead of the solver
         pop = prob
         h_sum = np.sum(list(pop.hessians), axis=0)
         rhs = np.sum([h @ b for h, b in zip(pop.hessians, pop.centers)], axis=0)
         oracle = np.linalg.inv(h_sum) @ rhs
-        assert np.allclose(prob.known_optimum, oracle, atol=1e-10)
+        assert np.allclose(known_optimum(prob), oracle, atol=1e-10)
 
     def test_indefinite_client_rejected(self):
         # the mean Hessian diag(5/3, 1/3) is positive definite, but client 2's gradient is 3-Lipschitz
@@ -96,12 +96,12 @@ class TestQuadraticProblem:
 
     def test_pl_witness(self):
         prob = build_problem(ProblemConfig(n_clients=4, dim=5, heterogeneity=1.5, sigma_l=0.0), 3)
-        f_star = global_loss(prob, prob.known_optimum)
+        f_star = global_loss(prob, known_optimum(prob))
         gen = np.random.default_rng(1)
         for _ in range(1000):
             x = 3.0 * gen.standard_normal(5)
             gap = global_loss(prob, x) - f_star
-            assert 0.5 * l2_norm_sq(population_gradient(prob, x)) >= prob.pl_mu * gap * (1 - 1e-12)
+            assert 0.5 * l2_norm_sq(population_gradient(prob, x)) >= pl_mu(prob) * gap * (1 - 1e-12)
 
     @given(dim=st.integers(1, 16), n_clients=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
