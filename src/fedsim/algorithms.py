@@ -182,16 +182,18 @@ def mim_local_update(
     distinct; every row starts at ``state.x``, with eta_l
     ``current_eta(hyper, state.round)``.  The problem draws the round's
     randomness up front, under the master ``seed``, and splits the rows into
-    ``step_blocks``, each of which takes all K steps before the next starts.
-    The increment history is fixed for the whole round, so both momentum
-    shifts are computed once.  ``correction`` is a constant (S, d) offset
-    added to the gradient before each step (the control-variate baseline).
+    ``step_blocks`` (row slices), each of which takes all K steps in place in
+    its rows of the result before the next starts.  The increment history is
+    fixed for the whole round, so both momentum shifts are computed once.
+    ``correction`` is a constant (S, d) offset added to the gradient before
+    each step (the control-variate baseline).
 
     Returns the (S, d) final iterates and, on every call, the (S, d)
     per-client sums of the exact stochastic gradients consumed, which only
-    the identity checks read.  A row that turns non-finite raises
-    :class:`DivergenceError` after the last block, for the lowest such client
-    id and its first non-finite step.
+    the identity checks read.  A row that turns non-finite (one sum over the
+    block tests each step; the rows are tested only when it is not finite)
+    raises :class:`DivergenceError` after the last block, for the lowest such
+    client id and its first non-finite step.
     """
     step = hyper.A * current_eta(hyper, state.round)
     shift_alpha = weighted_sum(hyper.alpha, state.delta_history)
@@ -202,20 +204,23 @@ def mim_local_update(
     first_bad = np.full(len(ids), -1)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught explicitly
         for rows, block in problem.step_blocks(draws, len(ids)):
-            bad, sums = first_bad[rows], grad_sums[rows]  # views of the block's rows
-            x = np.repeat(state.x[None, :], len(bad), axis=0)
+            x, bad, sums = finals[rows], first_bad[rows], grad_sums[rows]  # views of the block's rows
+            x[:] = state.x
+            offset = None if correction is None else correction[rows]
+            y2 = x if shift_beta is None else np.empty_like(x)
             for k in range(hyper.k_local):
-                y2 = x if shift_beta is None else x - shift_beta
+                if shift_beta is not None:
+                    np.subtract(x, shift_beta, out=y2)
                 g = problem.client_gradients(y2, block, k)
                 sums += g
-                if correction is not None:
-                    g += correction[rows]
+                if offset is not None:
+                    g += offset
                 g *= step  # x_{k+1} = y1 - step * g, in place: g and x are this call's own arrays
-                x = x if shift_alpha is None else x - shift_alpha
+                if shift_alpha is not None:
+                    x -= shift_alpha
                 x -= g
-                if not np.isfinite(x).all():  # one reduction per step; rows only when one is bad
+                if not np.isfinite(np.add.reduce(x, axis=None)):  # inf/NaN iff an entry is, or the sum overflows
                     bad[~np.isfinite(x).all(axis=1) & (bad < 0)] = k
-            finals[rows] = x
     if (first_bad >= 0).any():
         row = int(np.argmax(first_bad >= 0))
         raise DivergenceError(ids[row], int(first_bad[row]))

@@ -56,11 +56,13 @@ import numpy as np
 from .vectors import PURPOSE_BATCH, ParamVector, round_generators, row_dots
 
 # Rows per block in the population oracles.  On the 10,000 x 50 mlp benchmark
-# stack (2 cores, OpenBLAS 0.3.31), blocks of up to 1,024 rows ran on one
-# thread; 2,048 rows woke a second BLAS thread that competes with the rest of
-# the process, and one product over the whole stack also raised peak RSS by
-# 2.9 MB.  A fixed block also fixes the summation order, so reruns stay
-# byte-identical.
+# stack (2 cores, OpenBLAS 0.3.31), 1,024-row blocks already use both cores:
+# CPU/wall time of a run was 1.97-2.00, and a block's two-point forward product
+# (16 x 50 by 50 x 1,024) took 41 us at two OpenBLAS threads against 53 us at
+# one.  A two-point evaluate call at 2,048 rows was 6-7 % faster, but a new
+# size moves the summation order and so the bytes of every pinned metric; one
+# product over the whole stack raised peak RSS by 2.9 MB.  A fixed block fixes
+# the summation order, so reruns stay byte-identical.
 BLOCK_ROWS = 1024
 
 # Bytes of per-client data that a block of sampled clients re-reads on each local step (a
@@ -391,7 +393,9 @@ class MlpPopulation(_SampledPopulation):
 
         Hidden-major: a block of B rows is used as the transposed view
         X_rows^T (d, B), and the P first layers are stacked to (P h, d), so
-        the hidden activations of all points are one (P h, B) product.
+        the hidden activations of all points are one (P h, B) product.  That
+        array is the block's own: the bias, tanh and then the back-propagated
+        dz1 = (w2 r) (1 - a1^2) are computed in it in place.
         """
         w1, b1, w2, b2 = unpack_mlp(points, self.widths)
         n_points, hidden, d_in = w1.shape
@@ -402,13 +406,19 @@ class MlpPopulation(_SampledPopulation):
         g_w1, g_b1, g_w2, g_b2 = unpack_mlp(grads, self.widths)
         for rows in _row_blocks(len(self.weights), BLOCK_ROWS):
             xb = self.features[rows]
-            a1 = np.tanh(w1 @ xb.T + b1).reshape(n_points, hidden, -1)  # (P, h, B)
-            r = np.matmul(w2[:, None, :], a1)[:, 0] + b2[:, None] - self.values[rows]  # (P, B)
+            z = w1 @ xb.T  # (P h, B)
+            z += b1
+            a1 = np.tanh(z, out=z).reshape(n_points, hidden, -1)  # (P, h, B)
+            r = np.matmul(w2[:, None, :], a1)[:, 0]  # (P, B)
+            r += b2[:, None]
+            r -= self.values[rows]
             losses += row_dots(r * r, self.weights[rows])
             r *= self.weights[rows]
             g_w2 += np.matmul(a1, r[:, :, None])[..., 0]
             g_b2 += r.sum(axis=1)
-            dz1 = ((w2[:, :, None] * r[:, None, :]) * (1.0 - a1 * a1)).reshape(n_points * hidden, -1)
+            dz1 = np.multiply(z, z, out=z)  # a1 is spent: dz1 takes its array
+            np.subtract(1.0, dz1, out=dz1)
+            dz1 *= (w2[:, :, None] * r[:, None, :]).reshape(dz1.shape)
             g_w1 += (dz1 @ xb).reshape(g_w1.shape)
             g_b1 += dz1.sum(axis=1).reshape(g_b1.shape)
         return 0.5 * losses, grads

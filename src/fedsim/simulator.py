@@ -9,6 +9,8 @@ outside the training path and never perturb the trajectory.  Each metric row
 makes one call of the problem's oracle, ``evaluate``, on x (and,
 for ``fedmim``, on the shifted iterate u too): one blocked pass over the
 stacked data of all clients gives f(x), grad f(x) and grad f(u) together.
+The final loss, f at the last finite x, reuses the last row's f(x) when the last
+completed round wrote one (row 0 of ``evaluate`` is the one-point ``global_loss``).
 
 The run configuration lives here too: the dataclasses hold every default and
 check their values when they are built, and their fields are the config keys
@@ -348,7 +350,8 @@ def _train_loop(config: RunConfig, problem: FederatedProblem, record: RunRecord)
             ))
 
     record.final_x = state.x
-    record.final_loss = global_loss(problem, state.x)
+    reuse = record.rows and record.rows[-1].round == state.round  # a row at this x: its loss is global_loss's
+    record.final_loss = record.rows[-1].loss if reuse else global_loss(problem, state.x)
     if config.verify and record.diverged_round is None:
         record.max_residual_delta = float(max_residual_delta)
         record.max_residual_u = float(max_residual_u)

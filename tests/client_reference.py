@@ -33,6 +33,10 @@ product in 16-row blocks replaces; up to d = 16 that is one block, and the
 tests hold the two to the same bytes.  ``known_optimum`` and ``pl_mu`` are a
 quadratic population's closed-form minimizer and PL constant, which no
 output of fedsim reads.
+
+``mlp_evaluate`` is the mlp population's blocked full-batch pass with a new
+array for each elementwise step, the form that the in-place pass replaces;
+the tests hold the two to the same bytes at any block size.
 """
 
 from typing import Sequence
@@ -75,6 +79,32 @@ def known_optimum(problem):
 def pl_mu(problem):
     """The PL constant of a quadratic population: the smallest eigenvalue of its averaged Hessian."""
     return float(np.linalg.eigvalsh(problem.hessians.sum(axis=0) / problem.num_clients)[0])
+
+
+def mlp_evaluate(problem, points, block_rows):
+    """Losses (P,) and gradients (P, dim) of an mlp population at ``points``, in blocks of ``block_rows`` rows."""
+    d, h = problem.widths[:2]
+    n_points = len(points)
+    w1 = points[:, :h * d].reshape(n_points * h, d)
+    b1 = points[:, h * d:h * d + h].reshape(n_points * h, 1)
+    w2, b2 = points[:, h * d + h:h * d + 2 * h], points[:, h * d + 2 * h]
+    losses = np.zeros(n_points)
+    grads = np.zeros_like(points)
+    g_w1 = grads[:, :h * d].reshape(n_points, h, d)
+    g_b1, g_w2, g_b2 = grads[:, h * d:h * d + h], grads[:, h * d + h:h * d + 2 * h], grads[:, h * d + 2 * h]
+    for start in range(0, len(problem.weights), block_rows):
+        rows = slice(start, start + block_rows)
+        xb, weights = problem.features[rows], problem.weights[rows]
+        a1 = np.tanh(w1 @ xb.T + b1).reshape(n_points, h, -1)
+        r = np.matmul(w2[:, None, :], a1)[:, 0] + b2[:, None] - problem.values[rows]
+        losses += np.matmul((r * r)[:, None, :], weights[:, None])[:, 0, 0]
+        r *= weights
+        g_w2 += np.matmul(a1, r[:, :, None])[..., 0]
+        g_b2 += r.sum(axis=1)
+        dz1 = ((w2[:, :, None] * r[:, None, :]) * (1.0 - a1 * a1)).reshape(n_points * h, -1)
+        g_w1 += (dz1 @ xb).reshape(g_w1.shape)
+        g_b1 += dz1.sum(axis=1).reshape(g_b1.shape)
+    return 0.5 * losses, grads
 
 
 class QueueSampler:

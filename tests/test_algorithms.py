@@ -27,7 +27,7 @@ from fedsim.algorithms import (
     mim_round,
     scaffold_round,
 )
-from fedsim.objectives import QuadraticPopulation
+from fedsim.objectives import FederatedProblem, QuadraticPopulation
 from fedsim.simulator import BUILDERS, ConfigError, ProblemConfig, build_problem, sample_clients
 from fedsim.vectors import PURPOSE_BATCH, derive_rng
 
@@ -65,6 +65,24 @@ class TestComputeDelta:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             compute_delta(np.ones(2), np.ones(3), 1)
+
+
+class PairBlocks(FederatedProblem):
+    """Zero gradients, except NaN for client c at local step k for each (c, k) in ``nan_at``; blocks of two rows."""
+
+    def __init__(self, num_clients, dim, nan_at=()):
+        self.num_clients, self.dim, self.nan_at = num_clients, dim, set(nan_at)
+
+    def draw_round(self, seed, round_index, ids, k_local):
+        return list(ids)
+
+    def step_blocks(self, draws, n):
+        return [(slice(start, start + 2), draws[start:start + 2]) for start in range(0, n, 2)]
+
+    def client_gradients(self, x, ids, step):
+        g = np.zeros_like(x)
+        g[[row for row, cid in enumerate(ids) if (cid, step) in self.nan_at]] = np.nan
+        return g
 
 
 def one_client(hessian, center, sigma=0.0, copies=1):
@@ -127,6 +145,19 @@ class TestMimLocalUpdate:
                 mim_local_update(problem, [0, 1, 2, 3], RoundState(np.array([1.0]), (np.zeros(1),)), hyper, 0)
             reports.append((err.value.client_id, err.value.iteration))
         assert reports == [(3, 321)] * 2  # x_k = (-9)^k, and the gradient 100 x_k overflows at k = 321
+        # every entry finite, but a block's sum overflows: the row test finds no bad row
+        hyper = MimHyper(alpha=(0.0,), beta=(0.0,), eta_l=0.1, k_local=3, s_participate=4)
+        start = np.array([1e308, -1e308, 1e308, 1e308])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.add.reduce(np.tile(start, (2, 1)), axis=None))
+        finals, _ = mim_local_update(PairBlocks(4, 4), [0, 1, 2, 3], RoundState(start, (np.zeros(4),)), hyper, 0)
+        assert finals.tobytes() == np.tile(start, (4, 1)).tobytes()
+        # NaNs in the second block: client 3 at step 1, client 2 at step 4; the lowest client, its first step
+        hyper = dataclasses.replace(hyper, k_local=6)
+        with pytest.raises(DivergenceError) as err:
+            mim_local_update(PairBlocks(4, 1, nan_at=[(3, 1), (2, 4)]), [0, 1, 2, 3],
+                             RoundState(np.ones(1), (np.zeros(1),)), hyper, 0)
+        assert (err.value.client_id, err.value.iteration) == (2, 4)
 
 
 def _reference_shift(weights, deltas):

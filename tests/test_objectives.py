@@ -10,7 +10,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from client_reference import (LogisticClient, MlpClient, QueueSampler, _stack_by_client, clients_of,
-                              known_optimum, pl_mu, quadratic_data)
+                              known_optimum, mlp_evaluate, pl_mu, quadratic_data)
 from fedsim import objectives
 from fedsim.objectives import (
     CsvFormatError,
@@ -23,6 +23,7 @@ from fedsim.objectives import (
     dirichlet_partition,
     global_loss,
     ingest_csv,
+    mlp_problem,
 )
 from fedsim.simulator import BUILDERS, ConfigError, ProblemConfig, build_problem
 from fedsim.vectors import PURPOSE_BATCH, derive_rng, l2_norm_sq
@@ -443,6 +444,30 @@ class TestPopulationOracle:
                 assert abs(got_loss - client_loss) <= 1e-12 * abs(client_loss)
                 np.testing.assert_allclose(got_grad, client_grad, rtol=1e-12,
                                            atol=1e-12 * float(np.abs(client_grad).max()))
+
+
+class TestMlpEvaluate:
+    # beyond one block: the pinned mlp problems and the tests above stop below 1,024 rows
+    @given(n_clients=st.integers(1, 12), samples=st.integers(1, 200), dim=st.integers(1, 6),
+           hidden=st.sampled_from([1, 3, 8]), concentration=st.sampled_from([None, 0.5]),
+           block_rows=st.sampled_from([1, 7, 1024]), n_points=st.sampled_from([1, 2]),
+           seed=st.integers(0, 10_000))
+    @example(n_clients=100, samples=100, dim=50, hidden=8, concentration=0.5, block_rows=1024, n_points=2,
+             seed=1)  # mlp-measure's shape: 10,000 rows in ten blocks
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_pass_matches_reference_bytes(self, n_clients, samples, dim, hidden, concentration,
+                                                   block_rows, n_points, seed):
+        try:
+            prob = mlp_problem(data_rng(seed).generator, n_clients=n_clients, concentration=concentration,
+                               batch_size=20, dim=dim, samples_per_client=samples, mlp_hidden=hidden)
+        except PartitionError:
+            reject()
+        points = 0.5 * np.random.default_rng(seed).standard_normal((n_points, prob.dim))
+        with mock.patch.object(objectives, "BLOCK_ROWS", block_rows):
+            losses, grads = prob.evaluate(points)
+        want_losses, want_grads = mlp_evaluate(prob, points, block_rows)
+        assert losses.tobytes() == want_losses.tobytes()
+        assert grads.tobytes() == want_grads.tobytes()
 
 
 class TestCsvIngestion:

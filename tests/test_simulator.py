@@ -14,7 +14,7 @@ from client_reference import replay
 from fedsim import algorithms, simulator, vectors
 from fedsim.algorithms import ROUND_FUNCTIONS, MimHyper, eta_l_bound
 from fedsim.cli import metrics_csv_bytes, parse_config
-from fedsim.objectives import QuadraticPopulation
+from fedsim.objectives import QuadraticPopulation, global_loss
 from fedsim.simulator import (
     BUILDERS,
     PROBLEM_KINDS,
@@ -264,6 +264,29 @@ class TestRunTraining:
             return
         assert all(row.round < record.diverged_round for row in record.rows)
         assert record.diverged_step is None or 0 <= record.diverged_step < record.config.hyper.k_local
+
+    @given(kind=st.sampled_from(["quadratic", "logreg", "mlp"]), algorithm=st.sampled_from(sorted(ROUND_FUNCTIONS)),
+           rounds=st.integers(1, 6), data=st.data(), eta_l=st.sampled_from([0.05, 1e50, 1e100]),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_final_loss_is_global_loss(self, kind, algorithm, rounds, data, eta_l, seed):
+        fields = dict(dim=3, mlp_hidden=3, samples_per_client=12, batch_size=4, sigma_l=0.1)
+        read = BUILDERS[kind][1]  # the other keys are a ConfigError for this kind
+        cfg = quad_config(problem=ProblemConfig(kind=kind, n_clients=4,
+                                                **{key: value for key, value in fields.items() if key in read}),
+                          algorithm=algorithm, rounds=rounds, master_seed=seed,
+                          metric_every=data.draw(st.integers(1, rounds)),
+                          hyper=MimHyper(eta_l=eta_l, k_local=3, s_participate=2))
+        problem = build_problem(cfg.problem, seed)
+        record = run_training(cfg, problem)
+        other = np.random.default_rng(seed).standard_normal(problem.dim)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in run_training: a large x overflows the loss
+            loss = global_loss(problem, record.final_x)
+            # a row's loss is row 0 of a two-point call, and the final loss reuses it
+            losses, grads = problem.evaluate(np.stack([record.final_x, other]))
+            one_loss, one_grad = problem.evaluate(record.final_x[None])
+        assert np.float64(record.final_loss).tobytes() == np.float64(loss).tobytes()
+        assert losses[:1].tobytes() == one_loss.tobytes() and grads[:1].tobytes() == one_grad.tobytes()
 
     def test_corrupt_delta_breaks_residual(self):
         record = run_training(quad_config(verify=True, corrupt_delta=1e-6))
