@@ -36,10 +36,10 @@ take their K steps one after another: a quadratic's hold ``STEP_BLOCK_BYTES``
 of Hessians, which stay in cache; the sample-based kinds keep one block.
 ``client_gradients`` returns a block's gradients at one local step, one
 batched product per group.
-``client_loss(cid, x)`` and ``client_gradient(cid, x)`` are one client's
-full-batch loss and gradient, each computed on its own: the gradient by the
-training arithmetic (``_rows_gradient`` on one row), so that finite
-differences of the loss (``fedsim gradcheck``, through :class:`ClientObjective`)
+``client_loss(cid, points)`` gives one client's full-batch losses at a (P, d)
+stack, ``client_gradient(cid, x)`` its gradient at one point by the training
+arithmetic (``_rows_gradient`` on one row); finite differences of the loss,
+four probes a call (``fedsim gradcheck``, through :class:`ClientObjective`),
 check the gradient that trains, and no loss probe computes a gradient.
 """
 
@@ -237,10 +237,10 @@ class QuadraticPopulation(FederatedProblem):
             g += noise[step]  # in place: a new array from a strided view costs more
         return g
 
-    def client_loss(self, cid: int, x: ParamVector) -> float:
-        """Client ``cid``'s loss 0.5 r^T H r, r = x - b."""
-        r = x - self.centers[cid]
-        return 0.5 * float(r @ self.hessians[cid] @ r)
+    def client_loss(self, cid: int, points: np.ndarray) -> np.ndarray:
+        """Client ``cid``'s losses 0.5 r^T H r, r = x - b, at the (P, d) ``points``."""
+        r = points - self.centers[cid]
+        return 0.5 * row_dots(np.matmul(r[:, None, :], self.hessians[cid])[:, 0], r)
 
     def client_gradient(self, cid: int, x: ParamVector) -> ParamVector:
         """Client ``cid``'s gradient H r, r = x - b, by the training product."""
@@ -299,10 +299,6 @@ class _SampledPopulation(FederatedProblem):
             g[positions] = self._rows_gradient(x[positions], rows[step])
         return g
 
-    def client_loss(self, cid: int, x: ParamVector) -> float:
-        """Client ``cid``'s full-batch loss, over all its rows."""
-        return self._rows_loss(x, slice(*self.spans[cid]))
-
     def client_gradient(self, cid: int, x: ParamVector) -> ParamVector:
         """Client ``cid``'s full-batch gradient: the training gradient of one row over all its rows."""
         return self._rows_gradient(x[None], np.arange(*self.spans[cid])[None])[0]
@@ -322,11 +318,12 @@ class LogisticPopulation(_SampledPopulation):
         self.smoothness_L = max(0.25 * float(np.linalg.eigvalsh(self.features[a:b].T @ self.features[a:b])[-1])
                                 / (b - a) + self.weight_decay for a, b in self.spans)
 
-    def _rows_loss(self, x: ParamVector, rows: np.ndarray) -> float:
-        """mean over ``rows`` of log(1 + e^z) - y z, z = X_rows x, plus 0.5 lam ||x||^2."""
-        z = self.features[rows] @ x
-        data = float(np.mean(np.logaddexp(0.0, z) - self.values[rows] * z))
-        return data + 0.5 * self.weight_decay * float(x @ x)
+    def client_loss(self, cid: int, points: np.ndarray) -> np.ndarray:
+        """Client ``cid``'s losses at the (P, d) ``points``: mean log(1 + e^z) - y z, z = X x, plus 0.5 lam ||x||^2."""
+        rows = slice(*self.spans[cid])
+        z = np.matmul(self.features[rows], points[:, :, None])[..., 0]  # (P, n_i)
+        data = np.mean(np.logaddexp(0.0, z) - self.values[rows] * z, axis=1)
+        return data + 0.5 * self.weight_decay * row_dots(points, points)
 
     def _rows_gradient(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Row g: the gradient over stack rows ``rows[g]`` (G, B) at ``x[g]`` (G, d), one matmul per client."""
@@ -370,11 +367,14 @@ class MlpPopulation(_SampledPopulation):
         self.widths = (features.shape[1], hidden, 1)
         self.dim = hidden * (features.shape[1] + 2) + 1
 
-    def _rows_loss(self, x: ParamVector, rows: np.ndarray) -> float:
-        """0.5 mean over ``rows`` of the squared residual."""
-        w1, b1, w2, b2 = unpack_mlp(x, self.widths)
-        r = np.tanh(self.features[rows] @ w1.T + b1) @ w2 + b2 - self.values[rows]
-        return 0.5 * float(np.mean(r * r))
+    def client_loss(self, cid: int, points: np.ndarray) -> np.ndarray:
+        """Client ``cid``'s losses at the (P, dim) ``points``: 0.5 mean squared residual, the (P, n_i, h) z in place."""
+        rows = slice(*self.spans[cid])
+        w1, b1, w2, b2 = unpack_mlp(points, self.widths)
+        z = np.matmul(self.features[rows], w1.transpose(0, 2, 1))  # (P, n_i, h)
+        z += b1[:, None, :]
+        r = np.matmul(np.tanh(z, out=z), w2[:, :, None])[..., 0] + b2[:, None] - self.values[rows]
+        return 0.5 * np.mean(r * r, axis=1)
 
     def _rows_gradient(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Row g: the gradient over stack rows ``rows[g]`` (G, B) at ``x[g]`` (G, dim), by backprop."""
@@ -426,13 +426,13 @@ class MlpPopulation(_SampledPopulation):
 
 @dataclass(frozen=True)
 class ClientObjective:
-    """Client ``cid``'s full-batch loss and gradient: its problem's ``client_loss`` and ``client_gradient``."""
+    """Client ``cid``'s full-batch ``client_loss`` at a (P, d) stack and ``client_gradient`` at one point."""
 
     problem: FederatedProblem
     cid: int
 
-    def loss(self, x: ParamVector) -> float:
-        return self.problem.client_loss(self.cid, x)
+    def loss(self, points: np.ndarray) -> np.ndarray:
+        return self.problem.client_loss(self.cid, points)
 
     def full_gradient(self, x: ParamVector) -> ParamVector:
         return self.problem.client_gradient(self.cid, x)

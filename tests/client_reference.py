@@ -37,8 +37,13 @@ output of fedsim reads.
 ``mlp_evaluate`` is the mlp population's blocked full-batch pass with a new
 array for each elementwise step, the form that the in-place pass replaces;
 the tests hold the two to the same bytes at any block size.
+``client_loss_at`` is one client's loss at a single point, the form that
+``client_loss`` of a (P, d) stack replaces; the tests hold each row to its
+bytes.  ``stacked`` gives a reference client the stacked ``loss`` that
+``finite_difference_check`` calls.
 """
 
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -105,6 +110,22 @@ def mlp_evaluate(problem, points, block_rows):
         g_w1 += (dz1 @ xb).reshape(g_w1.shape)
         g_b1 += dz1.sum(axis=1).reshape(g_b1.shape)
     return 0.5 * losses, grads
+
+
+def client_loss_at(problem, cid, x):
+    """Client ``cid``'s loss at the single point ``x``: its reference client's, but the mlp's by ``a1 @ w2``."""
+    client = clients_of(problem)[cid]
+    if not hasattr(problem, "widths"):
+        return client.loss(x)
+    w1, b1, w2, b2 = client.unpack(x)
+    r = np.tanh(client.features @ w1.T + b1) @ w2[0] + b2[0] - client.targets[:, 0]
+    return 0.5 * float(np.mean(r * r))
+
+
+def stacked(client):
+    """``client`` with its ``loss`` taken at each row of a (P, d) stack of points."""
+    return SimpleNamespace(loss=lambda points: np.array([client.loss(x) for x in points]),
+                           full_gradient=client.full_gradient)
 
 
 class QueueSampler:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from client_reference import LogisticClient, MlpClient, QuadraticClient, delta_recursion_residual_loop
+from client_reference import LogisticClient, MlpClient, QuadraticClient, delta_recursion_residual_loop, stacked
 from fedsim.analysis import (
     compute_u,
     finite_difference_check,
@@ -13,6 +14,8 @@ from fedsim.analysis import (
     verify_delta_recursion,
     verify_u_update,
 )
+from fedsim.objectives import ClientObjective
+from fedsim.simulator import ProblemConfig, build_problem
 from test_acceptance import fit_geometric_rate
 
 small_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -185,21 +188,33 @@ class TestGeometricRateFit:
 class TestFiniteDifferenceCheck:
     def test_quadratic_is_nearly_exact(self):
         gen = np.random.default_rng(1)
-        client = QuadraticClient(np.eye(4) * 1.7, gen.standard_normal(4))
+        client = stacked(QuadraticClient(np.eye(4) * 1.7, gen.standard_normal(4)))
         assert finite_difference_check(client, gen.standard_normal(4), 1e-6) <= 1e-7
 
     def test_logreg_oracle(self):
         gen = np.random.default_rng(2)
-        client = LogisticClient(gen.standard_normal((30, 4)), gen.integers(0, 2, 30), 1e-3)
+        client = stacked(LogisticClient(gen.standard_normal((30, 4)), gen.integers(0, 2, 30), 1e-3))
         assert finite_difference_check(client, 0.5 * gen.standard_normal(4), 1e-6) <= 1e-5
 
     def test_mlp_oracle(self):
         gen = np.random.default_rng(3)
         client = MlpClient(gen.standard_normal((12, 3)), gen.integers(0, 2, 12), (3, 5, 1))
         x = 0.2 * gen.standard_normal(client.dim)
-        assert finite_difference_check(client, x, 1e-5) <= 1e-4
+        assert finite_difference_check(stacked(client), x, 1e-5) <= 1e-4
 
     def test_rejects_bad_step(self):
         client = QuadraticClient(np.eye(1), np.zeros(1))
         with pytest.raises(ValueError):
             finite_difference_check(client, np.zeros(1), 0.0)
+
+    def test_probe_memory_is_bounded(self):
+        # one loss call per coordinate: the 4d probes in one stack made a (4d, 400, 32) temporary, 275 MiB at d = 705
+        config = ProblemConfig(kind="mlp", n_clients=1, dim=20, mlp_hidden=32, samples_per_client=400)
+        problem = build_problem(config, 0)
+        tracemalloc.start()
+        try:
+            finite_difference_check(ClientObjective(problem, 0), np.full(problem.dim, 0.1), problem.fd_step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20

@@ -460,44 +460,45 @@ class TestCmdSweep:
         assert not any(existing.iterdir())
 
 
-class TestCmdGradcheck:
-    def test_logreg_gradcheck(self, tmp_path):
-        cfg = tmp_path / "lr.ini"
-        cfg.write_text("[problem]\nkind = logreg\nn_clients = 4\ndim = 4\n"
-                       "samples_per_client = 20\n[algorithm]\nname = fedmim\n"
-                       "[run]\nrounds = 1\n")
-        assert main(["gradcheck", "-c", str(cfg)]) == 0
+# (config, overrides, seed) of each passing gradcheck: None is MINIMAL, and a None seed is the config's own
+GRADCHECK_RUNS = [
+    pytest.param(None, ["kind=logreg", "n_clients=4", "dim=4", "samples_per_client=20"], None, id="logreg"),
+    pytest.param(None, ["kind=mlp", "n_clients=3", "dim=4", "mlp_hidden=5", "samples_per_client=15"], None, id="mlp"),
+    *[pytest.param(path, [], None, id=path.name) for path in SHIPPED_CONFIGS],
+    # a quadratic at d = 100: its correct gradient failed at an fd step of 1e-6, where the
+    # difference's round-off, eps * |f| / h, swamped near-zero coordinates
+    *[pytest.param(WORKLOAD_DIR / "quad-baselines.ini", [], seed, id=f"quad-baselines-{seed}") for seed in (0, 1, 2)],
+    # the correct gradient failed a second-order difference at step 1e-6 (3.6e-5 at seed 3 and
+    # 3.8e-4 at seed 11, tolerance 1e-5): its error, relative to near-zero coordinates
+    *[pytest.param(WORKLOAD_DIR / "logreg-train.ini", [], seed, id=f"logreg-train-{seed}") for seed in (3, 11)],
+    # the batched mlp gradient at the benchmark's shape, where some clients hold fewer samples than a batch
+    pytest.param(WORKLOAD_DIR / "mlp-measure.ini", [], 3, id="mlp-measure-3"),
+]
 
-    def test_mlp_gradcheck(self, tmp_path):
-        cfg = tmp_path / "mlp.ini"
-        cfg.write_text("[problem]\nkind = mlp\nn_clients = 3\ndim = 4\nmlp_hidden = 5\n"
-                       "samples_per_client = 15\n[algorithm]\nname = fedmim\n"
-                       "[run]\nrounds = 1\n")
-        assert main(["gradcheck", "-c", str(cfg)]) == 0
+
+class TestCmdGradcheck:
+    @pytest.mark.parametrize("config, overrides, seed", GRADCHECK_RUNS)
+    def test_passes(self, minimal_config, capsys, config, overrides, seed):
+        config = str(config or minimal_config)
+        flags = [flag for item in overrides for flag in ("-o", item)] + ([] if seed is None else ["--seed", str(seed)])
+        assert main(["gradcheck", "-c", config, *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        n_clients = parse_config(config, overrides).problem.n_clients
+        assert [line.split(":")[0] for line in lines[:-1]] == [f"client {cid}" for cid in range(n_clients)]
+        assert lines[-1].startswith("worst ")
+
+    def test_quad_baselines_is_the_quadratic_at_dimension_100(self, tmp_path):
+        cfg = write_ini(tmp_path / "quad.ini", {"problem": {"n_clients": "50", "dim": "100",
+                                                            "heterogeneity": "1.0", "sigma_l": "0.1"}})
+        assert parse_config(cfg).problem == parse_config(str(WORKLOAD_DIR / "quad-baselines.ini")).problem
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
     def test_shipped_config(self, path):
         config = parse_config(str(path))
         problem = simulator.build_problem(config.problem, config.master_seed)
-        assert problem.num_clients == config.problem.n_clients
         p = config.problem
         # an mlp has W1 (h, d), b1 (h), W2 (1, h) and b2 (1)
         assert problem.dim == (p.mlp_hidden * (p.dim + 2) + 1 if p.kind == "mlp" else p.dim)
-        assert main(["gradcheck", "-c", str(path)]) == 0
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_quadratic_at_dimension_100(self, tmp_path, seed):
-        # the perfbench quad-baselines problem; its correct gradient failed at an fd step of 1e-6,
-        # where the difference's round-off, eps * |f| / h, swamped near-zero coordinates
-        cfg = write_ini(tmp_path / "quad.ini", {"problem": {"n_clients": "50", "dim": "100",
-                                                            "heterogeneity": "1.0", "sigma_l": "0.1"}})
-        assert main(["gradcheck", "-c", cfg, "--seed", str(seed)]) == 0
-
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_logreg_train_workload(self, seed):
-        # the correct gradient failed a second-order difference at step 1e-6 (3.6e-5 at seed 3 and
-        # 3.8e-4 at seed 11, tolerance 1e-5): its error, relative to near-zero coordinates
-        assert main(["gradcheck", "-c", str(WORKLOAD_DIR / "logreg-train.ini"), "--seed", str(seed)]) == 0
 
     @pytest.mark.parametrize("name, owner, attr", [
         pytest.param("quadratic_verify.ini", objectives, "_hessian_products", id="quadratic_verify.ini"),
@@ -528,13 +529,13 @@ class TestCmdGradcheck:
         problem = simulator.build_problem(config.problem, config.master_seed)
         client = objectives.ClientObjective(problem, 0)
         x = np.full(problem.dim, 0.1)
-        loss = client.loss(x)
+        loss = client.loss(x[None])[0]
 
         def no_gradient(*args):
             raise AssertionError("a loss probe computed a gradient")
 
         monkeypatch.setattr(type(problem), "_rows_gradient", no_gradient)
-        assert client.loss(x) == loss
+        assert client.loss(x[None])[0] == loss
 
 
 class TestCsvProblemEndToEnd:

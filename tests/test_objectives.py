@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from client_reference import (LogisticClient, MlpClient, QueueSampler, _stack_by_client, clients_of,
-                              known_optimum, mlp_evaluate, pl_mu, quadratic_data)
+from client_reference import (LogisticClient, MlpClient, QueueSampler, _stack_by_client, client_loss_at, clients_of,
+                              known_optimum, mlp_evaluate, pl_mu, quadratic_data, stacked)
 from fedsim import objectives
 from fedsim.objectives import (
     CsvFormatError,
@@ -192,7 +192,7 @@ class TestMlpClient:
         client = self._client()
         gen = np.random.default_rng(9)
         x = 0.3 * gen.standard_normal(client.dim)
-        assert finite_difference_check(client, x, 1e-6) <= 1e-5
+        assert finite_difference_check(stacked(client), x, 1e-6) <= 1e-5
 
     def test_hidden_unit_permutation_symmetry(self):
         client = self._client()
@@ -384,7 +384,7 @@ class TestProblemGenerators:
         assert prob.widths == (dim, 3, 1) and prob.dim == 3 * (dim + 2) + 1
 
 
-def _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir):
+def _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir, hidden=3):
     path = Path(csv_dir) / "data.csv"
     if kind == "csv":
         gen = np.random.default_rng(seed)
@@ -396,7 +396,7 @@ def _random_problem(kind, n_clients, dim, concentration, samples, seed, csv_dir)
             for row, lab in zip(gen.standard_normal((n_rows, dim)), labels):
                 writer.writerow([f"{v:.17g}" for v in row] + [int(lab)])
     fields = dict(dim=dim, heterogeneity=1.5, sigma_l=0.1, concentration=concentration,
-                  samples_per_client=samples, weight_decay=0.01, mlp_hidden=3, csv_path=str(path),
+                  samples_per_client=samples, weight_decay=0.01, mlp_hidden=hidden, csv_path=str(path),
                   label_column="label")
     read = BUILDERS[kind][1]  # the other keys are a ConfigError for this kind
     cfg = ProblemConfig(kind=kind, n_clients=n_clients,
@@ -440,10 +440,26 @@ class TestPopulationOracle:
             np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12 * grad_scale)
             # the per-client oracle, client by client
             for cid, (client_loss, client_grad) in enumerate(zip(client_losses, client_grads)):
-                got_loss, got_grad = prob.client_loss(cid, x), prob.client_gradient(cid, x)
+                got_loss, got_grad = prob.client_loss(cid, x[None])[0], prob.client_gradient(cid, x)
                 assert abs(got_loss - client_loss) <= 1e-12 * abs(client_loss)
                 np.testing.assert_allclose(got_grad, client_grad, rtol=1e-12,
                                            atol=1e-12 * float(np.abs(client_grad).max()))
+
+    @given(kind=st.sampled_from(["logreg", "mlp", "quadratic"]), n_clients=st.integers(1, 4), cid=st.integers(0, 3),
+           dim=st.integers(1, 50), hidden=st.sampled_from([1, 3, 8]), samples=st.integers(1, 200),
+           n_points=st.integers(1, 6), scale=st.sampled_from([0.1, 1.0, 30.0]), seed=st.integers(0, 10_000))
+    @example(kind="mlp", n_clients=2, cid=0, dim=50, hidden=8, samples=100, n_points=4, scale=1.0,
+             seed=0)  # mlp-measure's layers and gradcheck's four probes
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_client_loss_matches_one_point_bytes(self, kind, n_clients, cid, dim, hidden, samples, n_points,
+                                                         scale, seed):
+        # an IID split leaves no client empty
+        prob = _random_problem(kind, n_clients, dim, None, samples, seed, "", hidden)
+        cid %= n_clients
+        points = scale * np.random.default_rng(seed).standard_normal((n_points, prob.dim))
+        want = np.array([client_loss_at(prob, cid, x) for x in points])
+        one_by_one = np.concatenate([prob.client_loss(cid, x[None]) for x in points])
+        assert prob.client_loss(cid, points).tobytes() == want.tobytes() == one_by_one.tobytes()
 
 
 class TestMlpEvaluate:
