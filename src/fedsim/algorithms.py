@@ -16,9 +16,9 @@ past increments:
 
 Every rule runs its local steps through one batched kernel,
 :func:`mim_local_update`: the S sampled clients share the broadcast model
-and both shifts, so they are held as one (S, d) array.  The problem splits
-it into row blocks (one unless a quadratic's Hessians overflow the cache);
-a block takes all K steps, one oracle call each, before the next starts.
+and both shifts, so they are held as one (S, d) array.  ``draw_round``
+splits it into row blocks (by cache size or by batch length); a block
+takes all K steps, one oracle call each, before the next starts.
 The kernel reads the start, the history and eta_l off the
 :class:`RoundState`, and the problem draws the round's minibatches or
 gradient noise.  The rules differ only in the kernel's parameters and the
@@ -181,9 +181,9 @@ def mim_local_update(
     Row s of the (S, d) iterate is client ``ids[s]``; ``ids`` are sorted and
     distinct; every row starts at ``state.x``, with eta_l
     ``current_eta(hyper, state.round)``.  The problem draws the round's
-    randomness up front, under the master ``seed``, and splits the rows into
-    ``step_blocks`` (row slices), each of which takes all K steps in place in
-    its rows of the result before the next starts.  The increment history is
+    randomness up front, under the master ``seed``, as blocks of rows, each
+    of which takes all K steps in arrays of its own, then written into its
+    rows of the result, before the next starts.  The increment history is
     fixed for the whole round, so both momentum shifts are computed once.
     ``correction`` is a constant (S, d) offset added to the gradient before
     each step (the control-variate baseline).
@@ -198,14 +198,14 @@ def mim_local_update(
     step = hyper.A * current_eta(hyper, state.round)
     shift_alpha = weighted_sum(hyper.alpha, state.delta_history)
     shift_beta = weighted_sum(hyper.beta, state.delta_history)
-    draws = problem.draw_round(seed, state.round, ids, hyper.k_local)
     finals = np.empty((len(ids), state.x.shape[0]))
-    grad_sums = np.zeros_like(finals)
-    first_bad = np.full(len(ids), -1)
+    grad_sums = np.empty_like(finals)
+    first_bad = np.empty(len(ids), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught explicitly
-        for rows, block in problem.step_blocks(draws, len(ids)):
-            x, bad, sums = finals[rows], first_bad[rows], grad_sums[rows]  # views of the block's rows
+        for rows, block in problem.draw_round(seed, state.round, ids, hyper.k_local):
+            x = np.empty((len(rows), len(state.x)))
             x[:] = state.x
+            sums, bad = np.zeros(x.shape), np.full(len(rows), -1)
             offset = None if correction is None else correction[rows]
             y2 = x if shift_beta is None else np.empty_like(x)
             for k in range(hyper.k_local):
@@ -221,6 +221,7 @@ def mim_local_update(
                 x -= g
                 if not np.isfinite(np.add.reduce(x, axis=None)):  # inf/NaN iff an entry is, or the sum overflows
                     bad[~np.isfinite(x).all(axis=1) & (bad < 0)] = k
+            finals[rows], grad_sums[rows], first_bad[rows] = x, sums, bad
     if (first_bad >= 0).any():
         row = int(np.argmax(first_bad >= 0))
         raise DivergenceError(ids[row], int(first_bad[row]))

@@ -27,20 +27,20 @@ evaluates x and the shifted iterate u of a metric row in one call);
 ``draw_round(seed, round_index, ids, k_local)`` draws each sampled client's
 gradient noise or K minibatches (as stack rows) for the round up front, from
 its own (round, client, PURPOSE_BATCH) stream in one call (a
-``standard_normal`` fill or ``EpochSampler.batches(K)``), the sample-based
-kinds' grouped by batch length.  The round's streams come from
-``vectors.round_generators``: their keys are computed in one pass and drawn
-on one reset Philox, with the same draws as ``derive_rng``.
-``step_blocks(draws, S)`` splits the S rows and their draws into blocks that
-take their K steps one after another: a quadratic's hold ``STEP_BLOCK_BYTES``
-of Hessians, which stay in cache; the sample-based kinds keep one block.
-``client_gradients`` returns a block's gradients at one local step, one
-batched product per group.
+``standard_normal`` fill or ``EpochSampler.batches(K)``).  The round's
+streams come from ``vectors.round_generators``: their keys are computed in
+one pass and drawn on one reset Philox, with the same draws as
+``derive_rng``.  It returns ``(rows, block)`` pairs whose ascending ``rows``
+(positions in ``ids``) partition the round and take their K steps one block
+after another: a quadratic's blocks hold ``STEP_BLOCK_BYTES`` of Hessians,
+which stay in cache; a sample-based kind's block is one batch length's
+clients.  ``client_gradients(x, block, step)`` is a block's gradients.
 ``client_loss(cid, points)`` gives one client's full-batch losses at a (P, d)
 stack, ``client_gradient(cid, x)`` its gradient at one point by the training
-arithmetic (``_rows_gradient`` on one row); finite differences of the loss,
-four probes a call (``fedsim gradcheck``, through :class:`ClientObjective`),
-check the gradient that trains, and no loss probe computes a gradient.
+arithmetic (``client_gradients`` on the client's own one-row, full-batch,
+noise-free block); finite differences of the loss, four probes a call
+(``fedsim gradcheck``, through :class:`ClientObjective`), check the gradient
+that trains, and no loss probe computes a gradient.
 """
 
 from __future__ import annotations
@@ -138,8 +138,7 @@ def _row_blocks(n: int, size: int):
 def _hessian_products(hessians: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Row i: H_i @ r_i, bit for bit (a batched matmul, unlike einsum, matches the per-row product).
 
-    ``r`` is (N, d), or (P, N, d) for P points at once; one client's (d, d)
-    Hessian takes a (d,) ``r``.
+    ``r`` is (N, d), or (P, N, d) for P points at once.
     """
     return np.matmul(hessians, r[..., None])[..., 0]
 
@@ -149,10 +148,10 @@ class FederatedProblem:
 
     Row p of ``evaluate(points)`` holds the full-batch loss and gradient at
     ``points[p]``, the mean of the clients' ``client_loss`` and
-    ``client_gradient`` up to summation order.  ``draw_round``,
-    ``step_blocks`` and ``client_gradients`` give the training gradients of
-    a round's sampled clients.  ``fedsim gradcheck`` uses step ``fd_step``
-    and fails above ``fd_tolerance``.
+    ``client_gradient`` up to summation order.  ``draw_round``'s blocks
+    and ``client_gradients`` give the training gradients of a round's
+    sampled clients.  ``fedsim gradcheck`` uses step ``fd_step`` and fails
+    above ``fd_tolerance``.
     """
 
     num_clients: int
@@ -160,10 +159,6 @@ class FederatedProblem:
     fd_step: float
     fd_tolerance: float
     smoothness_L: Optional[float] = None  # the kinds that know it set it; run_training reads it on every kind
-
-    def step_blocks(self, draws, n: int) -> list:
-        """The ``n`` sampled rows as ``(rows, draws)`` blocks that take their K steps in turn: here one."""
-        return [(slice(0, n), draws)]
 
 
 class QuadraticPopulation(FederatedProblem):
@@ -198,16 +193,16 @@ class QuadraticPopulation(FederatedProblem):
             raise ValueError(f"the Hessian of client {int(np.argmin(definite))} is not positive definite")
         self.smoothness_L = float(eigs[:, -1].max())
 
-    def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
-        """The sampled clients' Hessians, centres and K scaled noise vectors.
+    def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int) -> list:
+        """The sampled clients' Hessians, centres and K scaled noise vectors, in blocks.
 
         ``ids`` are sorted and distinct.  At full participation they are
         0..N-1 and the stack itself is used; otherwise the sampled rows are
         gathered once for the whole round.  The noise is drawn into one
         (S, K, d) buffer: each client fills its (K, d) row in place on its own
         stream, the same values as K draws of one vector each, and the buffer
-        is scaled in place.  It is returned as the (K, S, d) transposed view,
-        so step k reads ``noise[k]`` without a copy.
+        is scaled in place; step k reads its (K, S, d) transposed view's
+        ``noise[k]`` without a copy.  A block is ``STEP_BLOCK_BYTES`` of Hessians.
         """
         full = len(ids) == len(self.centers)
         hessians = self.hessians if full else self.hessians[ids]
@@ -220,18 +215,14 @@ class QuadraticPopulation(FederatedProblem):
                 gen.standard_normal(out=row)
             buf *= self.noise_sigma / np.sqrt(d)
             noise = buf.transpose(1, 0, 2)
-        return hessians, centers, noise
-
-    def step_blocks(self, draws, n: int) -> list:
-        """Blocks of as many sampled clients as ``STEP_BLOCK_BYTES`` holds Hessians, each with its rows' draws."""
-        hessians, centers, noise = draws
+        positions = np.arange(len(ids))
         size = max(1, STEP_BLOCK_BYTES // hessians[0].nbytes)
-        return [(rows, (hessians[rows], centers[rows], None if noise is None else noise[:, rows]))
-                for rows in _row_blocks(n, size)]
+        return [(positions[rows], (hessians[rows], centers[rows], None if noise is None else noise[:, rows]))
+                for rows in _row_blocks(len(ids), size)]
 
-    def client_gradients(self, x: np.ndarray, draws, step: int) -> np.ndarray:
+    def client_gradients(self, x: np.ndarray, block, step: int) -> np.ndarray:
         """Row s: H_s (x_s - b_s) plus that client's noise for local step ``step``."""
-        hessians, centers, noise = draws
+        hessians, centers, noise = block
         g = _hessian_products(hessians, x - centers)
         if noise is not None:
             g += noise[step]  # in place: a new array from a strided view costs more
@@ -244,7 +235,7 @@ class QuadraticPopulation(FederatedProblem):
 
     def client_gradient(self, cid: int, x: ParamVector) -> ParamVector:
         """Client ``cid``'s gradient H r, r = x - b, by the training product."""
-        return _hessian_products(self.hessians[cid], x - self.centers[cid])
+        return self.client_gradients(x[None], (self.hessians[cid:cid + 1], self.centers[cid:cid + 1], None), 0)[0]
 
     def evaluate(self, points: np.ndarray):
         """Losses (P,) and gradients (P, d) at the (P, d) ``points``: one batched product for all P."""
@@ -277,8 +268,8 @@ class _SampledPopulation(FederatedProblem):
         self.partition = partition
         self.num_clients = len(sizes)
 
-    def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int):
-        """The sampled clients grouped by batch length: (positions in ``ids``, (K, G, B) stack rows) pairs.
+    def draw_round(self, seed: int, round_index: int, ids: Sequence[int], k_local: int) -> list:
+        """One block per batch length: (positions in ``ids``, (K, G, B) stack rows) pairs.
 
         Each client's K minibatches are drawn on its own stream; a client
         with no more than ``batch`` samples takes its full, shorter batch.
@@ -292,16 +283,9 @@ class _SampledPopulation(FederatedProblem):
         return [(np.array([pos for pos, _ in members]), np.stack([rows for _, rows in members], axis=1))
                 for members in groups.values()]
 
-    def client_gradients(self, x: np.ndarray, draws, step: int) -> np.ndarray:
-        """Row s: the minibatch gradient of client s at row s of ``x``, one batched call per group."""
-        g = np.empty_like(x)
-        for positions, rows in draws:
-            g[positions] = self._rows_gradient(x[positions], rows[step])
-        return g
-
     def client_gradient(self, cid: int, x: ParamVector) -> ParamVector:
         """Client ``cid``'s full-batch gradient: the training gradient of one row over all its rows."""
-        return self._rows_gradient(x[None], np.arange(*self.spans[cid])[None])[0]
+        return self.client_gradients(x[None], np.arange(*self.spans[cid])[None, None], 0)[0]
 
 
 class LogisticPopulation(_SampledPopulation):
@@ -325,8 +309,9 @@ class LogisticPopulation(_SampledPopulation):
         data = np.mean(np.logaddexp(0.0, z) - self.values[rows] * z, axis=1)
         return data + 0.5 * self.weight_decay * row_dots(points, points)
 
-    def _rows_gradient(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Row g: the gradient over stack rows ``rows[g]`` (G, B) at ``x[g]`` (G, d), one matmul per client."""
+    def client_gradients(self, x: np.ndarray, batches: np.ndarray, step: int) -> np.ndarray:
+        """Row g: the gradient over stack rows ``batches[step, g]`` at ``x[g]`` (G, d), one matmul per client."""
+        rows = batches[step]
         xb = self.features[rows]
         r = _sigmoid(np.matmul(xb, x[:, :, None])[..., 0]) - self.values[rows]
         return np.matmul(xb.transpose(0, 2, 1), r[:, :, None])[..., 0] / rows.shape[1] + self.weight_decay * x
@@ -376,8 +361,9 @@ class MlpPopulation(_SampledPopulation):
         r = np.matmul(np.tanh(z, out=z), w2[:, :, None])[..., 0] + b2[:, None] - self.values[rows]
         return 0.5 * np.mean(r * r, axis=1)
 
-    def _rows_gradient(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Row g: the gradient over stack rows ``rows[g]`` (G, B) at ``x[g]`` (G, dim), by backprop."""
+    def client_gradients(self, x: np.ndarray, batches: np.ndarray, step: int) -> np.ndarray:
+        """Row g: the gradient over stack rows ``batches[step, g]`` at ``x[g]`` (G, dim), by backprop."""
+        rows = batches[step]
         w1, b1, w2, b2 = unpack_mlp(x, self.widths)
         xb = self.features[rows]
         a1 = np.tanh(np.matmul(xb, w1.transpose(0, 2, 1)) + b1[:, None, :])  # (G, B, h)
@@ -590,6 +576,8 @@ def ingest_csv(path: str, label_column: str):
     features = np.asarray(rows, dtype=np.float64)
     mu = features.mean(axis=0)
     sd = features.std(axis=0)
+    if not (sd > 0).any():  # standardized to all zeros: no step could move from x = 0
+        raise CsvFormatError("every feature column is constant")
     features = np.where(sd > 0, (features - mu) / np.where(sd > 0, sd, 1.0), 0.0)
     uniq = sorted(set(raw_labels), key=lambda v: (0, float(v)) if _is_number(v) else (1, v))
     mapping = {v: i for i, v in enumerate(uniq)}

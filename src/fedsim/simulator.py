@@ -121,6 +121,8 @@ class RunConfig:
             raise ConfigError("rounds must be >= 1")
         if self.rounds > 2**32:  # a round index is one 32-bit word of its streams' keys
             raise ConfigError("rounds must be <= 2**32")
+        if current_eta(self.hyper, self.rounds - 1) == 0.0:  # scaffold would divide by it, the others stop moving
+            raise ConfigError("eta_l * lr_decay**(rounds - 1) underflows to 0")
         if not (1 <= self.metric_every <= self.rounds):  # past rounds, no metric row would be written
             raise ConfigError("metric_every must be in [1, rounds]")
         if not (1 <= self.hyper.s_participate <= self.problem.n_clients):

@@ -91,7 +91,7 @@ def test_criterion_04_gradient_oracles():
         size = next(b for b in range(min(10, n), 0, -1) if n % b == 0)
         # the training minibatch gradients over a disjoint cover average to the reference full gradient
         batches = [np.arange(i, i + size) for i in range(start, stop, size)]
-        avg = np.mean([population._rows_gradient(w[None], b[None])[0] for b in batches], axis=0)
+        avg = np.mean([population.client_gradients(w[None], b[None, None], 0)[0] for b in batches], axis=0)
         ok &= bool(np.abs(avg - client.full_gradient(w)).max() <= 1e-12)
         ok &= finite_difference_check(ClientObjective(population, cid), w, 1e-6) <= 1e-5
     mlp = build_problem(ProblemConfig(kind="mlp", n_clients=3, dim=4, mlp_hidden=6,

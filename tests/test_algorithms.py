@@ -68,19 +68,19 @@ class TestComputeDelta:
 
 
 class PairBlocks(FederatedProblem):
-    """Zero gradients, except NaN for client c at local step k for each (c, k) in ``nan_at``; blocks of two rows."""
+    """Gradient c for client c, except NaN at local step k for each (c, k) in ``nan_at``.
+
+    The even positions in ``ids`` are one block and the odd ones the other, so the blocks' rows interleave.
+    """
 
     def __init__(self, num_clients, dim, nan_at=()):
         self.num_clients, self.dim, self.nan_at = num_clients, dim, set(nan_at)
 
     def draw_round(self, seed, round_index, ids, k_local):
-        return list(ids)
-
-    def step_blocks(self, draws, n):
-        return [(slice(start, start + 2), draws[start:start + 2]) for start in range(0, n, 2)]
+        return [(np.arange(first, len(ids), 2), ids[first::2]) for first in (0, 1)]
 
     def client_gradients(self, x, ids, step):
-        g = np.zeros_like(x)
+        g = np.repeat(np.array(ids, dtype=float)[:, None], x.shape[1], axis=1)
         g[[row for row, cid in enumerate(ids) if (cid, step) in self.nan_at]] = np.nan
         return g
 
@@ -151,8 +151,13 @@ class TestMimLocalUpdate:
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.add.reduce(np.tile(start, (2, 1)), axis=None))
         finals, _ = mim_local_update(PairBlocks(4, 4), [0, 1, 2, 3], RoundState(start, (np.zeros(4),)), hyper, 0)
-        assert finals.tobytes() == np.tile(start, (4, 1)).tobytes()
-        # NaNs in the second block: client 3 at step 1, client 2 at step 4; the lowest client, its first step
+        assert finals.tobytes() == np.tile(start, (4, 1)).tobytes()  # each step moves an entry by under 1 ulp
+        # blocks {0, 2} and {1, 3}: each block writes its rows back to its own clients' positions
+        finals, _ = mim_local_update(PairBlocks(10, 1), [1, 4, 6, 9], RoundState(np.zeros(1), (np.zeros(1),)),
+                                     hyper, 0)
+        assert finals[:, 0].tolist() == [0.0 - 0.1 * c - 0.1 * c - 0.1 * c for c in (1, 4, 6, 9)]
+        # NaNs for client 3 at step 1 (block {1, 3}) and client 2 at step 4 (block {0, 2}): the lowest client,
+        # its first step
         hyper = dataclasses.replace(hyper, k_local=6)
         with pytest.raises(DivergenceError) as err:
             mim_local_update(PairBlocks(4, 1, nan_at=[(3, 1), (2, 4)]), [0, 1, 2, 3],

@@ -500,18 +500,17 @@ class TestCmdGradcheck:
         # an mlp has W1 (h, d), b1 (h), W2 (1, h) and b2 (1)
         assert problem.dim == (p.mlp_hidden * (p.dim + 2) + 1 if p.kind == "mlp" else p.dim)
 
-    @pytest.mark.parametrize("name, owner, attr", [
-        pytest.param("quadratic_verify.ini", objectives, "_hessian_products", id="quadratic_verify.ini"),
-        pytest.param("logreg_dirichlet.ini", objectives.LogisticPopulation, "_rows_gradient",
-                     id="logreg_dirichlet.ini"),
-        pytest.param("mlp_small.ini", objectives.MlpPopulation, "_rows_gradient", id="mlp_small.ini"),
+    @pytest.mark.parametrize("name, owner", [
+        pytest.param("quadratic_verify.ini", objectives.QuadraticPopulation, id="quadratic_verify.ini"),
+        pytest.param("logreg_dirichlet.ini", objectives.LogisticPopulation, id="logreg_dirichlet.ini"),
+        pytest.param("mlp_small.ini", objectives.MlpPopulation, id="mlp_small.ini"),
     ])
-    def test_wrong_gradient_fails(self, monkeypatch, name, owner, attr):
+    def test_wrong_gradient_fails(self, monkeypatch, name, owner):
         # scale the gradient that training uses; gradcheck must see it
         path = str(CONFIG_DIR / name)
         assert main(["gradcheck", "-c", path]) == 0
-        exact = getattr(owner, attr)
-        monkeypatch.setattr(owner, attr, lambda *args: 1.001 * exact(*args))
+        exact = owner.client_gradients
+        monkeypatch.setattr(owner, "client_gradients", lambda *args: 1.001 * exact(*args))
         assert main(["gradcheck", "-c", path]) == 3
 
         def nan_in_coordinate_0(*args):
@@ -519,7 +518,7 @@ class TestCmdGradcheck:
             g = exact(*args)
             g[..., 0] = np.nan
             return g
-        monkeypatch.setattr(owner, attr, nan_in_coordinate_0)
+        monkeypatch.setattr(owner, "client_gradients", nan_in_coordinate_0)
         assert main(["gradcheck", "-c", path]) == 3
 
     @pytest.mark.parametrize("name", ["logreg_dirichlet.ini", "mlp_small.ini"])
@@ -534,7 +533,7 @@ class TestCmdGradcheck:
         def no_gradient(*args):
             raise AssertionError("a loss probe computed a gradient")
 
-        monkeypatch.setattr(type(problem), "_rows_gradient", no_gradient)
+        monkeypatch.setattr(type(problem), "client_gradients", no_gradient)
         assert client.loss(x[None])[0] == loss
 
 

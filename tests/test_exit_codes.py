@@ -67,6 +67,9 @@ FILES = {path.name: path.read_bytes() for path in (ROOT / "configs").glob("*.ini
         "missing-csv.ini": MINIMAL.replace("quadratic\n", "csv\ncsv_path = missing.csv\nlabel_column = y\n"),
         "repeated.csv": "a,y,y\n1,0,1\n2,1,0\n3,0,1\n4,1,0\n",
         "repeated.ini": MINIMAL.replace("quadratic\n", "csv\ncsv_path = repeated.csv\nlabel_column = y\n"),
+        "constant.csv": "a,b,y\n1,5,0\n1,5,1\n1,5,0\n1,5,1\n",
+        "constant.ini": MINIMAL.replace("quadratic\n", "csv\ncsv_path = constant.csv\nlabel_column = y\nn_clients = 2\n"
+                                                      "batch_size = 0\nweight_decay = 0\n"),
         "mlp-diverge.ini": "[problem]\nkind = mlp\nn_clients = 4\ndim = 4\nmlp_hidden = 6\nsamples_per_client = 20\n"
                            "batch_size = 10\n[algorithm]\nname = fedmim\neta_l = 100.0\nk_local = 10\n"
                            "s_participate = 4\n[run]\nrounds = 100\nseed = 3\n",
@@ -85,6 +88,7 @@ FIELD = [
     ("metric_every=0", "metric_every must be in [1, rounds]"),
     ("rounds=0", "rounds must be >= 1$"),
     ("rounds=4294967297", "rounds must be <= 2**32"),  # a round index is one 32-bit word
+    ("lr_decay=0.5 rounds=1073", "eta_l * lr_decay**(rounds - 1) underflows to 0$"),  # 0.1 * 0.5**1072 == 0
     ("seed=-1", "seed must be >= 0"),
     ("name=fedprox", "unknown algorithm 'fedprox'"),
     ("s_participate=11", "s_participate must be in [1, n_clients]"),  # a hyper key that RunConfig checks
@@ -125,6 +129,9 @@ PARSE = [("minimal.ini", [arg for item in items.split() for arg in ("-o", item)]
     ("minimal.ini", ["-o", "rounds=ten"], "invalid value 'ten' for run.rounds$"),
     ("mlp_small.ini", ["-o", "sigma_l=3"], "'sigma_l' is not used by kind 'mlp'$"),  # exited 0, unchanged bytes
     ("quadratic_verify.ini", ["-o", "batch_size=3"], "'batch_size' is not used by kind 'quadratic'$"),  # too
+    # scaffold's control refresh divided by K eta_l = 0: exited 2, diverged at round 1074 (client 4, local step 0)
+    ("compare_algorithms.ini", ["-o", "name=scaffold", "-o", "lr_decay=0.5", "-o", "rounds=1100", "-o",
+                                "metric_every=100"], "eta_l * lr_decay**(rounds - 1) underflows to 0$"),
     ("nope.ini", [], "config file not found: nope.ini$"),
     ("unknown-section.ini", [], "unknown config section [training]$"),
     ("unknown-key.ini", [], "unknown config key 'size' in section [problem]$"),
@@ -139,6 +146,8 @@ BUILD = [
     ("skew.ini", [], "cannot build the logreg problem: a client received no samples after 10 redraws$"),
     ("labels.ini", [], "cannot build the csv problem: no feature columns$"),  # an IndexError in the smoothness bound
     ("missing-csv.ini", [], "[Errno 2] No such file or directory: 'missing.csv'$"),  # a FileNotFoundError traceback
+    # smoothness_L was 0: a ZeroDivisionError in eta_l_bound
+    ("constant.ini", [], "cannot build the csv problem: every feature column is constant$"),
     # the second 'y' was read as a feature
     ("repeated.ini", [], "cannot build the csv problem: column 'y' appears more than once in header ['a', 'y', 'y']$"),
     # heterogeneity * standard_normal overflowed to inf: the run exited 2 as a divergence at round 1, and once
@@ -234,7 +243,11 @@ def test_parse_config(workdir, config, args, message):
 
 
 def test_rounds_up_to_2_32_parse(workdir):
-    assert parse_config("quadratic_verify.ini", ["rounds=4294967296"]).rounds == 2**32
+    assert parse_config("quadratic_verify.ini", ["rounds=4294967296", "lr_decay=1"]).rounds == 2**32
+
+
+def test_last_round_with_a_nonzero_eta_parses(workdir):
+    assert parse_config("minimal.ini", ["lr_decay=0.5", "rounds=1072"]).rounds == 1072  # 0.1 * 0.5**1071 > 0
 
 
 @pytest.mark.parametrize("items, message", FIELD)

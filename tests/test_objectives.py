@@ -117,10 +117,11 @@ class TestQuadraticProblem:
     def test_noise_model(self):
         x = np.ones((1, 4))
         exact = QuadraticPopulation([np.eye(4)], [np.zeros(4)], 0.0)
-        assert np.array_equal(exact.client_gradients(x, exact.draw_round(0, 0, [0], 1), 0), x)
+        [(_, block)] = exact.draw_round(0, 0, [0], 1)
+        assert np.array_equal(exact.client_gradients(x, block, 0), x)
         noisy = QuadraticPopulation([np.eye(4)], [np.zeros(4)], 0.3)
         k_local = 20000
-        round_draws = noisy.draw_round(5, 0, [0], k_local)
+        [(_, round_draws)] = noisy.draw_round(5, 0, [0], k_local)
         draws = np.array([noisy.client_gradients(x, round_draws, k)[0] - x[0] for k in range(k_local)])
         assert np.abs(draws.mean(axis=0)).max() < 0.01  # unbiased
         assert np.mean(np.sum(draws**2, axis=1)) == pytest.approx(0.09, rel=0.05)
@@ -258,7 +259,8 @@ class TestDrawRound:
     def test_quadratic_noise(self, n_clients, dim, sigma_l, k_local, data, seed, round_index):
         population = build_problem(ProblemConfig(n_clients=n_clients, dim=dim, sigma_l=sigma_l), seed)
         ids = sorted(data.draw(st.sets(st.integers(0, n_clients - 1), min_size=1)))
-        hessians, centers, noise = population.draw_round(seed, round_index, ids, k_local)
+        [(rows, (hessians, centers, noise))] = population.draw_round(seed, round_index, ids, k_local)
+        assert rows.tolist() == list(range(len(ids)))
         assert np.array_equal(hessians, population.hessians[ids])
         assert np.array_equal(centers, population.centers[ids])
         if sigma_l == 0.0:
@@ -282,6 +284,35 @@ class TestDrawRound:
             reject()
         ids = sorted(data.draw(st.sets(st.integers(0, n_clients - 1), min_size=1)))
         assert_batches_match_streams(population, seed, round_index, ids, k_local)
+
+    @given(kind=st.sampled_from(["quadratic", "logreg", "mlp"]), n_clients=st.integers(1, 8), dim=st.integers(1, 4),
+           k_local=st.integers(1, 4), batch=st.integers(0, 12), data=st.data(), seed=st.integers(0, 10_000),
+           budget=st.integers(1, 1200))
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_partition_the_round(self, kind, n_clients, dim, k_local, batch, data, seed, budget):
+        """Each position in ``ids`` is in exactly one block, ascending within it; a block's clients are alike."""
+        fields = (dict(sigma_l=data.draw(st.sampled_from([0.0, 0.3]))) if kind == "quadratic" else
+                  dict(samples_per_client=6, concentration=0.5, batch_size=batch))
+        try:
+            population = build_problem(ProblemConfig(kind=kind, n_clients=n_clients, dim=dim, **fields), seed)
+        except ConfigError:  # a Dirichlet draw that left a client empty
+            reject()
+        ids = sorted(data.draw(st.sets(st.integers(0, n_clients - 1), min_size=1)))
+        with mock.patch.object(objectives, "STEP_BLOCK_BYTES", budget):
+            blocks = population.draw_round(seed, 3, ids, k_local)
+        rows = [positions.tolist() for positions, _ in blocks]
+        assert all(positions and positions == sorted(set(positions)) for positions in rows)
+        assert sorted(sum(rows, [])) == list(range(len(ids)))
+        for positions, block in blocks:
+            sampled = np.array(ids)[positions]
+            if kind == "quadratic":
+                assert len(positions) <= max(1, budget // (8 * population.dim ** 2))
+                assert np.array_equal(block[0], population.hessians[sampled])
+                assert np.array_equal(block[1], population.centers[sampled])
+            else:  # the block's (K, G, B) batches: every client's batch length is B
+                sizes = [stop - start for start, stop in (population.spans[cid] for cid in sampled)]
+                assert block.shape[:2] == (k_local, len(positions))
+                assert {size if not 0 < batch < size else batch for size in sizes} == {block.shape[2]}
 
     def test_small_and_large_clients_in_one_round(self):
         cfg = ProblemConfig(kind="logreg", n_clients=6, dim=2, samples_per_client=8, concentration=0.5,
